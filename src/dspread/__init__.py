@@ -25,7 +25,6 @@ from .corpus import (
     sweep,
 )
 from .eigen import (
-    NotConvergedError,
     Spectrum,
     perron_vector,
     rayleigh_lower_bound,

@@ -583,25 +583,25 @@ def violations(reports: Sequence[BoundReport]) -> list[BoundReport]:
     return [r for r in reports if r.applicable and r.status == PROVEN and not r.holds]
 
 
-def discrepancies(reports: Sequence[BoundReport]) -> list[dict]:
-    """Mismatches of claimed formulas -- informational, never soundness.
+def claimed_miss(r: BoundReport) -> bool:
+    """An applicable claimed formula that missed: an exact-value claim
+    whenever the numeric value disagrees, an inequality claim only when it
+    is outright violated."""
+    if not (r.applicable and r.status == CLAIMED):
+        return False
+    return not r.equality if r.exact_claim else not r.holds
 
-    An exact-value claim counts as a discrepancy whenever the numeric value
-    disagrees, an inequality claim only when it is outright violated.
-    """
-    out = []
-    for r in reports:
-        if not (r.applicable and r.status == CLAIMED):
-            continue
-        missed = (not r.equality) if r.exact_claim else (not r.holds)
-        if missed:
-            out.append(
-                {
-                    "bound_id": r.bound_id,
-                    "kind": "exact-value mismatch" if r.exact_claim else "bound violated",
-                    "claimed": r.bound_value,
-                    "actual": r.actual_value,
-                    "gap": r.gap,
-                }
-            )
-    return out
+
+def discrepancies(reports: Sequence[BoundReport]) -> list[dict]:
+    """Mismatches of claimed formulas -- informational, never soundness."""
+    return [
+        {
+            "bound_id": r.bound_id,
+            "kind": "exact-value mismatch" if r.exact_claim else "bound violated",
+            "claimed": r.bound_value,
+            "actual": r.actual_value,
+            "gap": r.gap,
+        }
+        for r in reports
+        if claimed_miss(r)
+    ]

@@ -1,17 +1,20 @@
 """Command-line interface: analyze, bounds, sweep, conjecture.
 
 Non-interactive by design: every command prints one JSON document (or a TSV
-table) and exits. Floats are rendered with 12 significant digits so repeated
-invocations are byte-identical.
+table) and exits. Floats are rendered with 12 significant digits, so repeated
+invocations with the same numpy/LAPACK build are byte-identical; another
+build may move the last digits and noise-level gaps.
 
 Exit codes: 0 success, 2 input error (unparseable graph, bad family spec,
-unreadable corpus), 3 precondition failure (disconnected graph, alpha out of
-range), 4 at least one applicable proven bound violated.
+unreadable corpus, NaN/infinite/negative tolerance), 3 precondition failure
+(disconnected graph, alpha out of range), 4 at least one applicable proven
+bound violated.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from importlib import resources
@@ -19,19 +22,15 @@ from typing import Optional, Sequence
 
 from . import bounds as bounds_mod
 from . import corpus as corpus_mod
-from .eigen import spectral_spread, sym_eigen
 from .families import parse_family, generate
 from .graphs import (
     Graph,
     GraphParseError,
-    distance_profile,
     encode_graph6,
-    is_connected,
     is_transmission_regular,
     parse_graph6,
 )
 from .jsonfmt import json_text
-from .matrices import generalized_distance_matrix
 
 SCHEMA_VERSION = 1
 
@@ -48,14 +47,25 @@ def _f(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("SPREAD_TOL")
-    if raw is None:
-        return bounds_mod.DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise _InputError(f"SPREAD_TOL={raw!r} is not a number") from None
+def _tolerance(flag: Optional[float]) -> float:
+    """The bound tolerance: --tol, else SPREAD_TOL, else the registry default.
+
+    A NaN, infinite or negative tolerance would report every bound as
+    violated or every bound as holding, so it is an input error.
+    """
+    if flag is not None:
+        value, source = flag, "--tol"
+    else:
+        raw = os.environ.get("SPREAD_TOL")
+        if raw is None:
+            return bounds_mod.DEFAULT_TOL
+        try:
+            value, source = float(raw), "SPREAD_TOL"
+        except ValueError:
+            raise _InputError(f"SPREAD_TOL={raw!r} is not a number") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise _InputError(f"{source} must be finite and non-negative, got {value:g}")
+    return value
 
 
 def _parse_alpha_list(text: str) -> list[float]:
@@ -74,9 +84,21 @@ def _check_alphas(alphas: Sequence[float]) -> None:
             raise _PreconditionError(f"alpha must lie in [0, 1], got {a:g}")
 
 
+def _load_corpus(path) -> list[Graph]:
+    """Every graph of a graph6 corpus file; a file that cannot be read or
+    parsed is an input error."""
+    try:
+        return corpus_mod.load_corpus(path)
+    except OSError as exc:
+        raise _InputError(f"cannot read corpus {path}: {exc}") from None
+    except GraphParseError as exc:
+        raise _InputError(f"{path}: {exc}") from None
+
+
 def _resolve_inputs(text: str) -> list[tuple[str, Graph]]:
     """An input is a family spec ("kbip:2,3"), a corpus file path, or a
-    graph6 string; files yield one graph per non-comment line."""
+    graph6 string; files yield one graph per non-comment line, described by
+    its graph6 string."""
     if ":" in text:
         try:
             spec = parse_family(text)
@@ -84,37 +106,33 @@ def _resolve_inputs(text: str) -> list[tuple[str, Graph]]:
             raise _InputError(str(exc)) from None
         return [(text, generate(spec))]
     if os.path.exists(text):
-        try:
-            with open(text, "r", encoding="ascii") as fh:
-                lines = list(corpus_mod.iter_graph6_lines(fh))
-        except OSError as exc:
-            raise _InputError(f"cannot read {text}: {exc}") from None
-        try:
-            return [(line, parse_graph6(line)) for line in lines]
-        except GraphParseError as exc:
-            raise _InputError(f"{text}: {exc}") from None
+        return [(encode_graph6(g), g) for g in _load_corpus(text)]
     try:
         return [(text, parse_graph6(text))]
     except GraphParseError as exc:
         raise _InputError(str(exc)) from None
 
 
-def _base_report(desc: str, g: Graph, alpha: float) -> dict:
-    profile = distance_profile(g)
-    spec = sym_eigen(generalized_distance_matrix(profile, alpha), vectors=False)
-    k = is_transmission_regular(profile)
+def _contexts(inputs: list[tuple[str, Graph]]) -> list[tuple[str, bounds_mod.EvalContext]]:
+    # every context is built before any eigensolve, so a disconnected graph
+    # anywhere in the input fails fast ("requires connected graph", exit 3)
+    return [(desc, bounds_mod.EvalContext(g)) for desc, g in inputs]
+
+
+def _base_report(desc: str, ctx: bounds_mod.EvalContext, alpha: float) -> dict:
+    profile = ctx.profile
     return {
         "input": desc,
-        "graph6": encode_graph6(g),
-        "n": g.n,
+        "graph6": encode_graph6(ctx.graph),
+        "n": ctx.n,
         "alpha": float(alpha),
         "wiener": profile.wiener,
         "diameter": profile.diameter,
         "transmission_min": int(profile.tr.min()),
         "transmission_max": int(profile.tr.max()),
-        "transmission_regular": k,
-        "spectrum": [float(v) for v in spec.values],
-        "spread": spectral_spread(spec),
+        "transmission_regular": is_transmission_regular(profile),
+        "spectrum": [float(v) for v in ctx.values(alpha)],
+        "spread": ctx.spread(alpha),
     }
 
 
@@ -136,10 +154,7 @@ def _cmd_analyze(args) -> int:
     else:
         alphas = list(corpus_mod.ALPHA_GRID)
     _check_alphas(alphas)
-    for _, g in inputs:
-        if not is_connected(g):
-            raise _PreconditionError("requires connected graph")
-    reports = [_base_report(d, g, a) for d, g in inputs for a in alphas]
+    reports = [_base_report(d, ctx, a) for d, ctx in _contexts(inputs) for a in alphas]
     if args.format == "tsv":
         rows = ["input\talpha\tn\twiener\tdiameter\tspread\tspectrum"]
         for r in reports:
@@ -161,18 +176,14 @@ def _cmd_bounds(args) -> int:
     inputs = _resolve_inputs(args.input)
     alphas = [args.alpha] if args.alpha is not None else list(corpus_mod.ALPHA_GRID)
     _check_alphas(alphas)
-    tol = args.tol if args.tol is not None else _default_tol()
-    for _, g in inputs:
-        if not is_connected(g):
-            raise _PreconditionError("requires connected graph")
+    tol = _tolerance(args.tol)
     reports = []
     violated = False
-    for desc, g in inputs:
-        ctx = bounds_mod.EvalContext(g)
+    for desc, ctx in _contexts(inputs):
         omega, _ = ctx.cliques
         for a in alphas:
-            base = _base_report(desc, g, a)
-            evaluated = bounds_mod.evaluate_all(g, a, tol=tol, ctx=ctx)
+            base = _base_report(desc, ctx, a)
+            evaluated = bounds_mod.evaluate_all(ctx.graph, a, tol=tol, ctx=ctx)
             base["clique_number"] = omega
             base["independence_number"] = ctx.independence
             base["bounds"] = [r.to_json() for r in evaluated]
@@ -224,15 +235,10 @@ def _parse_seed_random(text: str) -> tuple[int, int, float]:
 def _cmd_sweep(args) -> int:
     alphas = _parse_alpha_list(args.alphas) if args.alphas else list(corpus_mod.ALPHA_GRID)
     _check_alphas(alphas)
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _tolerance(args.tol)
     graphs: list[Graph] = []
     if args.corpus:
-        try:
-            graphs.extend(corpus_mod.load_corpus(args.corpus))
-        except OSError as exc:
-            raise _InputError(f"cannot read corpus {args.corpus}: {exc}") from None
-        except GraphParseError as exc:
-            raise _InputError(f"{args.corpus}: {exc}") from None
+        graphs.extend(_load_corpus(args.corpus))
     if args.seed_random:
         n, count, p = _parse_seed_random(args.seed_random)
         for i in range(count):
@@ -264,19 +270,7 @@ def _cmd_conjecture(args) -> int:
     if args.alpha is None:
         raise _InputError("--alpha is required")
     _check_alphas([args.alpha])
-    if args.corpus:
-        try:
-            graphs = corpus_mod.load_corpus(args.corpus)
-        except OSError as exc:
-            raise _InputError(f"cannot read corpus {args.corpus}: {exc}") from None
-        except GraphParseError as exc:
-            raise _InputError(f"{args.corpus}: {exc}") from None
-    else:
-        ref = _packaged_corpus(args.n)
-        graphs = [
-            parse_graph6(line)
-            for line in corpus_mod.iter_graph6_lines(ref.read_text(encoding="ascii").splitlines())
-        ]
+    graphs = _load_corpus(args.corpus or _packaged_corpus(args.n))
     try:
         result = corpus_mod.check_problem_39(graphs, args.n, args.alpha)
     except ValueError as exc:

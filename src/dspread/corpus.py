@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .bounds import CLAIMED, DEFAULT_TOL, EQ_TOL, PROVEN, EvalContext, evaluate_all
+from .bounds import DEFAULT_TOL, EQ_TOL, PROVEN, EvalContext, claimed_miss, evaluate_all
 from .eigen import spectral_spread, sym_eigen
 from .families import FamilySpec, generate
 from .graphs import (
@@ -152,19 +152,17 @@ def sweep(
                             "gap": report.gap,
                         }
                     )
-                elif report.status == CLAIMED:
-                    missed = (not report.equality) if report.exact_claim else (not report.holds)
-                    if missed:
-                        summary.discrepancies.append(
-                            {
-                                "graph6": key,
-                                "bound_id": report.bound_id,
-                                "alpha": alpha,
-                                "claimed": report.bound_value,
-                                "actual": report.actual_value,
-                                "gap": report.gap,
-                            }
-                        )
+                elif claimed_miss(report):
+                    summary.discrepancies.append(
+                        {
+                            "graph6": key,
+                            "bound_id": report.bound_id,
+                            "alpha": alpha,
+                            "claimed": report.bound_value,
+                            "actual": report.actual_value,
+                            "gap": report.gap,
+                        }
+                    )
     return summary
 
 

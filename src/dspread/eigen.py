@@ -1,30 +1,18 @@
 """Full eigendecomposition of dense real symmetric matrices.
 
-The solver is a cyclic Jacobi sweep: deterministic, accurate to near machine
-precision, and entirely adequate for the dense matrices this package builds
-(a few hundred rows at most). Each call works on a private copy, so
-concurrent calls on distinct inputs are safe.
+A thin layer over LAPACK's symmetric solvers as shipped with numpy
+(``eigvalsh`` for values only, ``eigh`` with vectors). Each call works on a
+private copy, so concurrent calls on distinct inputs are safe.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_SWEEPS = 100
-
-
-class NotConvergedError(RuntimeError):
-    """Jacobi iteration exhausted its sweep budget; carries the residual."""
-
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(
-            f"no convergence after {sweeps} sweeps; off-diagonal residual {residual:.3e}"
-        )
-        self.residual = residual
+# largest |m - m.T| entry accepted, relative to max(1, Frobenius norm of m)
+SYMMETRY_TOL = 1e-12
 
 
 @dataclass
@@ -43,77 +31,28 @@ class Spectrum:
         return len(self.values)
 
 
-def sym_eigen(
-    m: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    vectors: bool = True,
-) -> Spectrum:
-    """Diagonalize a symmetric matrix with cyclic Jacobi rotations.
+def sym_eigen(m: np.ndarray, vectors: bool = True) -> Spectrum:
+    """Diagonalize a symmetric matrix with LAPACK.
 
-    Converged when every off-diagonal magnitude drops below tol times the
-    Frobenius norm of the input. Raises NotConvergedError (reporting the
-    relative residual) if the sweep cap is hit first.
+    Raises ValueError for a non-square input or one that differs from its
+    transpose by more than SYMMETRY_TOL; LAPACK failures raise
+    numpy.linalg.LinAlgError, itself a ValueError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
-    n = a.shape[0]
     norm = float(np.linalg.norm(a))
-    if float(np.max(np.abs(a - a.T))) > tol * max(norm, 1.0):
+    if float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * max(norm, 1.0):
         raise ValueError("symmetric matrix required")
     a = (a + a.T) / 2.0
-    v = np.eye(n) if vectors else None
-    if n == 1 or norm == 0.0:
-        return Spectrum(values=a.diagonal().copy(), vectors=v)
-
-    thresh = tol * norm
-    skip = thresh / (8 * n)  # below this a rotation cannot affect convergence
-    iu = np.triu_indices(n, 1)
-    off = float(np.max(np.abs(a[iu])))
-    sweeps = 0
-    while off > thresh:
-        if sweeps >= max_sweeps:
-            raise NotConvergedError(off / norm, sweeps)
-        sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q]
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :]
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                # analytic values of the rotated pivot entries
-                a[p, q] = a[q, p] = 0.0
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q]
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-        off = float(np.max(np.abs(a[iu])))
-
-    vals = a.diagonal().copy()
+    if vectors:
+        vals, v = np.linalg.eigh(a)
+    else:
+        vals, v = np.linalg.eigvalsh(a), None
+    # LAPACK sorts ascending; a stable sort of the negation keeps tied
+    # columns in their ascending order
     order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    if v is not None:
-        v = v[:, order]
-    return Spectrum(values=vals, vectors=v)
+    return Spectrum(values=vals[order], vectors=None if v is None else v[:, order])
 
 
 def spectral_spread(spectrum: Spectrum) -> float:

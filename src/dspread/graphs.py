@@ -152,11 +152,10 @@ def distance_profile(g: Graph) -> DistanceProfile:
     )
 
 
-def is_transmission_regular(profile: DistanceProfile, tol: float = 0.0) -> Optional[int]:
+def is_transmission_regular(profile: DistanceProfile) -> Optional[int]:
     """Return the common transmission k if all vertices share it, else None.
 
-    Transmissions are integers so the comparison is exact; tol is accepted
-    for interface symmetry and ignored.
+    Transmissions are integers, so the comparison is exact.
     """
     tr = profile.tr
     k = int(tr[0])

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from dspread.cli import main
+from dspread.eigen import sym_eigen
+from dspread.graphs import distance_profile
 
 
 def run_cli(capsys, *argv):
@@ -175,9 +177,52 @@ def test_spread_tol_env(capsys, monkeypatch):
     monkeypatch.setenv("SPREAD_TOL", "1e-6")
     code, out, _ = run_cli(capsys, "bounds", "complete:4", "--alpha", "0.5")
     assert code == 0
-    monkeypatch.setenv("SPREAD_TOL", "banana")
-    code, _, err = run_cli(capsys, "bounds", "complete:4", "--alpha", "0.5")
-    assert code == 2 and "SPREAD_TOL" in err
+    # NaN, infinite or negative tolerances would flip every verdict
+    for bad in ("banana", "nan", "inf", "-1"):
+        monkeypatch.setenv("SPREAD_TOL", bad)
+        code, _, err = run_cli(capsys, "bounds", "complete:4", "--alpha", "0.5")
+        assert code == 2 and "SPREAD_TOL" in err, bad
+    monkeypatch.delenv("SPREAD_TOL")
+    for cmd in (("bounds", "complete:4"), ("sweep", "--seed-random", "4,2,0.5")):
+        for bad in ("nan", "inf", "-1"):
+            code, out, err = run_cli(capsys, *cmd, "--tol", bad)
+            assert code == 2 and "--tol" in err and out == "", (cmd, bad)
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Wrap fn in every dspread module that binds it; return the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "dspread" or name.startswith("dspread."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_one_profile_and_one_eigensolve_per_pair(capsys, monkeypatch, tmp_path):
+    solves = _count_calls(monkeypatch, sym_eigen)
+    profiles = _count_calls(monkeypatch, distance_profile)
+    corpus = tmp_path / "three.g6"
+    corpus.write_text("Bg\nBw\nC~\n", encoding="ascii")
+    code, _, _ = run_cli(capsys, "bounds", str(corpus))
+    assert code == 0
+    assert len(solves) == 3 * 7 and len(profiles) == 3
+    profiles.clear()
+    code, _, _ = run_cli(capsys, "analyze", str(corpus))
+    assert code == 0 and len(profiles) == 3
+    # a disconnected graph late in the file fails before any eigensolve
+    corpus.write_text("Bg\nBw\nC~\nA?\n", encoding="ascii")
+    for cmd in ("bounds", "analyze"):
+        solves.clear()
+        code, out, err = run_cli(capsys, cmd, str(corpus))
+        assert code == 3 and "connected" in err and out == ""
+        assert solves == []
 
 
 def test_console_entry_point_subprocess():
