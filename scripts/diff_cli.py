@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Run a fixed list of dspread commands against two source trees and report
+every exit code and stdout line that differs.
+
+    python3 scripts/diff_cli.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts
+(for example a ``git archive`` of the parent commit and this tree). Each
+command runs as ``python3 -m dspread.cli ...`` with PYTHONPATH set to one
+tree. File inputs are written once to a temporary directory, and the
+packaged n = 6 corpus is read from PARENT_SRC, so both trees see the same
+bytes. Exits 0 when every command agrees and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# {n6}: the packaged n = 6 bipartite corpus; {late}: a corpus file whose last
+# graph is disconnected; {missing}: a path that does not exist
+COMMANDS = [
+    "analyze Bg",
+    "analyze kbip:2,3",
+    "analyze kbip:2,3 --alpha-grid 0,0.25,1",
+    "analyze cycle:60",
+    "analyze Bg --format tsv",
+    "analyze A?",
+    "analyze Bg --alpha 1.5",
+    "bounds path:20",
+    "bounds kbip:1,3 --alpha 0.1",
+    "bounds complete:4 --alpha 0.5",
+    "bounds complete:4 --alpha 0.5 --format tsv",
+    "bounds Bw --alpha 0",
+    "bounds {n6}",
+    "bounds {late}",
+    "bounds complete:4 --tol nan",
+    "bounds complete:4 --tol -1",
+    "bounds complete:4 --tol inf",
+    "sweep --seed-random 10,200,0.5 --seed 1",
+    "sweep --corpus {n6} --alphas 0,0.5,1",
+    "sweep --corpus {missing}",
+    "conjecture --n 4 --alpha 0",
+    "conjecture --n 5 --alpha 0.5",
+    "conjecture --n 6 --alpha 0.5",
+    "conjecture --n 6 --alpha 0",
+    "conjecture --n 9 --alpha 0",
+]
+
+
+def run(src: Path, argv: list[str]) -> tuple[int, str]:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    env.pop("SPREAD_TOL", None)
+    proc = subprocess.run([sys.executable, "-m", "dspread.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=600)
+    return proc.returncode, proc.stdout
+
+
+def main(parent: str, change: str) -> int:
+    trees = [Path(parent).resolve(), Path(change).resolve()]
+    for tree in trees:
+        if not (tree / "dspread" / "cli.py").is_file():
+            print(f"error: {tree} holds no dspread package", file=sys.stderr)
+            return 2
+    differing = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        late = Path(tmp) / "late_disconnected.g6"
+        late.write_text("Bg\nBw\nC~\nA?\n", encoding="ascii")
+        files = {"n6": trees[0] / "dspread" / "data" / "bipartite_connected_n6.g6",
+                 "late": late, "missing": Path(tmp) / "missing.g6"}
+        for command in COMMANDS:
+            argv = command.format(**files).split()
+            (code_a, out_a), (code_b, out_b) = (run(tree, argv) for tree in trees)
+            if code_a == code_b and out_a == out_b:
+                print(f"same  {command}")
+                continue
+            differing += 1
+            print(f"DIFF  {command}")
+            if code_a != code_b:
+                print(f"  exit code {code_a} -> {code_b}")
+            diff = difflib.unified_diff(out_a.splitlines(), out_b.splitlines(),
+                                        "parent", "change", n=0, lineterm="")
+            for line in diff:
+                print(f"  {line}")
+    print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        print(__doc__, file=sys.stderr)
+        sys.exit(2)
+    sys.exit(main(sys.argv[1], sys.argv[2]))

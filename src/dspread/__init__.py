@@ -5,13 +5,16 @@ from .bounds import (
     BoundReport,
     BOUND_IDS,
     EvalContext,
+    Evaluation,
     check_edge_deletion_monotonicity,
     check_interlacing,
     clique_number,
     discrepancies,
+    evaluate,
     evaluate_all,
     evaluate_bound,
     independence_number,
+    solve_spectra,
     violations,
 )
 from .corpus import (
@@ -46,6 +49,7 @@ from .families import (
     spread_complete_bipartite,
 )
 from .graphs import (
+    DisconnectedGraphError,
     DistanceProfile,
     Graph,
     GraphParseError,

@@ -1,10 +1,11 @@
-"""Spread bound registry: evaluate every registered bound on a (graph, alpha).
+"""Spread bound registry, evaluated on blocks of (graph, alpha) pairs at once.
 
-Each registry entry computes one displayed inequality on the spectral spread
-(or on the extreme eigenvalues) of the generalized distance matrix and emits
-a structured BoundReport. Inapplicable entries (wrong alpha range, not
-bipartite, trivial clique number, ...) report applicable=False with a reason
-instead of failing, so corpus sweeps never abort.
+Each registry entry is a record (id, direction, minimum order, alpha domain,
+requirement) with an array formula for one displayed inequality on the
+spread or extreme eigenvalues of the generalized distance matrix. evaluate()
+maps per-graph columns (G, 1) and spectra (G, k) of a block to (17, G, k)
+arrays; inapplicable entries are masked and report a reason instead of
+failing, so corpus sweeps never abort.
 
 Entries carry a trust status. "proven" bounds are expected to hold on every
 connected graph; a violation of one of those is a genuine soundness failure.
@@ -27,22 +28,23 @@ graphs, so their misses are routed to a separate discrepancies channel:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .eigen import sym_eigen
 from .graphs import (
+    DisconnectedGraphError,
     Graph,
-    complement,
     distance_profile,
+    encode_graph6,
     is_bipartite,
-    is_connected,
     remove_edge,
 )
-from .matrices import frobenius_sq, generalized_distance_matrix, trace
+from .matrices import generalized_distance_matrix
 
 PROVEN = "proven"
 CLAIMED = "claimed"
@@ -50,6 +52,9 @@ CLAIMED = "claimed"
 DEFAULT_TOL = 1e-8
 EQ_TOL = 1e-6
 CLIQUE_SEARCH_CAP = 40
+# graphs per eigensolve stack and per sweep block, so a stack holds at most
+# BLOCK_GRAPHS * k matrices however large the corpus
+BLOCK_GRAPHS = 64
 
 
 @dataclass
@@ -57,7 +62,9 @@ class BoundReport:
     """Outcome of one bound on one (graph, alpha) pair.
 
     gap is actual - bound (signed); holds follows the direction with a
-    max(tol, tol*|bound|) cushion; equality means |gap| <= eq_tol.
+    max(tol, tol*|bound|) cushion; equality means |gap| <= eq_tol. violated
+    marks a proven bound that failed, claimed_miss a claimed formula that
+    missed (see Evaluation).
     """
 
     bound_id: str
@@ -71,6 +78,8 @@ class BoundReport:
     holds: Optional[bool]
     gap: Optional[float]
     equality: Optional[bool]
+    violated: bool = False
+    claimed_miss: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -106,26 +115,38 @@ def _maximal_cliques(masks: list[int], n: int) -> list[int]:
         if p == 0 and x == 0:
             out.append(r)
             return
-        pool = p | x
-        pivot, best = -1, -1
-        m = pool
-        while m:
-            u = (m & -m).bit_length() - 1
-            deg = (p & masks[u]).bit_count()
-            if deg > best:
-                best, pivot = deg, u
-            m &= m - 1
-        cand = p & ~masks[pivot]
-        while cand:
-            bit = cand & -cand
-            v = bit.bit_length() - 1
-            expand(r | bit, p & masks[v], x & masks[v])
-            p &= ~bit
-            x |= bit
-            cand &= ~bit
+        pivot = max(_mask_to_tuple(p | x), key=lambda u: (p & masks[u]).bit_count())
+        for v in _mask_to_tuple(p & ~masks[pivot]):
+            expand(r | 1 << v, p & masks[v], x & masks[v])
+            p &= ~(1 << v)
+            x |= 1 << v
 
     expand(0, (1 << n) - 1, 0)
     return out
+
+
+def _maximum_clique(masks: list[int], n: int) -> int:
+    """One maximum clique as a bitmask, by branch and bound.
+
+    Candidates are added lowest vertex first and a branch is pruned when
+    |R| + |P| cannot beat the best so far, so the first maximum clique found
+    is the lexicographically smallest one.
+    """
+    best, best_size = 0, 0
+
+    def expand(r: int, size: int, p: int) -> None:
+        nonlocal best, best_size
+        if not p:
+            if size > best_size:
+                best, best_size = r, size
+            return
+        while p and size + p.bit_count() > best_size:
+            bit = p & -p
+            expand(r | bit, size + 1, p & masks[bit.bit_length() - 1])
+            p ^= bit
+
+    expand(0, 0, (1 << n) - 1)
+    return best
 
 
 def _mask_to_tuple(mask: int) -> tuple[int, ...]:
@@ -148,9 +169,14 @@ def clique_number(g: Graph, cap: int = CLIQUE_SEARCH_CAP) -> tuple[int, list[tup
 
 
 def independence_number(g: Graph, cap: int = CLIQUE_SEARCH_CAP) -> tuple[int, tuple[int, ...]]:
-    """Exact independence number with one maximum independent set."""
-    t, sets = clique_number(complement(g), cap=cap)
-    return t, sets[0]
+    """Exact independence number with the lexicographically smallest maximum
+    independent set: a maximum clique of the complement."""
+    if g.n > cap:
+        raise ValueError(f"exact clique search capped at {cap} vertices, got {g.n}")
+    full = (1 << g.n) - 1
+    complement = [full & ~(m | 1 << v) for v, m in enumerate(_adjacency_masks(g))]
+    best = _maximum_clique(complement, g.n)
+    return best.bit_count(), _mask_to_tuple(best)
 
 
 # --- structural checks ------------------------------------------------------
@@ -172,10 +198,7 @@ def check_interlacing(
     n, r = len(a), len(b)
     if r > n:
         raise ValueError("child order exceeds parent order")
-    for i in range(r):
-        if b[i] > a[i] + tol or b[i] < a[n - r + i] - tol:
-            return False
-    return True
+    return bool(np.all(b <= a[:r] + tol) and np.all(b >= a[n - r:] - tol))
 
 
 def check_edge_deletion_monotonicity(
@@ -188,34 +211,33 @@ def check_edge_deletion_monotonicity(
     """
     if not 0.5 <= alpha <= 1.0:
         raise ValueError("monotonicity check requires alpha in [1/2, 1]")
-    smaller = remove_edge(g, edge)
-    if not is_connected(smaller):
-        raise ValueError("edge deletion disconnects the graph")
-    before = sym_eigen(
-        generalized_distance_matrix(distance_profile(g), alpha), vectors=False
-    ).values
-    after = sym_eigen(
-        generalized_distance_matrix(distance_profile(smaller), alpha), vectors=False
-    ).values
-    return bool(np.all(after >= before - tol))
+    try:
+        smaller = EvalContext(remove_edge(g, edge))
+    except DisconnectedGraphError:
+        raise ValueError("edge deletion disconnects the graph") from None
+    before = EvalContext(g)
+    solve_spectra([before, smaller], [alpha])
+    return bool(np.all(smaller.values(alpha) >= before.values(alpha) - tol))
 
 
-# --- evaluation context -----------------------------------------------------
+# --- evaluation context and batched spectra ---------------------------------
 
 
 class EvalContext:
-    """Per-graph cache shared across alphas during bound evaluation."""
+    """Per-graph data the registry reads: the distance profile and its
+    scalars, cliques and independence number on first use, and the spectra
+    of D_alpha as solve_spectra() caches them.
+
+    A disconnected graph raises DisconnectedGraphError from the one BFS
+    pass of its distance profile.
+    """
 
     def __init__(self, graph: Graph):
-        if not is_connected(graph):
-            raise ValueError("requires connected graph")
         self.graph = graph
-        self.profile = distance_profile(graph)
-        self._spectra: dict[float, np.ndarray] = {}
-        self._cliques: Optional[tuple[int, list[tuple[int, ...]]]] = None
-        self._independence: Optional[int] = None
-        self._bipartition = is_bipartite(graph)
-        p = self.profile
+        self.profile = p = distance_profile(graph)
+        # alpha -> (descending eigenvalues, [top, bottom, |D|_F^2, trace])
+        self._solved: dict[float, tuple[np.ndarray, list[float]]] = {}
+        self.bipartite = is_bipartite(graph) is not None
         self.n = p.n
         self.wiener = p.wiener
         self.tr_min = float(p.tr.min())
@@ -223,373 +245,385 @@ class EvalContext:
         self.sum_d2_pairs = float((p.dist.astype(float) ** 2).sum()) / 2.0
         self.sum_tr_sq = float((p.tr.astype(float) ** 2).sum())
 
-    def matrix(self, alpha: float) -> np.ndarray:
-        return generalized_distance_matrix(self.profile, alpha)
+    @cached_property
+    def graph6(self) -> str:
+        return encode_graph6(self.graph)
 
     def values(self, alpha: float) -> np.ndarray:
-        got = self._spectra.get(alpha)
-        if got is None:
-            got = sym_eigen(self.matrix(alpha), vectors=False).values
-            self._spectra[alpha] = got
-        return got
+        """Eigenvalues of D_alpha, descending."""
+        if alpha not in self._solved:
+            solve_spectra([self], [alpha])
+        return self._solved[alpha][0]
 
     def spread(self, alpha: float) -> float:
         v = self.values(alpha)
-        return float(v[0] - v[-1]) if len(v) > 1 else 0.0
+        return float(v[0] - v[-1])  # 0 for a single vertex
 
-    @property
-    def bipartite(self) -> bool:
-        return self._bipartition is not None
-
-    @property
+    @cached_property
     def cliques(self) -> tuple[int, list[tuple[int, ...]]]:
-        if self._cliques is None:
-            self._cliques = clique_number(self.graph)
-        return self._cliques
+        return clique_number(self.graph)
 
-    @property
+    @cached_property
     def independence(self) -> int:
-        if self._independence is None:
-            self._independence = independence_number(self.graph)[0]
-        return self._independence
+        return independence_number(self.graph)[0]
 
-    def power_sum(self, alpha: float) -> float:
-        """2(1-a)^2 sum_{i<j} d^2 + a^2 sum Tr^2, which equals sum of squared
-        eigenvalues of the generalized distance matrix."""
-        return (
-            2.0 * (1.0 - alpha) ** 2 * self.sum_d2_pairs
-            + alpha * alpha * self.sum_tr_sq
-        )
+
+def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> None:
+    """Cache the spectrum of D_alpha for every context and alpha.
+
+    D_alpha is affine in alpha, so a graph's alphas form one (k, n, n)
+    stack, and graphs of one order share one eigvalsh call on their
+    (G*k, n, n) stack, BLOCK_GRAPHS graphs at a time. The stack also gives
+    the squared Frobenius norm and the trace that mirsky_upper reads.
+    """
+    groups: dict[tuple, list[EvalContext]] = {}
+    for ctx in ctxs:
+        todo = tuple(a for a in dict.fromkeys(alphas) if a not in ctx._solved)
+        if todo:
+            groups.setdefault((ctx.n, todo), []).append(ctx)
+    for (n, todo), group in groups.items():
+        for start in range(0, len(group), BLOCK_GRAPHS):
+            chunk = group[start:start + BLOCK_GRAPHS]
+            stack = np.stack([generalized_distance_matrix(c.profile, todo) for c in chunk])
+            stack = stack.reshape(-1, n, n)  # (G*k, n, n)
+            values = sym_eigen(stack, vectors=False).values
+            stats = np.stack([values[:, 0], values[:, -1], (stack ** 2).sum(axis=(1, 2)),
+                              np.trace(stack, axis1=1, axis2=2)], axis=1)
+            k = len(todo)
+            for i, ctx in enumerate(chunk):
+                rows = slice(i * k, (i + 1) * k)
+                ctx._solved.update(zip(todo, zip(values[rows], stats[rows].tolist())))
 
 
 # --- registry ---------------------------------------------------------------
 
-_Eval = Callable[[EvalContext, float], tuple]
-# evaluators return (applicable, reason, status, exact_claim, bound, actual)
+
+def _sqrt(x):
+    return np.sqrt(np.maximum(x, 0.0))
 
 
-def _needs_order(ctx: EvalContext, k: int) -> Optional[str]:
-    return None if ctx.n >= k else f"requires n >= {k}"
+@dataclass(frozen=True)
+class Entry:
+    """One registry entry: a displayed inequality as an array formula.
+
+    formula maps the block columns (see _columns) to (bound, actual), each
+    broadcastable to (G, k). An entry applies where n >= min_order, the
+    requirement holds for the graph and domain holds for alpha; reasons name
+    the first of these that fails. claimed and exact map the columns to
+    masks of values that are only claimed, and of exact-value claims.
+    """
+
+    id: str
+    direction: str  # "lower" | "upper"
+    formula: Callable
+    min_order: int = 2
+    domain: tuple[Callable, Optional[str]] = (lambda a: a >= 0.0, None)  # alphas lie in [0, 1]
+    requires: Optional[tuple[Callable[[EvalContext], bool], str]] = None
+    claimed: Optional[Callable] = None
+    exact: Optional[Callable] = None
+
+    def reason(self, ctx: EvalContext, alpha: float) -> Optional[str]:
+        """Why the entry does not apply to (ctx, alpha), or None if it does."""
+        if ctx.n < self.min_order:
+            return f"requires n >= {self.min_order}"
+        if self.requires is not None and not self.requires[0](ctx):
+            return self.requires[1]
+        return None if self.domain[0](alpha) else self.domain[1]
 
 
-def _sqrt(x: float) -> float:
-    return math.sqrt(max(x, 0.0))
+_HALF = (lambda a: a >= 0.5, "alpha outside [1/2,1]")
+_ZERO_OR_HALF = (lambda a: (a == 0.0) | (a >= 0.5), "alpha outside {0} ∪ [1/2,1]")
+_BIPARTITE = (lambda ctx: ctx.bipartite, "not bipartite")
+_CLIQUE = (lambda ctx: ctx.cliques[0] >= 2, "clique number < 2")
+_INDEPENDENT = (lambda ctx: ctx.independence >= 2, "independence number < 2")
 
 
-def _ev_thm24_lower(ctx, a):
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    bound = abs(a * (ctx.tr_max - ctx.tr_min) - (1.0 - a) * ctx.spread(0.0))
-    return True, None, PROVEN, False, bound, ctx.spread(a)
+def _thm35(c):
+    # star (bipartite with a dominating vertex): closed forms in n and alpha
+    n, a = c.n, c.a
+    star = np.where(a == 0.0, n + _sqrt(n * n - 3.0 * n + 3.0), _sqrt(
+        c.a_minus_2_sq * (n * n - 2.0 * n + 2.0) + 2.0 * (n - 1.0) * (a * a - 2.0)))
+    # otherwise the best max-degree quotient, candidate vertices on a last axis
+    n, w, delta, a = (x[..., None] for x in (c.n, c.wiener, c.delta, c.a))
+    m1, m2 = delta + 1.0, n - delta - 1.0
+    ai = a * n * c.deg_k + 2.0 * n * delta * delta + c.deg_lin
+    bi = 2.0 * a * w * c.deg_k + 4.0 * w * delta * delta - c.deg_sq
+    best = np.maximum(0.0, (_sqrt(ai * ai - 4.0 * bi * m1 * m2) / (m1 * m2)).max(axis=-1))
+    return np.where(c.delta == c.n - 1, star, best), c.spread
 
 
-def _ev_thm24_upper(ctx, a):
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    bound = a * (ctx.tr_max - ctx.tr_min) + (1.0 - a) * ctx.spread(0.0)
-    return True, None, PROVEN, False, bound, ctx.spread(a)
+def _thm38(c):
+    n, a = c.n, c.a
+    fl, ce = n // 2, n - n // 2
+    at_zero = n + _sqrt(ce * ce + fl * fl - fl * ce)
+    theta = _sqrt(
+        n * n * a * a - 4.0 * (a - 1.0) * (fl * fl + ce * ce) - 4.0 * fl * ce
+    ) + _sqrt(9.0 * a * a - 20.0 * a + 12.0)
+    half = (a * (n - 3.0) + 2.0 * n - 6.0 + theta) / 2.0
+    return np.where(a == 0.0, at_zero, half), c.spread
 
 
-def _ev_ineq24_lower(ctx, a):
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    bound = a * ctx.tr_min + (1.0 - a) * float(ctx.values(0.0)[0])
-    return True, None, PROVEN, False, bound, float(ctx.values(a)[0])
+def _thm41(c):
+    n, w, omega = (x[..., None] for x in (c.n, c.wiener, c.omega))
+    a, si = c.a[..., None], c.clique_tr
+    # trace term: the (1-a) factor scales only n*(omega-1), not 2W -- this
+    # is what the trace of the clique/rest quotient matrix works out to, and
+    # the quotient-spread cross-check in the tests pins it
+    ai = si * (a * n - 2.0 * omega) + omega * (2.0 * w + (1.0 - a) * n * (omega - 1.0))
+    bi = 2.0 * w * omega * (omega - 1.0) - si * si + 2.0 * w * a * (si - omega * (omega - 1.0))
+    root = _sqrt(ai * ai - 4.0 * bi * omega * (n - omega)) / (omega * (n - omega))
+    best = np.maximum(0.0, root.max(axis=-1))
+    return np.where(c.omega == c.n, (1.0 - c.a) * c.n, best), c.spread
 
 
-def _ev_ineq24_upper(ctx, a):
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    bound = a * ctx.tr_max + (1.0 - a) * float(ctx.values(0.0)[0])
-    return True, None, PROVEN, False, bound, float(ctx.values(a)[0])
+def _thm43(c):
+    n, t, a = c.n, c.indep, c.a
+    at_zero = (n + t + 1.0 + _sqrt((n - t + 1.0) ** 2 + 4.0 * t * t - 4.0 * t)) / 2.0
+    s = n - t  # clique side of the enclosing complete split graph
+    theta = (
+        (5.0 - 4.0 * a) * s * s
+        + (6.0 * a * n - 8.0 * n - 4.0 * a + 6.0) * s
+        + n * n * c.a_minus_2_sq
+        + 2.0 * n * a
+        - 4.0 * n
+        + 1.0
+    )
+    half = (
+        n + t + a * (n - 3.0) - 5.0 + _sqrt(theta) + _sqrt(9.0 * a * a - 20.0 * a + 12.0)
+    ) / 2.0
+    return np.where(a == 0.0, at_zero, half), c.spread
 
 
-def _ev_ineq25_lower(ctx, a):
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    bound = a * ctx.tr_min + (1.0 - a) * float(ctx.values(0.0)[-1])
-    return True, None, PROVEN, False, bound, float(ctx.values(a)[-1])
-
-
-def _ev_ineq25_upper(ctx, a):
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    bound = a * ctx.tr_max + (1.0 - a) * float(ctx.values(0.0)[-1])
-    return True, None, PROVEN, False, bound, float(ctx.values(a)[-1])
-
-
-def _ev_thm25_lower(ctx, a):
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    n = ctx.n
-    bound = n / (n - 1.0) * float(ctx.values(a)[0]) - 2.0 * a * ctx.wiener / (n - 1.0)
-    return True, None, PROVEN, False, bound, ctx.spread(a)
-
-
-def _ev_thm26_lower(ctx, a):
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    top = float(ctx.values(a)[0])
-    bound = top - _sqrt((ctx.power_sum(a) - top * top) / (ctx.n - 1.0))
-    return True, None, PROVEN, False, bound, ctx.spread(a)
-
-
-def _ev_cor27_lower(ctx, a):
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    n, w = ctx.n, ctx.wiener
-    bound = (2.0 * w - _sqrt((n * n * ctx.power_sum(a) - 4.0 * w * w) / (n - 1.0))) / n
-    return True, None, PROVEN, False, bound, ctx.spread(a)
-
-
-def _ev_thm28_lower(ctx, a):
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    n, w = ctx.n, ctx.wiener
-    bound = 2.0 / n * _sqrt(n * ctx.power_sum(a) - 4.0 * a * a * w * w)
-    return True, None, PROVEN, False, bound, ctx.spread(a)
-
-
-def _ev_mirsky_upper(ctx, a):
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    m = ctx.matrix(a)
-    bound = _sqrt(2.0 * frobenius_sq(m) - 2.0 / ctx.n * trace(m) ** 2)
-    return True, None, PROVEN, False, bound, ctx.spread(a)
-
-
-def _ev_thm210_upper(ctx, a):
+REGISTRY: tuple[Entry, ...] = (
+    Entry("thm24_lower", "lower",
+          lambda c: (np.abs(c.a * c.tr_range - (1.0 - c.a) * c.spread0), c.spread)),
+    Entry("thm24_upper", "upper",
+          lambda c: (c.a * c.tr_range + (1.0 - c.a) * c.spread0, c.spread)),
+    Entry("ineq24_radius_lower", "lower",
+          lambda c: (c.a * c.tr_min + (1.0 - c.a) * c.top0, c.top)),
+    Entry("ineq24_radius_upper", "upper",
+          lambda c: (c.a * c.tr_max + (1.0 - c.a) * c.top0, c.top)),
+    Entry("ineq25_smallest_lower", "lower",
+          lambda c: (c.a * c.tr_min + (1.0 - c.a) * c.bottom0, c.bottom)),
+    Entry("ineq25_smallest_upper", "upper",
+          lambda c: (c.a * c.tr_max + (1.0 - c.a) * c.bottom0, c.bottom)),
+    Entry("thm25_lower", "lower",
+          lambda c: (c.n / (c.n - 1.0) * c.top - 2.0 * c.a * c.wiener / (c.n - 1.0), c.spread)),
+    Entry("thm26_lower", "lower",
+          lambda c: (c.top - _sqrt((c.power_sum - c.top * c.top) / (c.n - 1.0)), c.spread)),
+    Entry("cor27_lower", "lower",
+          lambda c: ((2.0 * c.wiener - _sqrt((c.n * c.n * c.power_sum - 4.0 * c.wiener * c.wiener)
+                                             / (c.n - 1.0))) / c.n, c.spread)),
+    Entry("thm28_lower", "lower",
+          lambda c: (2.0 / c.n * _sqrt(c.n * c.power_sum - 4.0 * c.a * c.a * c.wiener * c.wiener),
+                     c.spread)),
+    Entry("mirsky_upper", "upper",
+          lambda c: (_sqrt(2.0 * c.fro_sq - 2.0 / c.n * (c.trace * c.trace)), c.spread)),
     # same value as mirsky_upper but assembled from the distance and
     # transmission power sums instead of the matrix itself
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    bound = _sqrt(2.0 * ctx.power_sum(a) - 8.0 / ctx.n * (a * ctx.wiener) ** 2)
-    return True, None, PROVEN, False, bound, ctx.spread(a)
+    Entry("thm210_upper", "upper",
+          lambda c: (_sqrt(2.0 * c.power_sum - 8.0 / c.n * ((c.a * c.wiener) * (c.a * c.wiener))),
+                     c.spread)),
+    Entry("halfrange_radius_upper", "upper", lambda c: (c.top, c.spread), domain=_HALF),
+    Entry("thm35_bipartite_lower", "lower", _thm35, min_order=3, requires=_BIPARTITE,
+          claimed=lambda c: (c.delta == c.n - 1) & (c.a != 0.0),
+          exact=lambda c: c.delta == c.n - 1),
+    Entry("thm38_bipartite_lower", "lower", _thm38, min_order=3, domain=_ZERO_OR_HALF,
+          requires=_BIPARTITE, claimed=lambda c: c.a != 0.0),
+    Entry("thm41_clique_lower", "lower", _thm41, min_order=3, requires=_CLIQUE,
+          exact=lambda c: c.omega == c.n),
+    Entry("thm43_independence_lower", "lower", _thm43, min_order=3, domain=_ZERO_OR_HALF,
+          requires=_INDEPENDENT, claimed=lambda c: c.a != 0.0),
+)
+
+BOUND_IDS = tuple(e.id for e in REGISTRY)
+_UPPER = np.array([e.direction == "upper" for e in REGISTRY])[:, None, None]
 
 
-def _ev_halfrange_upper(ctx, a):
-    if r := _needs_order(ctx, 2):
-        return False, r, PROVEN, False, None, None
-    if a < 0.5:
-        return False, "alpha outside [1/2,1]", PROVEN, False, None, None
-    return True, None, PROVEN, False, float(ctx.values(a)[0]), ctx.spread(a)
+def _padded(rows: list[list]) -> np.ndarray:
+    """Ragged per-graph candidate rows as one (G, width, ...) array; a short
+    row repeats its first candidate, which leaves every maximum unchanged."""
+    width = max(len(r) for r in rows)
+    return np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=float)
 
 
-def _ev_thm35(ctx, a):
-    if r := _needs_order(ctx, 3):
-        return False, r, PROVEN, False, None, None
-    if not ctx.bipartite:
-        return False, "not bipartite", PROVEN, False, None, None
-    g, p = ctx.graph, ctx.profile
-    n, w = ctx.n, ctx.wiener
-    degs = [g.degree(v) for v in range(n)]
-    delta = max(degs)
-    if delta == n - 1:
-        # bipartite with a dominating vertex means the star
-        if a == 0.0:
-            bound = n + _sqrt(n * n - 3.0 * n + 3.0)
-            return True, None, PROVEN, True, bound, ctx.spread(a)
-        bound = _sqrt(
-            (a - 2.0) ** 2 * (n * n - 2.0 * n + 2.0) + 2.0 * (n - 1.0) * (a * a - 2.0)
-        )
-        return True, None, CLAIMED, True, bound, ctx.spread(a)
-    m1 = delta + 1.0
-    m2 = n - delta - 1.0
-    best = 0.0
-    for v in range(n):
-        if degs[v] != delta:
-            continue
-        k = p.avg_dist_deg[v] * delta + float(p.tr[v]) - 2.0 * delta * delta
-        ai = (
-            a * n * k
-            + 2.0 * n * delta * delta
-            + m1 * (2.0 * w - 2.0 * p.avg_dist_deg[v] * delta - 2.0 * float(p.tr[v]))
-        )
-        bi = (
-            2.0 * a * w * k
-            + 4.0 * w * delta * delta
-            - (p.avg_dist_deg[v] * delta + float(p.tr[v])) ** 2
-        )
-        best = max(best, _sqrt(ai * ai - 4.0 * bi * m1 * m2) / (m1 * m2))
-    return True, None, PROVEN, False, best, ctx.spread(a)
+def _degree_columns(ctx: EvalContext) -> tuple[int, list[tuple[float, float, float]]]:
+    """The maximum degree delta and, for thm35, the alpha-free terms of the
+    quotient at each vertex of degree delta: k, (delta+1)*(2W - 2*avg*delta
+    - 2*tr) and (avg*delta + tr)**2, where avg is the vertex's mean
+    neighbor transmission."""
+    degrees = [len(nbrs) for nbrs in ctx.graph.adjacency]
+    delta = max(degrees)
+    if ctx.n < 3 or not ctx.bipartite:
+        return delta, [(0.0, 0.0, 0.0)]  # thm35 does not apply
+    avgs, trs, w = ctx.profile.avg_dist_deg.tolist(), ctx.profile.tr.tolist(), ctx.wiener
+    out = set()
+    for deg, avg, trv in zip(degrees, avgs, trs):
+        if deg == delta:
+            trv = float(trv)
+            k = avg * delta + trv - 2.0 * delta * delta
+            lin = (delta + 1.0) * (2.0 * w - 2.0 * avg * delta - 2.0 * trv)
+            out.add((k, lin, (avg * delta + trv) ** 2))
+    return delta, sorted(out)
 
 
-def _ev_thm38(ctx, a):
-    if r := _needs_order(ctx, 3):
-        return False, r, PROVEN, False, None, None
-    if not ctx.bipartite:
-        return False, "not bipartite", PROVEN, False, None, None
-    n = ctx.n
-    fl, ce = n // 2, n - n // 2
-    if a == 0.0:
-        bound = n + _sqrt(ce * ce + fl * fl - fl * ce)
-        return True, None, PROVEN, False, bound, ctx.spread(a)
-    if 0.5 <= a <= 1.0:
-        theta = _sqrt(
-            n * n * a * a - 4.0 * (a - 1.0) * (fl * fl + ce * ce) - 4.0 * fl * ce
-        ) + _sqrt(9.0 * a * a - 20.0 * a + 12.0)
-        bound = (a * (n - 3.0) + 2.0 * n - 6.0 + theta) / 2.0
-        return True, None, CLAIMED, False, bound, ctx.spread(a)
-    return False, "alpha outside {0} ∪ [1/2,1]", PROVEN, False, None, None
+def _clique_sums(ctx: EvalContext) -> list[float]:
+    tr = ctx.profile.tr.tolist()
+    return sorted({float(sum(tr[v] for v in cl)) for cl in ctx.cliques[1]})
 
 
-def _ev_thm41(ctx, a):
-    if r := _needs_order(ctx, 3):
-        return False, r, PROVEN, False, None, None
-    omega, maxima = ctx.cliques
-    if omega < 2:
-        return False, "clique number < 2", PROVEN, False, None, None
-    n, w = ctx.n, ctx.wiener
-    if omega == n:
-        return True, None, PROVEN, True, (1.0 - a) * n, ctx.spread(a)
-    best = 0.0
-    for cl in maxima:
-        si = float(ctx.profile.tr[list(cl)].sum())
-        # trace term: the (1-a) factor scales only n*(omega-1), not 2W --
-        # this is what the trace of the clique/rest quotient matrix works
-        # out to, and the quotient-spread cross-check in the tests pins it
-        ai = si * (a * n - 2.0 * omega) + omega * (2.0 * w + (1.0 - a) * n * (omega - 1.0))
-        bi = (
-            2.0 * w * omega * (omega - 1.0)
-            - si * si
-            + 2.0 * w * a * (si - omega * (omega - 1.0))
-        )
-        best = max(best, _sqrt(ai * ai - 4.0 * bi * omega * (n - omega)) / (omega * (n - omega)))
-    return True, None, PROVEN, False, best, ctx.spread(a)
+def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleNamespace:
+    """What the formulas read: the alpha row (1, k), per-graph columns
+    (G, 1), spectral arrays (G, k) and candidate arrays (G, 1, width)."""
+
+    def col(xs):
+        return np.array(xs, dtype=float)[:, None]
+
+    c = SimpleNamespace(a=np.array(alphas, dtype=float)[None, :])
+    # squares of alpha-only terms keep Python's pow, so values match the
+    # scalar formulas to the last bit
+    c.a_minus_2_sq = np.array([(a - 2.0) ** 2 for a in alphas])[None, :]
+    one_minus_a_sq = np.array([(1.0 - a) ** 2 for a in alphas])[None, :]
+    c.n = col([ctx.n for ctx in ctxs])
+    c.wiener = col([ctx.wiener for ctx in ctxs])
+    c.tr_min = col([ctx.tr_min for ctx in ctxs])
+    c.tr_max = col([ctx.tr_max for ctx in ctxs])
+    c.tr_range = c.tr_max - c.tr_min
+    degrees, cand = zip(*map(_degree_columns, ctxs))
+    c.delta = col(degrees)
+    cand = _padded(list(cand))
+    c.deg_k, c.deg_lin, c.deg_sq = (cand[:, None, :, i] for i in range(3))
+    c.omega = col([ctx.cliques[0] for ctx in ctxs])
+    # thm41 reads the transmission sum of each maximum clique
+    c.clique_tr = _padded([_clique_sums(ctx) for ctx in ctxs])[:, None, :]
+    c.indep = col([ctx.independence for ctx in ctxs])
+    stats = np.array([[ctx._solved[a][1] for a in alphas] for ctx in ctxs])
+    stats = stats.reshape(len(ctxs), len(alphas), 4)
+    c.top, c.bottom, c.fro_sq, c.trace = np.moveaxis(stats, -1, 0)
+    c.spread = c.top - c.bottom
+    zero = np.array([ctx._solved[0.0][1] for ctx in ctxs])
+    c.top0, c.bottom0 = col(zero[:, 0]), col(zero[:, 1])
+    c.spread0 = c.top0 - c.bottom0
+    # sum of squared eigenvalues: 2(1-a)^2 sum_{i<j} d^2 + a^2 sum Tr^2
+    c.power_sum = (2.0 * one_minus_a_sq * col([ctx.sum_d2_pairs for ctx in ctxs])
+                   + c.a * c.a * col([ctx.sum_tr_sq for ctx in ctxs]))
+    return c
 
 
-def _ev_thm43(ctx, a):
-    if r := _needs_order(ctx, 3):
-        return False, r, PROVEN, False, None, None
-    t = ctx.independence
-    if t < 2:
-        return False, "independence number < 2", PROVEN, False, None, None
-    n = ctx.n
-    if a == 0.0:
-        bound = (n + t + 1.0 + _sqrt((n - t + 1.0) ** 2 + 4.0 * t * t - 4.0 * t)) / 2.0
-        return True, None, PROVEN, False, bound, ctx.spread(a)
-    if 0.5 <= a <= 1.0:
-        c = n - t  # clique side of the enclosing complete split graph
-        theta = (
-            (5.0 - 4.0 * a) * c * c
-            + (6.0 * a * n - 8.0 * n - 4.0 * a + 6.0) * c
-            + n * n * (a - 2.0) ** 2
-            + 2.0 * n * a
-            - 4.0 * n
-            + 1.0
-        )
-        bound = (
-            n + t + a * (n - 3.0) - 5.0 + _sqrt(theta) + _sqrt(9.0 * a * a - 20.0 * a + 12.0)
-        ) / 2.0
-        return True, None, CLAIMED, False, bound, ctx.spread(a)
-    return False, "alpha outside {0} ∪ [1/2,1]", PROVEN, False, None, None
+@dataclass
+class Evaluation:
+    """The registry on a block of graphs and alphas.
+
+    Every array is indexed [entry, graph, alpha] in REGISTRY, ctxs and
+    alphas order. Values outside `applicable` mean nothing, and every mask
+    is False there.
+    """
+
+    ctxs: Sequence[EvalContext]
+    alphas: Sequence[float]
+    bound: np.ndarray
+    actual: np.ndarray
+    gap: np.ndarray
+    applicable: np.ndarray
+    claimed: np.ndarray  # the formula is only claimed, not proven
+    exact: np.ndarray  # the formula claims the exact value
+    holds: np.ndarray
+    equality: np.ndarray
+    violated: np.ndarray  # applicable proven bounds that failed
+    claimed_miss: np.ndarray  # applicable claimed formulas that missed
+
+    def margin(self) -> np.ndarray:
+        """Distance to violation: gap for lower bounds, -gap for upper
+        bounds, and inf where an entry does not apply."""
+        return np.where(self.applicable, np.where(_UPPER, -self.gap, self.gap), np.inf)
+
+    def reports(self, g: int, j: int) -> list[BoundReport]:
+        """One report per registry entry for graph g at alpha j."""
+        out = []
+        for i, e in enumerate(REGISTRY):
+            if not self.applicable[i, g, j]:
+                reason = e.reason(self.ctxs[g], self.alphas[j])
+                out.append(BoundReport(e.id, e.direction, False, reason, PROVEN, False,
+                                       None, None, None, None, None))
+                continue
+            at = (i, g, j)
+            out.append(BoundReport(
+                e.id, e.direction, True, None, CLAIMED if self.claimed[at] else PROVEN,
+                bool(self.exact[at]), float(self.bound[at]), float(self.actual[at]),
+                bool(self.holds[at]), float(self.gap[at]), bool(self.equality[at]),
+                violated=bool(self.violated[at]), claimed_miss=bool(self.claimed_miss[at]),
+            ))
+        return out
 
 
-_REGISTRY: dict[str, tuple[str, _Eval]] = {
-    "thm24_lower": ("lower", _ev_thm24_lower),
-    "thm24_upper": ("upper", _ev_thm24_upper),
-    "ineq24_radius_lower": ("lower", _ev_ineq24_lower),
-    "ineq24_radius_upper": ("upper", _ev_ineq24_upper),
-    "ineq25_smallest_lower": ("lower", _ev_ineq25_lower),
-    "ineq25_smallest_upper": ("upper", _ev_ineq25_upper),
-    "thm25_lower": ("lower", _ev_thm25_lower),
-    "thm26_lower": ("lower", _ev_thm26_lower),
-    "cor27_lower": ("lower", _ev_cor27_lower),
-    "thm28_lower": ("lower", _ev_thm28_lower),
-    "mirsky_upper": ("upper", _ev_mirsky_upper),
-    "thm210_upper": ("upper", _ev_thm210_upper),
-    "halfrange_radius_upper": ("upper", _ev_halfrange_upper),
-    "thm35_bipartite_lower": ("lower", _ev_thm35),
-    "thm38_bipartite_lower": ("lower", _ev_thm38),
-    "thm41_clique_lower": ("lower", _ev_thm41),
-    "thm43_independence_lower": ("lower", _ev_thm43),
-}
-
-BOUND_IDS = tuple(_REGISTRY)
-
-
-def _build_report(
-    bound_id: str, ctx: EvalContext, alpha: float, tol: float, eq_tol: float
-) -> BoundReport:
-    direction, fn = _REGISTRY[bound_id]
-    applicable, reason, status, exact_claim, bound, actual = fn(ctx, alpha)
-    if not applicable:
-        return BoundReport(
-            bound_id=bound_id,
-            direction=direction,
-            applicable=False,
-            reason=reason,
-            status=status,
-            exact_claim=exact_claim,
-            bound_value=None,
-            actual_value=None,
-            holds=None,
-            gap=None,
-            equality=None,
-        )
-    gap = actual - bound
-    cushion = max(tol, tol * abs(bound))
-    holds = gap >= -cushion if direction == "lower" else gap <= cushion
-    return BoundReport(
-        bound_id=bound_id,
-        direction=direction,
-        applicable=True,
-        reason=None,
-        status=status,
-        exact_claim=exact_claim,
-        bound_value=bound,
-        actual_value=actual,
-        holds=holds,
-        gap=gap,
-        equality=abs(gap) <= eq_tol,
-    )
-
-
-def evaluate_bound(
-    bound_id: str,
-    g: Graph,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
+def evaluate(
+    ctxs: Sequence[EvalContext], alphas: Sequence[float], tol: float = DEFAULT_TOL,
     eq_tol: float = EQ_TOL,
-    ctx: Optional[EvalContext] = None,
-) -> BoundReport:
-    """Evaluate a single registry entry on (g, alpha)."""
-    if bound_id not in _REGISTRY:
-        raise KeyError(f"unknown bound_id {bound_id!r}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if ctx is None:
-        ctx = EvalContext(g)
-    return _build_report(bound_id, ctx, alpha, tol, eq_tol)
+) -> Evaluation:
+    """Every registry entry on every (context, alpha) pair, as arrays.
+
+    The spectra come from one solve_spectra() call. Those at alpha = 0,
+    which thm24 and ineq24/25 read at every alpha, join the same batch when
+    0 is not among the alphas.
+    """
+    for a in alphas:
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {a}")
+    shape = (len(REGISTRY), len(ctxs), len(alphas))
+    bound, actual = np.zeros(shape), np.zeros(shape)
+    applicable, claimed, exact = (np.zeros(shape, dtype=bool) for _ in range(3))
+    if not ctxs:
+        return Evaluation(ctxs, alphas, bound, actual, bound, *(applicable,) * 7)
+    solve_spectra(ctxs, [*alphas, 0.0])
+    c = _columns(ctxs, alphas)
+    # masked-out entries (n = 1, a star in the general branch, ...) may divide
+    # by zero; their values are never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, e in enumerate(REGISTRY):
+            bound[i], actual[i] = e.formula(c)
+            applicable[i] = (c.n >= e.min_order) & e.domain[0](c.a)
+            if e.requires is not None:
+                applicable[i] &= np.array([e.requires[0](ctx) for ctx in ctxs])[:, None]
+            if e.claimed is not None:
+                claimed[i] = e.claimed(c)
+            if e.exact is not None:
+                exact[i] = e.exact(c)
+        gap = actual - bound
+        cushion = np.maximum(tol, tol * np.abs(bound))
+        holds = applicable & np.where(_UPPER, gap <= cushion, gap >= -cushion)
+        equality = applicable & (np.abs(gap) <= eq_tol)
+    claimed &= applicable
+    exact &= applicable
+    # a claimed exact value misses whenever it disagrees, a claimed
+    # inequality only when it is outright violated
+    missed = claimed & np.where(exact, ~equality, ~holds)
+    return Evaluation(ctxs, alphas, bound, actual, gap, applicable, claimed, exact, holds,
+                      equality, applicable & ~claimed & ~holds, missed)
 
 
 def evaluate_all(
-    g: Graph,
-    alpha: float,
-    tol: float = DEFAULT_TOL,
-    eq_tol: float = EQ_TOL,
+    g: Graph, alpha: float, tol: float = DEFAULT_TOL, eq_tol: float = EQ_TOL,
     ctx: Optional[EvalContext] = None,
 ) -> list[BoundReport]:
-    """One report per registry entry, inapplicable ones included."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if ctx is None:
-        ctx = EvalContext(g)
-    return [_build_report(bid, ctx, alpha, tol, eq_tol) for bid in _REGISTRY]
+    """One report per registry entry, inapplicable ones included: the
+    one-graph, one-alpha view of evaluate()."""
+    ctx = EvalContext(g) if ctx is None else ctx
+    return evaluate([ctx], [alpha], tol, eq_tol).reports(0, 0)
+
+
+def evaluate_bound(
+    bound_id: str, g: Graph, alpha: float, tol: float = DEFAULT_TOL, eq_tol: float = EQ_TOL,
+    ctx: Optional[EvalContext] = None,
+) -> BoundReport:
+    """Evaluate a single registry entry on (g, alpha)."""
+    if bound_id not in BOUND_IDS:
+        raise KeyError(f"unknown bound_id {bound_id!r}")
+    return evaluate_all(g, alpha, tol, eq_tol, ctx)[BOUND_IDS.index(bound_id)]
 
 
 def violations(reports: Sequence[BoundReport]) -> list[BoundReport]:
     """Applicable proven bounds that failed: the soundness failures."""
-    return [r for r in reports if r.applicable and r.status == PROVEN and not r.holds]
-
-
-def claimed_miss(r: BoundReport) -> bool:
-    """An applicable claimed formula that missed: an exact-value claim
-    whenever the numeric value disagrees, an inequality claim only when it
-    is outright violated."""
-    if not (r.applicable and r.status == CLAIMED):
-        return False
-    return not r.equality if r.exact_claim else not r.holds
+    return [r for r in reports if r.violated]
 
 
 def discrepancies(reports: Sequence[BoundReport]) -> list[dict]:
@@ -603,5 +637,5 @@ def discrepancies(reports: Sequence[BoundReport]) -> list[dict]:
             "gap": r.gap,
         }
         for r in reports
-        if claimed_miss(r)
+        if r.claimed_miss
     ]

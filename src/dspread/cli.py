@@ -23,13 +23,7 @@ from typing import Optional, Sequence
 from . import bounds as bounds_mod
 from . import corpus as corpus_mod
 from .families import parse_family, generate
-from .graphs import (
-    Graph,
-    GraphParseError,
-    encode_graph6,
-    is_transmission_regular,
-    parse_graph6,
-)
+from .graphs import Graph, GraphParseError, is_transmission_regular, parse_graph6
 from .jsonfmt import json_text
 
 SCHEMA_VERSION = 1
@@ -45,6 +39,15 @@ class _PreconditionError(Exception):
 
 def _f(x: float) -> str:
     return format(float(x), ".12g")
+
+
+def _cell(x) -> str:
+    """A TSV cell: empty for None, lower case for booleans, 12 digits for floats."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(x).lower()
+    return _f(x) if isinstance(x, float) else str(x)
 
 
 def _tolerance(flag: Optional[float]) -> float:
@@ -85,20 +88,22 @@ def _check_alphas(alphas: Sequence[float]) -> None:
 
 
 def _load_corpus(path) -> list[Graph]:
-    """Every graph of a graph6 corpus file; a file that cannot be read or
-    parsed is an input error."""
+    """Every graph of a graph6 corpus file; a file that cannot be read,
+    decoded as ASCII or parsed is an input error."""
     try:
         return corpus_mod.load_corpus(path)
     except OSError as exc:
         raise _InputError(f"cannot read corpus {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _InputError(f"{path}: corpus is not ASCII graph6 text") from None
     except GraphParseError as exc:
         raise _InputError(f"{path}: {exc}") from None
 
 
-def _resolve_inputs(text: str) -> list[tuple[str, Graph]]:
+def _resolve_inputs(text: str) -> list[tuple[Optional[str], Graph]]:
     """An input is a family spec ("kbip:2,3"), a corpus file path, or a
-    graph6 string; files yield one graph per non-comment line, described by
-    its graph6 string."""
+    graph6 string; files yield one graph per non-comment line, described
+    (desc None) by its graph6 string."""
     if ":" in text:
         try:
             spec = parse_family(text)
@@ -106,24 +111,24 @@ def _resolve_inputs(text: str) -> list[tuple[str, Graph]]:
             raise _InputError(str(exc)) from None
         return [(text, generate(spec))]
     if os.path.exists(text):
-        return [(encode_graph6(g), g) for g in _load_corpus(text)]
+        return [(None, g) for g in _load_corpus(text)]
     try:
         return [(text, parse_graph6(text))]
     except GraphParseError as exc:
         raise _InputError(str(exc)) from None
 
 
-def _contexts(inputs: list[tuple[str, Graph]]) -> list[tuple[str, bounds_mod.EvalContext]]:
-    # every context is built before any eigensolve, so a disconnected graph
-    # anywhere in the input fails fast ("requires connected graph", exit 3)
-    return [(desc, bounds_mod.EvalContext(g)) for desc, g in inputs]
+def _contexts(inputs: list[tuple[Optional[str], Graph]]) -> list[bounds_mod.EvalContext]:
+    # built before any eigensolve: a disconnected graph anywhere in the input
+    # fails fast ("requires connected graph", exit 3)
+    return [bounds_mod.EvalContext(g) for _, g in inputs]
 
 
-def _base_report(desc: str, ctx: bounds_mod.EvalContext, alpha: float) -> dict:
+def _base_report(desc: Optional[str], ctx: bounds_mod.EvalContext, alpha: float) -> dict:
     profile = ctx.profile
     return {
-        "input": desc,
-        "graph6": encode_graph6(ctx.graph),
+        "input": desc or ctx.graph6,
+        "graph6": ctx.graph6,
         "n": ctx.n,
         "alpha": float(alpha),
         "wiener": profile.wiener,
@@ -154,7 +159,9 @@ def _cmd_analyze(args) -> int:
     else:
         alphas = list(corpus_mod.ALPHA_GRID)
     _check_alphas(alphas)
-    reports = [_base_report(d, ctx, a) for d, ctx in _contexts(inputs) for a in alphas]
+    ctxs = _contexts(inputs)
+    bounds_mod.solve_spectra(ctxs, alphas)
+    reports = [_base_report(d, ctx, a) for (d, _), ctx in zip(inputs, ctxs) for a in alphas]
     if args.format == "tsv":
         rows = ["input\talpha\tn\twiener\tdiameter\tspread\tspectrum"]
         for r in reports:
@@ -177,46 +184,33 @@ def _cmd_bounds(args) -> int:
     alphas = [args.alpha] if args.alpha is not None else list(corpus_mod.ALPHA_GRID)
     _check_alphas(alphas)
     tol = _tolerance(args.tol)
+    ctxs = _contexts(inputs)
+    ev = bounds_mod.evaluate(ctxs, alphas, tol=tol)
     reports = []
-    violated = False
-    for desc, ctx in _contexts(inputs):
-        omega, _ = ctx.cliques
-        for a in alphas:
+    for g, ((desc, _), ctx) in enumerate(zip(inputs, ctxs)):
+        for j, a in enumerate(alphas):
+            evaluated = ev.reports(g, j)
             base = _base_report(desc, ctx, a)
-            evaluated = bounds_mod.evaluate_all(ctx.graph, a, tol=tol, ctx=ctx)
-            base["clique_number"] = omega
+            base["clique_number"] = ctx.cliques[0]
             base["independence_number"] = ctx.independence
             base["bounds"] = [r.to_json() for r in evaluated]
             base["discrepancies"] = bounds_mod.discrepancies(evaluated)
-            if bounds_mod.violations(evaluated):
-                violated = True
             reports.append(base)
     if args.format == "tsv":
         rows = [
             "input\talpha\tbound_id\tdirection\tstatus\tapplicable"
             "\tbound\tactual\tgap\tholds\tequality\treason"
         ]
+        keys = ("bound_id", "direction", "status", "applicable", "bound", "actual", "gap",
+                "holds", "equality", "reason")
         for r in reports:
             for b in r["bounds"]:
-                cells = [
-                    r["input"],
-                    _f(r["alpha"]),
-                    b["bound_id"],
-                    b["direction"],
-                    b["status"],
-                    str(b["applicable"]).lower(),
-                    "" if b["bound"] is None else _f(b["bound"]),
-                    "" if b["actual"] is None else _f(b["actual"]),
-                    "" if b["gap"] is None else _f(b["gap"]),
-                    "" if b["holds"] is None else str(b["holds"]).lower(),
-                    "" if b["equality"] is None else str(b["equality"]).lower(),
-                    b["reason"] or "",
-                ]
+                cells = [r["input"], _f(r["alpha"])] + [_cell(b[k]) for k in keys]
                 rows.append("\t".join(cells))
         _emit("\n".join(rows))
     else:
         _emit(json_text({"schema_version": SCHEMA_VERSION, "command": "bounds", "reports": reports}))
-    return 4 if violated else 0
+    return 4 if ev.violated.any() else 0
 
 
 # --- sweep ------------------------------------------------------------------
@@ -267,8 +261,6 @@ def _packaged_corpus(n: int):
 
 
 def _cmd_conjecture(args) -> int:
-    if args.alpha is None:
-        raise _InputError("--alpha is required")
     _check_alphas([args.alpha])
     graphs = _load_corpus(args.corpus or _packaged_corpus(args.n))
     try:
@@ -333,11 +325,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        # preconditions surfaced from library code (disconnected input, alpha range)
+    except (_PreconditionError, ValueError) as exc:
+        # ValueError: preconditions surfaced from library code (disconnected
+        # input, alpha range, clique search cap)
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -9,46 +9,31 @@ bit-exact reproducibility.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .bounds import DEFAULT_TOL, EQ_TOL, PROVEN, EvalContext, claimed_miss, evaluate_all
-from .eigen import spectral_spread, sym_eigen
+import numpy as np
+
+from .bounds import BLOCK_GRAPHS, BOUND_IDS, DEFAULT_TOL, EQ_TOL
+from .bounds import EvalContext, evaluate, solve_spectra
 from .families import FamilySpec, generate
-from .graphs import (
-    Graph,
-    distance_profile,
-    encode_graph6,
-    is_bipartite,
-    is_connected,
-    parse_graph6,
-)
-from .matrices import generalized_distance_matrix
+from .graphs import DisconnectedGraphError, Graph, is_bipartite, is_connected, parse_graph6
 
 ALPHA_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
 @dataclass
 class BoundTally:
+    """Counts of one bound over a sweep, with the (graph, alpha) key of its
+    smallest margin to violation: gap for lower bounds, -gap for upper."""
+
     applicable: int = 0
     holds: int = 0
     equalities: int = 0
     worst_gap: Optional[float] = None
     worst_key: Optional[str] = None
     _worst_margin: Optional[float] = None
-
-    def update(self, report, key: str) -> None:
-        self.applicable += 1
-        if report.holds:
-            self.holds += 1
-        if report.equality:
-            self.equalities += 1
-        # margin to violation: gap for lower bounds, -gap for upper bounds
-        margin = report.gap if report.direction == "lower" else -report.gap
-        if self._worst_margin is None or margin < self._worst_margin:
-            self._worst_margin = margin
-            self.worst_gap = report.gap
-            self.worst_key = key
 
     def merge(self, other: "BoundTally") -> None:
         self.applicable += other.applicable
@@ -57,8 +42,7 @@ class BoundTally:
         if other._worst_margin is not None and (
             self._worst_margin is None or other._worst_margin < self._worst_margin
         ):
-            self._worst_margin = other._worst_margin
-            self.worst_gap = other.worst_gap
+            self._worst_margin, self.worst_gap = other._worst_margin, other.worst_gap
             self.worst_key = other.worst_key
 
 
@@ -87,13 +71,7 @@ class CorpusSummary:
             "graphs_seen": self.graphs_seen,
             "skipped_disconnected": self.skipped_disconnected,
             "bounds": {
-                bid: {
-                    "applicable": t.applicable,
-                    "holds": t.holds,
-                    "equalities": t.equalities,
-                    "worst_gap": t.worst_gap,
-                    "worst_key": t.worst_key,
-                }
+                bid: {k: v for k, v in asdict(t).items() if not k.startswith("_")}
                 for bid, t in sorted(self.tallies.items())
             },
             "violations": sorted(
@@ -126,44 +104,46 @@ def sweep(
 ) -> CorpusSummary:
     """Evaluate the whole bound registry on every (graph, alpha).
 
+    Graphs go through evaluate() BLOCK_GRAPHS at a time and the block
+    summaries merge in order, so ties keep the first (graph, alpha).
     Disconnected graphs are counted and skipped. Violations list failed
     proven bounds; claimed-formula mismatches land in discrepancies.
     """
-    summary = CorpusSummary()
-    for g in graphs:
-        if not is_connected(g):
-            summary.skipped_disconnected += 1
-            continue
-        summary.graphs_seen += 1
-        key = encode_graph6(g)
-        ctx = EvalContext(g)
-        for alpha in alphas:
-            for report in evaluate_all(g, alpha, tol=tol, eq_tol=eq_tol, ctx=ctx):
-                if not report.applicable:
-                    continue
-                tally = summary.tallies.setdefault(report.bound_id, BoundTally())
-                tally.update(report, f"{key}@{alpha:g}")
-                if report.status == PROVEN and not report.holds:
-                    summary.violations.append(
-                        {
-                            "graph6": key,
-                            "bound_id": report.bound_id,
-                            "alpha": alpha,
-                            "gap": report.gap,
-                        }
-                    )
-                elif claimed_miss(report):
-                    summary.discrepancies.append(
-                        {
-                            "graph6": key,
-                            "bound_id": report.bound_id,
-                            "alpha": alpha,
-                            "claimed": report.bound_value,
-                            "actual": report.actual_value,
-                            "gap": report.gap,
-                        }
-                    )
+    summary, it, alphas = CorpusSummary(), iter(graphs), list(alphas)
+    while block := list(islice(it, BLOCK_GRAPHS)):
+        summary.merge(_sweep_block(block, alphas, tol, eq_tol))
     return summary
+
+
+def _sweep_block(graphs: list[Graph], alphas: list[float], tol: float,
+                 eq_tol: float) -> CorpusSummary:
+    part = CorpusSummary()
+    ctxs = []
+    for g in graphs:
+        try:
+            ctxs.append(EvalContext(g))
+        except DisconnectedGraphError:
+            part.skipped_disconnected += 1
+    part.graphs_seen = len(ctxs)
+    ev = evaluate(ctxs, alphas, tol=tol, eq_tol=eq_tol)
+    keys = [ctx.graph6 for ctx in ctxs]
+    margin = ev.margin()
+    for i, bid in enumerate(BOUND_IDS):
+        if ev.applicable[i].any():
+            # the first minimum in (graph, alpha) order, as a sequential scan finds
+            g, j = np.unravel_index(np.argmin(margin[i]), margin[i].shape)
+            part.tallies[bid] = BoundTally(
+                int(ev.applicable[i].sum()), int(ev.holds[i].sum()), int(ev.equality[i].sum()),
+                float(ev.gap[i, g, j]), f"{keys[g]}@{alphas[j]:g}", float(margin[i, g, j]))
+    for i, g, j in zip(*np.nonzero(ev.violated)):
+        part.violations.append({"graph6": keys[g], "bound_id": BOUND_IDS[i],
+                                "alpha": alphas[j], "gap": float(ev.gap[i, g, j])})
+    for i, g, j in zip(*np.nonzero(ev.claimed_miss)):
+        part.discrepancies.append({"graph6": keys[g], "bound_id": BOUND_IDS[i],
+                                   "alpha": alphas[j], "claimed": float(ev.bound[i, g, j]),
+                                   "actual": float(ev.actual[i, g, j]),
+                                   "gap": float(ev.gap[i, g, j])})
+    return part
 
 
 @dataclass
@@ -179,15 +159,7 @@ class ConjectureResult:
     confirmed: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "graphs_seen": self.graphs_seen,
-            "candidate_min_graph": self.candidate_min_graph,
-            "candidate_min_spread": self.candidate_min_spread,
-            "conjectured_graph_spread": self.conjectured_graph_spread,
-            "confirmed": self.confirmed,
-        }
+        return asdict(self)
 
 
 def _is_balanced_complete_bipartite(g: Graph) -> bool:
@@ -211,32 +183,31 @@ def check_problem_39(
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    best: Optional[tuple[float, str]] = None
-    conjectured_spread: Optional[float] = None
-    count = 0
+    ctxs = []
     for g in graphs:
         if g.n != n:
             raise ValueError(f"corpus graph of order {g.n} in an order-{n} scan")
-        if not is_connected(g) or is_bipartite(g) is None:
+        try:
+            ctx = EvalContext(g)
+        except DisconnectedGraphError:
+            ctx = None
+        if ctx is None or not ctx.bipartite:
             raise ValueError("corpus contains a non-(connected bipartite) graph")
-        count += 1
-        m = generalized_distance_matrix(distance_profile(g), alpha)
-        spread = spectral_spread(sym_eigen(m, vectors=False))
-        key = encode_graph6(g)
-        if best is None or (spread, key) < best:
-            best = (spread, key)
-        if _is_balanced_complete_bipartite(g):
-            conjectured_spread = spread
-    if count == 0:
+        ctxs.append(ctx)
+    if not ctxs:
         raise ValueError("empty corpus")
-    if conjectured_spread is None:
+    solve_spectra(ctxs, [alpha])
+    best = min((ctx.spread(alpha), ctx.graph6) for ctx in ctxs)
+    balanced = [ctx.spread(alpha) for ctx in ctxs if _is_balanced_complete_bipartite(ctx.graph)]
+    if not balanced:
         raise ValueError(
             "incomplete corpus: balanced complete bipartite graph not present"
         )
+    conjectured_spread = balanced[-1]
     return ConjectureResult(
         n=n,
         alpha=alpha,
-        graphs_seen=count,
+        graphs_seen=len(ctxs),
         candidate_min_graph=best[1],
         candidate_min_spread=best[0],
         conjectured_graph_spread=conjectured_spread,
@@ -249,11 +220,9 @@ def check_theorem_36_ordering(n: int, alpha: float, tol: float = DEFAULT_TOL) ->
     non-increasing in a on 1..n//2, with the star the strict maximum."""
     if n < 4:
         raise ValueError("need n >= 4")
-    spreads = []
-    for a in range(1, n // 2 + 1):
-        g = generate(FamilySpec("kbip", (a, n - a)))
-        m = generalized_distance_matrix(distance_profile(g), alpha)
-        spreads.append(spectral_spread(sym_eigen(m, vectors=False)))
+    ctxs = [EvalContext(generate(FamilySpec("kbip", (a, n - a)))) for a in range(1, n // 2 + 1)]
+    solve_spectra(ctxs, [alpha])
+    spreads = [ctx.spread(alpha) for ctx in ctxs]
     ordered = all(spreads[i] >= spreads[i + 1] - tol for i in range(len(spreads) - 1))
     star_max = all(spreads[0] >= s - tol for s in spreads[1:])
     return ordered and star_max

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# largest |m - m.T| entry accepted, relative to max(1, Frobenius norm of m)
+# largest |m - m.T| entry accepted, relative to max(1, Frobenius norm of m);
+# each matrix of a stack is checked on its own
 SYMMETRY_TOL = 1e-12
 
 
@@ -28,31 +29,41 @@ class Spectrum:
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
 
 def sym_eigen(m: np.ndarray, vectors: bool = True) -> Spectrum:
-    """Diagonalize a symmetric matrix with LAPACK.
+    """Diagonalize a symmetric matrix, or each matrix of a ``(..., n, n)``
+    stack, with LAPACK.
 
-    Raises ValueError for a non-square input or one that differs from its
-    transpose by more than SYMMETRY_TOL; LAPACK failures raise
-    numpy.linalg.LinAlgError, itself a ValueError.
+    Raises ValueError for a non-square input or for any matrix that differs
+    from its transpose by more than SYMMETRY_TOL; LAPACK failures raise
+    numpy.linalg.LinAlgError, itself a ValueError. A stack gives values of
+    shape ``(..., n)`` and vectors of shape ``(..., n, n)``.
     """
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = np.asarray(m, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("square matrix required")
-    norm = float(np.linalg.norm(a))
-    if float(np.max(np.abs(a - a.T))) > SYMMETRY_TOL * max(norm, 1.0):
+    t = np.swapaxes(a, -1, -2)
+    work = np.subtract(a, t)
+    np.abs(work, out=work)
+    norm = np.sqrt(np.einsum("...ij,...ij->...", a, a))
+    if np.any(work.max(axis=(-2, -1), initial=0.0) > SYMMETRY_TOL * np.maximum(norm, 1.0)):
         raise ValueError("symmetric matrix required")
-    a = (a + a.T) / 2.0
+    # the symmetrized matrix goes to LAPACK in the same private buffer
+    a = np.add(a, t, out=work)
+    a /= 2.0
     if vectors:
         vals, v = np.linalg.eigh(a)
     else:
         vals, v = np.linalg.eigvalsh(a), None
     # LAPACK sorts ascending; a stable sort of the negation keeps tied
     # columns in their ascending order
-    order = np.argsort(-vals, kind="stable")
-    return Spectrum(values=vals[order], vectors=None if v is None else v[:, order])
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    values = np.take_along_axis(vals, order, axis=-1)
+    if v is not None:
+        v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    return Spectrum(values=values, vectors=v)
 
 
 def spectral_spread(spectrum: Spectrum) -> float:

@@ -26,6 +26,10 @@ class GraphParseError(ValueError):
         self.offset = offset
 
 
+class DisconnectedGraphError(ValueError):
+    """A distance-based quantity was asked of a disconnected graph."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
@@ -123,16 +127,18 @@ def is_connected(g: Graph) -> bool:
 def distance_profile(g: Graph) -> DistanceProfile:
     """Run BFS from every vertex and collect all distance statistics.
 
-    Raises ValueError for disconnected graphs. Distances, transmissions and
-    the Wiener index stay exact integers; average distance degrees are plain
-    floats (denominators are small vertex degrees).
+    A disconnected graph raises DisconnectedGraphError (a ValueError) from
+    the first BFS, so callers need no separate connectivity check.
+    Distances, transmissions and the Wiener index stay exact integers;
+    average distance degrees are plain floats (denominators are small vertex
+    degrees).
     """
     n = g.n
     dist = np.zeros((n, n), dtype=np.int64)
     for v in range(n):
         row = bfs_distances(g, v)
         if min(row) < 0:
-            raise ValueError("requires connected graph")
+            raise DisconnectedGraphError("requires connected graph")
         dist[v] = row
     tr = dist.sum(axis=1)
     wiener = int(tr.sum()) // 2

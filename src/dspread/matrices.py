@@ -15,12 +15,18 @@ from .eigen import sym_eigen
 from .graphs import DistanceProfile
 
 
-def generalized_distance_matrix(profile: DistanceProfile, alpha: float) -> np.ndarray:
-    """alpha * diag(transmissions) + (1 - alpha) * distance matrix."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    m = (1.0 - alpha) * profile.dist.astype(float)
-    np.fill_diagonal(m, alpha * profile.tr.astype(float))
+def generalized_distance_matrix(profile: DistanceProfile, alpha) -> np.ndarray:
+    """alpha * diag(transmissions) + (1 - alpha) * distance matrix.
+
+    A sequence of k alphas gives the (k, n, n) stack of those matrices.
+    """
+    a = np.asarray(alpha, dtype=float)
+    bad = a[~((0.0 <= a) & (a <= 1.0))]
+    if bad.size:
+        raise ValueError(f"alpha must lie in [0, 1], got {float(bad[0])}")
+    m = (1.0 - a)[..., None, None] * profile.dist
+    idx = np.arange(profile.n)
+    m[..., idx, idx] = a[..., None] * profile.tr
     return m
 
 

@@ -15,13 +15,14 @@ from dspread.bounds import (
     check_interlacing,
     clique_number,
     discrepancies,
+    evaluate,
     evaluate_all,
     evaluate_bound,
     independence_number,
     violations,
 )
 from dspread.eigen import sym_eigen
-from dspread.graphs import distance_profile, is_connected
+from dspread.graphs import Graph, distance_profile, is_connected
 from dspread.matrices import generalized_distance_matrix, quotient_eigenvalues
 
 from conftest import graph_from_mask
@@ -82,6 +83,29 @@ def test_clique_against_exhaustive_oracle(n, mask):
     for cl in maxima:
         assert all(g.has_edge(u, v) for u, v in combinations(cl, 2))
     assert independence_number(g)[0] == _brute_independence(g)
+
+
+def _brute_first_independent_set(g, size):
+    return next(
+        sub for sub in combinations(range(g.n), size)
+        if not any(g.has_edge(u, v) for u, v in combinations(sub, 2))
+    )
+
+
+@given(n=st.integers(1, 9), mask=st.integers(0, 2**36 - 1))
+@settings(max_examples=60, deadline=None)
+def test_independence_set_is_lexicographically_first(n, mask):
+    g = graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
+    t, chosen = independence_number(g)
+    assert t == _brute_independence(g)
+    assert chosen == _brute_first_independent_set(g, t)
+
+
+def test_independence_cap():
+    from dspread.graphs import Graph
+
+    with pytest.raises(ValueError, match="capped"):
+        independence_number(Graph(n=41, edges=frozenset()))
 
 
 # --- single-bound examples ---
@@ -405,6 +429,34 @@ def test_edge_deletion_gates(zoo):
         check_edge_deletion_monotonicity(zoo["K4"], (0, 1), 0.2)
     with pytest.raises(ValueError, match="disconnects"):
         check_edge_deletion_monotonicity(zoo["P4"], (1, 2), 0.75)
+
+
+# --- relabeling invariance ---
+
+
+@given(
+    n=st.integers(3, 8),
+    mask=st.integers(0, 2**28 - 1),
+    perm_seed=st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_reports_invariant_under_relabeling(n, mask, perm_seed):
+    g = graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
+    if not is_connected(g):
+        return
+    perm = list(range(n))
+    perm_seed.shuffle(perm)
+    h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+    ev_g = evaluate([EvalContext(g)], GRID)
+    ctx_h = EvalContext(h)
+    ev_h = evaluate([ctx_h], GRID)
+    for j, alpha in enumerate(GRID):
+        assert np.allclose(ev_g.ctxs[0].values(alpha), ctx_h.values(alpha), rtol=0, atol=1e-9)
+        for a, b in zip(ev_g.reports(0, j), ev_h.reports(0, j)):
+            assert (a.applicable, a.holds, a.equality) == (b.applicable, b.holds, b.equality)
+            if a.applicable:
+                assert abs(a.bound_value - b.bound_value) <= 1e-9, (a.bound_id, alpha)
+                assert abs(a.actual_value - b.actual_value) <= 1e-9, (a.bound_id, alpha)
 
 
 # --- random soundness mini-sweep ---

@@ -2,12 +2,13 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from dspread.cli import main
 from dspread.eigen import sym_eigen
-from dspread.graphs import distance_profile
+from dspread.graphs import bfs_distances, distance_profile
 
 
 def run_cli(capsys, *argv):
@@ -206,16 +207,20 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 def test_one_profile_and_one_eigensolve_per_pair(capsys, monkeypatch, tmp_path):
+    # one distance profile per graph; the (graph, alpha) pairs of each vertex
+    # order share one batched eigensolve on their stacked matrices
     solves = _count_calls(monkeypatch, sym_eigen)
     profiles = _count_calls(monkeypatch, distance_profile)
     corpus = tmp_path / "three.g6"
     corpus.write_text("Bg\nBw\nC~\n", encoding="ascii")
     code, _, _ = run_cli(capsys, "bounds", str(corpus))
     assert code == 0
-    assert len(solves) == 3 * 7 and len(profiles) == 3
+    assert [args[0].shape for args in solves] == [(2 * 7, 3, 3), (7, 4, 4)]
+    assert len(profiles) == 3
     profiles.clear()
+    solves.clear()
     code, _, _ = run_cli(capsys, "analyze", str(corpus))
-    assert code == 0 and len(profiles) == 3
+    assert code == 0 and len(profiles) == 3 and len(solves) == 2
     # a disconnected graph late in the file fails before any eigensolve
     corpus.write_text("Bg\nBw\nC~\nA?\n", encoding="ascii")
     for cmd in ("bounds", "analyze"):
@@ -223,6 +228,58 @@ def test_one_profile_and_one_eigensolve_per_pair(capsys, monkeypatch, tmp_path):
         code, out, err = run_cli(capsys, cmd, str(corpus))
         assert code == 3 and "connected" in err and out == ""
         assert solves == []
+
+
+def test_one_bfs_pass_per_graph(capsys, monkeypatch, tmp_path):
+    bfs = _count_calls(monkeypatch, bfs_distances)
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("Bg\n", encoding="ascii")
+    for argv in (("analyze", "Bg"), ("bounds", "Bg"), ("sweep", "--corpus", str(corpus))):
+        bfs.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(bfs) == 3, argv  # one BFS from each vertex
+    # a disconnected graph costs one BFS and still counts as skipped
+    corpus.write_text("A?\n", encoding="ascii")
+    bfs.clear()
+    code, out, _ = run_cli(capsys, "sweep", "--corpus", str(corpus))
+    assert code == 0 and len(bfs) == 1
+    assert json.loads(out)["skipped_disconnected"] == 1
+
+
+def test_non_ascii_corpus_is_an_input_error(capsys, tmp_path):
+    corpus = tmp_path / "latin.g6"
+    corpus.write_bytes("Bg\n\u00e9\n".encode("utf-8"))
+    for argv in (
+        ("analyze", str(corpus)),
+        ("bounds", str(corpus)),
+        ("sweep", "--corpus", str(corpus)),
+        ("conjecture", "--n", "3", "--alpha", "0", "--corpus", str(corpus)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "not ASCII" in err, argv
+
+
+# entries that need only n >= 2 and no bipartition, clique or alpha range
+_ORDER_TWO_IDS = {
+    "thm24_lower", "thm24_upper", "ineq24_radius_lower", "ineq24_radius_upper",
+    "ineq25_smallest_lower", "ineq25_smallest_upper", "thm25_lower", "thm26_lower",
+    "cor27_lower", "thm28_lower", "mirsky_upper", "thm210_upper",
+}
+
+
+@pytest.mark.parametrize("graph6", ["@", "A_"])  # n = 1 and n = 2
+def test_tiny_graphs_emit_no_numpy_warnings(capsys, tmp_path, graph6):
+    corpus = tmp_path / "tiny.g6"
+    corpus.write_text(graph6 + "\n", encoding="ascii")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (("analyze", graph6), ("bounds", graph6), ("sweep", "--corpus", str(corpus))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == "" and out, argv
+    reports = json.loads(run_cli(capsys, "bounds", graph6)[1])["reports"]
+    n = reports[0]["n"]
+    for b in reports[0]["bounds"]:
+        assert b["applicable"] == (n >= 2 and b["bound_id"] in _ORDER_TWO_IDS), b
 
 
 def test_console_entry_point_subprocess():

@@ -2,7 +2,11 @@ import math
 
 import pytest
 
+from dspread import bounds as bounds_mod
+from dspread import corpus as corpus_mod
+from dspread.bounds import CLAIMED, PROVEN, evaluate_all
 from dspread.corpus import (
+    CorpusSummary,
     check_problem_39,
     check_theorem_36_ordering,
     iter_graph6_lines,
@@ -11,7 +15,7 @@ from dspread.corpus import (
     sweep,
 )
 from dspread.families import FamilySpec, generate
-from dspread.graphs import Graph, encode_graph6, parse_graph6
+from dspread.graphs import Graph, encode_graph6, is_connected, parse_graph6
 from dspread.jsonfmt import json_text
 
 
@@ -154,3 +158,70 @@ def test_shipped_corpora_complete():
         assert len({g.edges for g in graphs}) == count
         # decode/encode round-trips every shipped line exactly
         assert [encode_graph6(g) for g in graphs] == lines
+
+
+def _mixed_corpus(zoo):
+    """Orders 1 to 8, a star, a 4-cycle and a diamond (the three claimed
+    misses), random graphs, and one disconnected graph in the middle."""
+    graphs = [Graph(n=1, edges=frozenset()), zoo["K2"], zoo["P3"], zoo["K13"], zoo["C4"],
+              zoo["CS22"], zoo["K5"], zoo["C6"], Graph.from_edges(4, [(0, 1), (2, 3)])]
+    graphs += [random_connected_graph(n, p, seed=n) for n in (5, 6, 7, 8) for p in (0.3, 0.7)]
+    return graphs
+
+
+def _tally_from_reports(graphs, alphas):
+    """The sweep document rebuilt report by report from evaluate_all."""
+    doc = {"graphs_seen": 0, "skipped_disconnected": 0, "bounds": {},
+           "violations": [], "discrepancies": []}
+    worst = {}
+    for g in graphs:
+        if not is_connected(g):
+            doc["skipped_disconnected"] += 1
+            continue
+        doc["graphs_seen"] += 1
+        key = encode_graph6(g)
+        for alpha in alphas:
+            for r in evaluate_all(g, alpha):
+                if not r.applicable:
+                    continue
+                t = doc["bounds"].setdefault(r.bound_id, {
+                    "applicable": 0, "holds": 0, "equalities": 0,
+                    "worst_gap": None, "worst_key": None})
+                t["applicable"] += 1
+                t["holds"] += r.holds
+                t["equalities"] += r.equality
+                margin = r.gap if r.direction == "lower" else -r.gap
+                if r.bound_id not in worst or margin < worst[r.bound_id]:
+                    worst[r.bound_id] = margin
+                    t["worst_gap"], t["worst_key"] = r.gap, f"{key}@{alpha:g}"
+                entry = {"graph6": key, "bound_id": r.bound_id, "alpha": alpha}
+                if r.status == PROVEN and not r.holds:
+                    doc["violations"].append({**entry, "gap": r.gap})
+                missed = not r.equality if r.exact_claim else not r.holds
+                if r.status == CLAIMED and missed:
+                    doc["discrepancies"].append(
+                        {**entry, "claimed": r.bound_value, "actual": r.actual_value,
+                         "gap": r.gap})
+    doc["bounds"] = dict(sorted(doc["bounds"].items()))
+    for name in ("violations", "discrepancies"):
+        doc[name].sort(key=lambda v: (v["graph6"], v["bound_id"], v["alpha"]))
+    return doc
+
+
+def test_sweep_equals_per_pair_tally(zoo, monkeypatch):
+    graphs = _mixed_corpus(zoo)
+    alphas = (0.1, 0.5, 0.9, 1.0)  # no 0: the alpha-0 spectra are solved apart
+    summary = sweep(graphs, alphas=alphas)
+    assert summary.skipped_disconnected == 1
+    assert {d["bound_id"] for d in summary.discrepancies} == {
+        "thm35_bipartite_lower", "thm38_bipartite_lower", "thm43_independence_lower"}
+    text = json_text(summary.to_json())
+    assert text == json_text(_tally_from_reports(graphs, alphas))
+    # one-graph blocks, merged in order, give the same document
+    monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", 1)
+    monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", 1)
+    assert json_text(sweep(graphs, alphas=alphas).to_json()) == text
+    merged = CorpusSummary()
+    for g in graphs:
+        merged.merge(sweep([g], alphas=alphas))
+    assert json_text(merged.to_json()) == text

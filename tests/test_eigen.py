@@ -50,6 +50,28 @@ def test_requires_symmetric():
         sym_eigen(np.zeros((2, 3)))
 
 
+def test_stack_matches_each_matrix(zoo):
+    ps = [distance_profile(zoo[name]) for name in ("C5", "P5", "K5")]
+    alphas = (0.0, 0.3, 1.0)
+    stack = np.stack([generalized_distance_matrix(p, alphas) for p in ps])
+    batched = sym_eigen(stack, vectors=False).values
+    assert batched.shape == (3, 3, 5)
+    with_vectors = sym_eigen(stack)
+    for i, p in enumerate(ps):
+        for j, a in enumerate(alphas):
+            m = generalized_distance_matrix(p, a)
+            assert np.array_equal(batched[i, j], sym_eigen(m, vectors=False).values)
+            alone = sym_eigen(m)
+            assert np.array_equal(with_vectors.values[i, j], alone.values)
+            assert np.allclose(np.abs(with_vectors.vectors[i, j]), np.abs(alone.vectors))
+    # the symmetry check covers every matrix of the stack
+    stack[2, 1, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        sym_eigen(stack)
+    with pytest.raises(ValueError, match="square"):
+        sym_eigen(np.zeros((2, 3, 4)))
+
+
 def test_zero_and_single():
     assert sym_eigen(np.zeros((3, 3))).values.tolist() == [0.0, 0.0, 0.0]
     s = sym_eigen(np.array([[0.0]]))

@@ -43,6 +43,17 @@ def test_dalpha_domain_error(zoo):
             generalized_distance_matrix(p, bad)
 
 
+def test_dalpha_alpha_sequence_is_a_stack(zoo):
+    p = distance_profile(zoo["C5"])
+    alphas = (0.0, 0.25, 1.0)
+    stack = generalized_distance_matrix(p, alphas)
+    assert stack.shape == (3, 5, 5)
+    for m, a in zip(stack, alphas):
+        assert np.array_equal(m, generalized_distance_matrix(p, a))
+    with pytest.raises(ValueError, match="got 1.5"):
+        generalized_distance_matrix(p, (0.5, 1.5))
+
+
 def test_laplacians_p3(zoo):
     p = distance_profile(zoo["P3"])
     dq = distance_signless_laplacian(p)
