@@ -41,9 +41,11 @@ COMMANDS = [
     "bounds complete:4 --tol nan",
     "bounds complete:4 --tol -1",
     "bounds complete:4 --tol inf",
+    "bounds path:45",
     "sweep --seed-random 10,200,0.5 --seed 1",
     "sweep --corpus {n6} --alphas 0,0.5,1",
     "sweep --corpus {missing}",
+    "sweep --seed-random 45,2,0.2",
     "conjecture --n 4 --alpha 0",
     "conjecture --n 5 --alpha 0.5",
     "conjecture --n 6 --alpha 0.5",

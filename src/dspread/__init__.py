@@ -15,7 +15,6 @@ from .bounds import (
     evaluate_bound,
     independence_number,
     solve_spectra,
-    violations,
 )
 from .corpus import (
     ALPHA_GRID,
@@ -27,13 +26,7 @@ from .corpus import (
     random_connected_graph,
     sweep,
 )
-from .eigen import (
-    Spectrum,
-    perron_vector,
-    rayleigh_lower_bound,
-    spectral_spread,
-    sym_eigen,
-)
+from .eigen import sym_eigen
 from .families import (
     AnalyticSpectrum,
     FamilySpec,
@@ -41,7 +34,6 @@ from .families import (
     co_neighbor_eigenvalue,
     generate,
     matches_numeric,
-    numeric_spread,
     parse_family,
     spectrum_complete,
     spectrum_complete_bipartite,
@@ -53,27 +45,15 @@ from .graphs import (
     DistanceProfile,
     Graph,
     GraphParseError,
-    complement,
     distance_profile,
     encode_graph6,
     induced_paths,
     is_bipartite,
     is_connected,
     is_transmission_regular,
-    parse_edge_list,
     parse_graph6,
     remove_edge,
 )
-from .matrices import (
-    distance_laplacian,
-    distance_signless_laplacian,
-    frobenius_sq,
-    generalized_distance_matrix,
-    is_equitable,
-    matrix_to_tsv,
-    quotient_eigenvalues,
-    quotient_matrix,
-    trace,
-)
+from .matrices import generalized_distance_matrix, quotient_eigenvalues
 
 __version__ = "0.1.0"

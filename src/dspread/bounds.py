@@ -52,6 +52,7 @@ CLAIMED = "claimed"
 DEFAULT_TOL = 1e-8
 EQ_TOL = 1e-6
 CLIQUE_SEARCH_CAP = 40
+CAPPED = f"exact clique search capped at {CLIQUE_SEARCH_CAP} vertices"
 # graphs per eigensolve stack and per sweep block, so a stack holds at most
 # BLOCK_GRAPHS * k matrices however large the corpus
 BLOCK_GRAPHS = 64
@@ -62,7 +63,7 @@ class BoundReport:
     """Outcome of one bound on one (graph, alpha) pair.
 
     gap is actual - bound (signed); holds follows the direction with a
-    max(tol, tol*|bound|) cushion; equality means |gap| <= eq_tol. violated
+    max(tol, tol*|bound|) cushion; equality means |gap| <= EQ_TOL. violated
     marks a proven bound that failed, claimed_miss a claimed formula that
     missed (see Evaluation).
     """
@@ -107,45 +108,32 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _maximal_cliques(masks: list[int], n: int) -> list[int]:
-    """All maximal cliques as bitmasks (branch and bound with pivoting)."""
-    out: list[int] = []
+def _maximum_cliques(masks: list[int], every: bool) -> list[int]:
+    """Maximum cliques as bitmasks, by branch and bound.
 
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pivot = max(_mask_to_tuple(p | x), key=lambda u: (p & masks[u]).bit_count())
-        for v in _mask_to_tuple(p & ~masks[pivot]):
-            expand(r | 1 << v, p & masks[v], x & masks[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    expand(0, (1 << n) - 1, 0)
-    return out
-
-
-def _maximum_clique(masks: list[int], n: int) -> int:
-    """One maximum clique as a bitmask, by branch and bound.
-
-    Candidates are added lowest vertex first and a branch is pruned when
-    |R| + |P| cannot beat the best so far, so the first maximum clique found
-    is the lexicographically smallest one.
+    Candidates are added lowest vertex first, so cliques are met in
+    lexicographic order. A branch is pruned when |R| + |P| cannot reach the
+    best size so far, which keeps every maximum clique (every=True), or
+    cannot beat it (every=False): a much shorter search whose first result
+    is still the lexicographically smallest maximum clique.
     """
-    best, best_size = 0, 0
+    best: list[int] = []
+    best_size, slack = 0, 0 if every else 1
 
     def expand(r: int, size: int, p: int) -> None:
         nonlocal best, best_size
         if not p:
             if size > best_size:
-                best, best_size = r, size
+                best, best_size = [r], size
+            elif size == best_size:
+                best.append(r)
             return
-        while p and size + p.bit_count() > best_size:
+        while p and size + p.bit_count() >= best_size + slack:
             bit = p & -p
             expand(r | bit, size + 1, p & masks[bit.bit_length() - 1])
             p ^= bit
 
-    expand(0, 0, (1 << n) - 1)
+    expand(0, 0, (1 << len(masks)) - 1)
     return best
 
 
@@ -158,24 +146,26 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def clique_number(g: Graph, cap: int = CLIQUE_SEARCH_CAP) -> tuple[int, list[tuple[int, ...]]]:
-    """Exact clique number together with every maximum clique."""
-    if g.n > cap:
-        raise ValueError(f"exact clique search capped at {cap} vertices, got {g.n}")
-    cliques = _maximal_cliques(_adjacency_masks(g), g.n)
-    omega = max(c.bit_count() for c in cliques)
-    maxima = sorted(_mask_to_tuple(c) for c in cliques if c.bit_count() == omega)
-    return omega, maxima
+def _check_cap(g: Graph) -> None:
+    if g.n > CLIQUE_SEARCH_CAP:
+        raise ValueError(f"{CAPPED}, got {g.n}")
 
 
-def independence_number(g: Graph, cap: int = CLIQUE_SEARCH_CAP) -> tuple[int, tuple[int, ...]]:
+def clique_number(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
+    """Exact clique number together with every maximum clique, in
+    lexicographic order."""
+    _check_cap(g)
+    cliques = _maximum_cliques(_adjacency_masks(g), every=True)
+    return cliques[0].bit_count(), [_mask_to_tuple(c) for c in cliques]
+
+
+def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact independence number with the lexicographically smallest maximum
     independent set: a maximum clique of the complement."""
-    if g.n > cap:
-        raise ValueError(f"exact clique search capped at {cap} vertices, got {g.n}")
+    _check_cap(g)
     full = (1 << g.n) - 1
-    complement = [full & ~(m | 1 << v) for v, m in enumerate(_adjacency_masks(g))]
-    best = _maximum_clique(complement, g.n)
+    non_adjacent = [full & ~(m | 1 << v) for v, m in enumerate(_adjacency_masks(g))]
+    best = _maximum_cliques(non_adjacent, every=False)[0]
     return best.bit_count(), _mask_to_tuple(best)
 
 
@@ -186,13 +176,9 @@ def check_interlacing(
     parent_values: np.ndarray,
     child_values: np.ndarray,
     tol: float = DEFAULT_TOL,
-    kind: str = "quotient",
 ) -> bool:
-    """a_i >= b_i >= a_{n-r+i} within tol for descending eigenvalue vectors.
-
-    Applies equally to quotient-matrix and principal-submatrix children; kind
-    is informational only.
-    """
+    """a_i >= b_i >= a_{n-r+i} within tol for descending eigenvalue vectors;
+    applies equally to quotient-matrix and principal-submatrix children."""
     a = np.sort(np.asarray(parent_values, dtype=float))[::-1]
     b = np.sort(np.asarray(child_values, dtype=float))[::-1]
     n, r = len(a), len(b)
@@ -225,8 +211,9 @@ def check_edge_deletion_monotonicity(
 
 class EvalContext:
     """Per-graph data the registry reads: the distance profile and its
-    scalars, cliques and independence number on first use, and the spectra
-    of D_alpha as solve_spectra() caches them.
+    scalars, cliques and independence number on first use (None above
+    CLIQUE_SEARCH_CAP vertices, where the exact search is not run), and the
+    spectra of D_alpha as solve_spectra() caches them.
 
     A disconnected graph raises DisconnectedGraphError from the one BFS
     pass of its distance profile.
@@ -260,12 +247,12 @@ class EvalContext:
         return float(v[0] - v[-1])  # 0 for a single vertex
 
     @cached_property
-    def cliques(self) -> tuple[int, list[tuple[int, ...]]]:
-        return clique_number(self.graph)
+    def cliques(self) -> Optional[tuple[int, list[tuple[int, ...]]]]:
+        return clique_number(self.graph) if self.n <= CLIQUE_SEARCH_CAP else None
 
     @cached_property
-    def independence(self) -> int:
-        return independence_number(self.graph)[0]
+    def independence(self) -> Optional[int]:
+        return independence_number(self.graph)[0] if self.n <= CLIQUE_SEARCH_CAP else None
 
 
 def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> None:
@@ -286,7 +273,7 @@ def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> None:
             chunk = group[start:start + BLOCK_GRAPHS]
             stack = np.stack([generalized_distance_matrix(c.profile, todo) for c in chunk])
             stack = stack.reshape(-1, n, n)  # (G*k, n, n)
-            values = sym_eigen(stack, vectors=False).values
+            values = sym_eigen(stack)
             stats = np.stack([values[:, 0], values[:, -1], (stack ** 2).sum(axis=(1, 2)),
                               np.trace(stack, axis1=1, axis2=2)], axis=1)
             k = len(todo)
@@ -308,9 +295,10 @@ class Entry:
 
     formula maps the block columns (see _columns) to (bound, actual), each
     broadcastable to (G, k). An entry applies where n >= min_order, the
-    requirement holds for the graph and domain holds for alpha; reasons name
-    the first of these that fails. claimed and exact map the columns to
-    masks of values that are only claimed, and of exact-value claims.
+    requirement (a map from a context to the reason it fails, or None) is
+    met and domain holds for alpha; reasons name the first of these that
+    fails. claimed and exact map the columns to masks of values that are
+    only claimed, and of exact-value claims.
     """
 
     id: str
@@ -318,7 +306,7 @@ class Entry:
     formula: Callable
     min_order: int = 2
     domain: tuple[Callable, Optional[str]] = (lambda a: a >= 0.0, None)  # alphas lie in [0, 1]
-    requires: Optional[tuple[Callable[[EvalContext], bool], str]] = None
+    requires: Optional[Callable[[EvalContext], Optional[str]]] = None
     claimed: Optional[Callable] = None
     exact: Optional[Callable] = None
 
@@ -326,16 +314,31 @@ class Entry:
         """Why the entry does not apply to (ctx, alpha), or None if it does."""
         if ctx.n < self.min_order:
             return f"requires n >= {self.min_order}"
-        if self.requires is not None and not self.requires[0](ctx):
-            return self.requires[1]
+        if self.requires is not None:
+            failed = self.requires(ctx)
+            if failed:
+                return failed
         return None if self.domain[0](alpha) else self.domain[1]
 
 
 _HALF = (lambda a: a >= 0.5, "alpha outside [1/2,1]")
 _ZERO_OR_HALF = (lambda a: (a == 0.0) | (a >= 0.5), "alpha outside {0} ∪ [1/2,1]")
-_BIPARTITE = (lambda ctx: ctx.bipartite, "not bipartite")
-_CLIQUE = (lambda ctx: ctx.cliques[0] >= 2, "clique number < 2")
-_INDEPENDENT = (lambda ctx: ctx.independence >= 2, "independence number < 2")
+
+
+def _bipartite(ctx: EvalContext) -> Optional[str]:
+    return None if ctx.bipartite else "not bipartite"
+
+
+def _clique(ctx: EvalContext) -> Optional[str]:
+    if ctx.cliques is None:
+        return CAPPED
+    return None if ctx.cliques[0] >= 2 else "clique number < 2"
+
+
+def _independent(ctx: EvalContext) -> Optional[str]:
+    if ctx.independence is None:
+        return CAPPED
+    return None if ctx.independence >= 2 else "independence number < 2"
 
 
 def _thm35(c):
@@ -425,15 +428,15 @@ REGISTRY: tuple[Entry, ...] = (
           lambda c: (_sqrt(2.0 * c.power_sum - 8.0 / c.n * ((c.a * c.wiener) * (c.a * c.wiener))),
                      c.spread)),
     Entry("halfrange_radius_upper", "upper", lambda c: (c.top, c.spread), domain=_HALF),
-    Entry("thm35_bipartite_lower", "lower", _thm35, min_order=3, requires=_BIPARTITE,
+    Entry("thm35_bipartite_lower", "lower", _thm35, min_order=3, requires=_bipartite,
           claimed=lambda c: (c.delta == c.n - 1) & (c.a != 0.0),
           exact=lambda c: c.delta == c.n - 1),
     Entry("thm38_bipartite_lower", "lower", _thm38, min_order=3, domain=_ZERO_OR_HALF,
-          requires=_BIPARTITE, claimed=lambda c: c.a != 0.0),
-    Entry("thm41_clique_lower", "lower", _thm41, min_order=3, requires=_CLIQUE,
+          requires=_bipartite, claimed=lambda c: c.a != 0.0),
+    Entry("thm41_clique_lower", "lower", _thm41, min_order=3, requires=_clique,
           exact=lambda c: c.omega == c.n),
     Entry("thm43_independence_lower", "lower", _thm43, min_order=3, domain=_ZERO_OR_HALF,
-          requires=_INDEPENDENT, claimed=lambda c: c.a != 0.0),
+          requires=_independent, claimed=lambda c: c.a != 0.0),
 )
 
 BOUND_IDS = tuple(e.id for e in REGISTRY)
@@ -468,6 +471,8 @@ def _degree_columns(ctx: EvalContext) -> tuple[int, list[tuple[float, float, flo
 
 
 def _clique_sums(ctx: EvalContext) -> list[float]:
+    if ctx.cliques is None:
+        return [np.nan]  # thm41 does not apply
     tr = ctx.profile.tr.tolist()
     return sorted({float(sum(tr[v] for v in cl)) for cl in ctx.cliques[1]})
 
@@ -493,10 +498,11 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleName
     c.delta = col(degrees)
     cand = _padded(list(cand))
     c.deg_k, c.deg_lin, c.deg_sq = (cand[:, None, :, i] for i in range(3))
-    c.omega = col([ctx.cliques[0] for ctx in ctxs])
+    # NaN where the clique search is capped: thm41 and thm43 do not apply
+    c.omega = col([np.nan if ctx.cliques is None else ctx.cliques[0] for ctx in ctxs])
     # thm41 reads the transmission sum of each maximum clique
     c.clique_tr = _padded([_clique_sums(ctx) for ctx in ctxs])[:, None, :]
-    c.indep = col([ctx.independence for ctx in ctxs])
+    c.indep = col([np.nan if ctx.independence is None else ctx.independence for ctx in ctxs])
     stats = np.array([[ctx._solved[a][1] for a in alphas] for ctx in ctxs])
     stats = stats.reshape(len(ctxs), len(alphas), 4)
     c.top, c.bottom, c.fro_sq, c.trace = np.moveaxis(stats, -1, 0)
@@ -557,8 +563,7 @@ class Evaluation:
 
 
 def evaluate(
-    ctxs: Sequence[EvalContext], alphas: Sequence[float], tol: float = DEFAULT_TOL,
-    eq_tol: float = EQ_TOL,
+    ctxs: Sequence[EvalContext], alphas: Sequence[float], tol: float = DEFAULT_TOL
 ) -> Evaluation:
     """Every registry entry on every (context, alpha) pair, as arrays.
 
@@ -583,7 +588,7 @@ def evaluate(
             bound[i], actual[i] = e.formula(c)
             applicable[i] = (c.n >= e.min_order) & e.domain[0](c.a)
             if e.requires is not None:
-                applicable[i] &= np.array([e.requires[0](ctx) for ctx in ctxs])[:, None]
+                applicable[i] &= np.array([not e.requires(ctx) for ctx in ctxs])[:, None]
             if e.claimed is not None:
                 claimed[i] = e.claimed(c)
             if e.exact is not None:
@@ -591,7 +596,7 @@ def evaluate(
         gap = actual - bound
         cushion = np.maximum(tol, tol * np.abs(bound))
         holds = applicable & np.where(_UPPER, gap <= cushion, gap >= -cushion)
-        equality = applicable & (np.abs(gap) <= eq_tol)
+        equality = applicable & (np.abs(gap) <= EQ_TOL)
     claimed &= applicable
     exact &= applicable
     # a claimed exact value misses whenever it disagrees, a claimed
@@ -602,28 +607,22 @@ def evaluate(
 
 
 def evaluate_all(
-    g: Graph, alpha: float, tol: float = DEFAULT_TOL, eq_tol: float = EQ_TOL,
-    ctx: Optional[EvalContext] = None,
+    g: Graph, alpha: float, tol: float = DEFAULT_TOL, ctx: Optional[EvalContext] = None
 ) -> list[BoundReport]:
     """One report per registry entry, inapplicable ones included: the
     one-graph, one-alpha view of evaluate()."""
     ctx = EvalContext(g) if ctx is None else ctx
-    return evaluate([ctx], [alpha], tol, eq_tol).reports(0, 0)
+    return evaluate([ctx], [alpha], tol).reports(0, 0)
 
 
 def evaluate_bound(
-    bound_id: str, g: Graph, alpha: float, tol: float = DEFAULT_TOL, eq_tol: float = EQ_TOL,
+    bound_id: str, g: Graph, alpha: float, tol: float = DEFAULT_TOL,
     ctx: Optional[EvalContext] = None,
 ) -> BoundReport:
     """Evaluate a single registry entry on (g, alpha)."""
     if bound_id not in BOUND_IDS:
         raise KeyError(f"unknown bound_id {bound_id!r}")
-    return evaluate_all(g, alpha, tol, eq_tol, ctx)[BOUND_IDS.index(bound_id)]
-
-
-def violations(reports: Sequence[BoundReport]) -> list[BoundReport]:
-    """Applicable proven bounds that failed: the soundness failures."""
-    return [r for r in reports if r.violated]
+    return evaluate_all(g, alpha, tol, ctx)[BOUND_IDS.index(bound_id)]
 
 
 def discrepancies(reports: Sequence[BoundReport]) -> list[dict]:

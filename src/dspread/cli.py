@@ -191,7 +191,8 @@ def _cmd_bounds(args) -> int:
         for j, a in enumerate(alphas):
             evaluated = ev.reports(g, j)
             base = _base_report(desc, ctx, a)
-            base["clique_number"] = ctx.cliques[0]
+            # null above the clique search cap
+            base["clique_number"] = None if ctx.cliques is None else ctx.cliques[0]
             base["independence_number"] = ctx.independence
             base["bounds"] = [r.to_json() for r in evaluated]
             base["discrepancies"] = bounds_mod.discrepancies(evaluated)
@@ -327,7 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (_PreconditionError, ValueError) as exc:
         # ValueError: preconditions surfaced from library code (disconnected
-        # input, alpha range, clique search cap)
+        # input, alpha range)
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

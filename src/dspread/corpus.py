@@ -1,9 +1,10 @@
 """Corpus sweeps: stress bounds over many graphs, probe the bipartite
 minimum-spread conjecture, and generate reproducible random graphs.
 
-Summaries merge as a commutative monoid, so a sweep may be split across
-workers and recombined; the shipped results are computed sequentially for
-bit-exact reproducibility.
+A sweep works through blocks of graphs and merges the block summaries in
+order. Merging is associative but not commutative: a tie between worst
+margins keeps the first one merged, so summaries reproduce bit-exactly only
+when they are merged in corpus order.
 """
 
 from __future__ import annotations
@@ -97,10 +98,7 @@ def load_corpus(path) -> list[Graph]:
 
 
 def sweep(
-    graphs: Iterable[Graph],
-    alphas: Sequence[float] = ALPHA_GRID,
-    tol: float = DEFAULT_TOL,
-    eq_tol: float = EQ_TOL,
+    graphs: Iterable[Graph], alphas: Sequence[float] = ALPHA_GRID, tol: float = DEFAULT_TOL
 ) -> CorpusSummary:
     """Evaluate the whole bound registry on every (graph, alpha).
 
@@ -111,12 +109,11 @@ def sweep(
     """
     summary, it, alphas = CorpusSummary(), iter(graphs), list(alphas)
     while block := list(islice(it, BLOCK_GRAPHS)):
-        summary.merge(_sweep_block(block, alphas, tol, eq_tol))
+        summary.merge(_sweep_block(block, alphas, tol))
     return summary
 
 
-def _sweep_block(graphs: list[Graph], alphas: list[float], tol: float,
-                 eq_tol: float) -> CorpusSummary:
+def _sweep_block(graphs: list[Graph], alphas: list[float], tol: float) -> CorpusSummary:
     part = CorpusSummary()
     ctxs = []
     for g in graphs:
@@ -125,7 +122,7 @@ def _sweep_block(graphs: list[Graph], alphas: list[float], tol: float,
         except DisconnectedGraphError:
             part.skipped_disconnected += 1
     part.graphs_seen = len(ctxs)
-    ev = evaluate(ctxs, alphas, tol=tol, eq_tol=eq_tol)
+    ev = evaluate(ctxs, alphas, tol=tol)
     keys = [ctx.graph6 for ctx in ctxs]
     margin = ev.margin()
     for i, bid in enumerate(BOUND_IDS):
@@ -172,9 +169,7 @@ def _is_balanced_complete_bipartite(g: Graph) -> bool:
     return g.edge_count == sizes[0] * sizes[1]
 
 
-def check_problem_39(
-    graphs: Iterable[Graph], n: int, alpha: float, eq_tol: float = EQ_TOL
-) -> ConjectureResult:
+def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> ConjectureResult:
     """Does the balanced complete bipartite graph minimize the spread?
 
     The corpus must be the complete set of connected bipartite graphs of
@@ -211,7 +206,7 @@ def check_problem_39(
         candidate_min_graph=best[1],
         candidate_min_spread=best[0],
         conjectured_graph_spread=conjectured_spread,
-        confirmed=conjectured_spread <= best[0] + eq_tol,
+        confirmed=conjectured_spread <= best[0] + EQ_TOL,
     )
 
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import spectral_spread, sym_eigen
+from .bounds import EvalContext
 from .graphs import Graph, distance_profile
-from .matrices import generalized_distance_matrix
 
 
 @dataclass(frozen=True)
@@ -218,12 +217,6 @@ class SpreadFormula:
     numeric: float
 
 
-def numeric_spread(g: Graph, alpha: float) -> float:
-    """Spread of the generalized distance matrix, straight from the solver."""
-    m = generalized_distance_matrix(distance_profile(g), alpha)
-    return spectral_spread(sym_eigen(m, vectors=False))
-
-
 def spread_complete_bipartite(a: int, n: int, alpha: float) -> SpreadFormula:
     """Closed-form spread of K_{a,n-a} for 1 <= a <= n/2.
 
@@ -233,7 +226,7 @@ def spread_complete_bipartite(a: int, n: int, alpha: float) -> SpreadFormula:
     """
     if not 1 <= a <= n - a:
         raise ValueError("need 1 <= a <= n/2")
-    numeric = numeric_spread(generate(FamilySpec("kbip", (a, n - a))), alpha)
+    numeric = EvalContext(generate(FamilySpec("kbip", (a, n - a)))).spread(alpha)
     if a == 1:
         if alpha == 0.0:
             value = n + math.sqrt(n * n - 3.0 * n + 3.0)

@@ -73,9 +73,6 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
@@ -86,15 +83,13 @@ class Graph:
 class DistanceProfile:
     """All shortest-path distances of a connected graph plus derived scalars.
 
-    dist[i, j] is the BFS distance, tr the transmissions (row sums),
-    second_tr[i] = sum_j dist[i, j] * tr[j], wiener the sum of distances over
-    unordered pairs, and avg_dist_deg[i] the mean transmission over the
-    neighbors of vertex i.
+    dist[i, j] is the BFS distance, tr the transmissions (row sums), wiener
+    the sum of distances over unordered pairs, and avg_dist_deg[i] the mean
+    transmission over the neighbors of vertex i.
     """
 
     dist: np.ndarray
     tr: np.ndarray
-    second_tr: np.ndarray
     wiener: int
     diameter: int
     avg_dist_deg: np.ndarray
@@ -142,7 +137,6 @@ def distance_profile(g: Graph) -> DistanceProfile:
         dist[v] = row
     tr = dist.sum(axis=1)
     wiener = int(tr.sum()) // 2
-    second_tr = dist @ tr
     avg = np.zeros(n, dtype=float)
     for v in range(n):
         nbrs = g.adjacency[v]
@@ -151,7 +145,6 @@ def distance_profile(g: Graph) -> DistanceProfile:
     return DistanceProfile(
         dist=dist,
         tr=tr,
-        second_tr=second_tr,
         wiener=wiener,
         diameter=int(dist.max()),
         avg_dist_deg=avg,
@@ -201,13 +194,6 @@ def remove_edge(g: Graph, edge: tuple[int, int]) -> Graph:
     return Graph(n=g.n, edges=g.edges - {(u, v)})
 
 
-def complement(g: Graph) -> Graph:
-    edges = frozenset(
-        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
-    )
-    return Graph(n=g.n, edges=edges)
-
-
 def induced_paths(g: Graph) -> Iterator[tuple[int, int, int]]:
     """Yield every induced 3-vertex path (u, v, w): uv, vw edges, uw a non-edge."""
     for v in range(g.n):
@@ -222,44 +208,6 @@ def induced_paths(g: Graph) -> Iterator[tuple[int, int, int]]:
 # --- text formats ---------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
-
-
-def parse_edge_list(text: str) -> Graph:
-    """Parse "n\\nu v\\nu v..." edge-list text (0-indexed vertices).
-
-    Self-loops, duplicate edges and out-of-range endpoints are rejected.
-    """
-    tokens = text.split()
-    if not tokens:
-        raise GraphParseError("empty edge-list input")
-    try:
-        n = int(tokens[0])
-    except ValueError:
-        raise GraphParseError(f"vertex count {tokens[0]!r} is not an integer") from None
-    if n < 1:
-        raise GraphParseError(f"vertex count must be at least 1, got {n}")
-    rest = tokens[1:]
-    if len(rest) % 2:
-        raise GraphParseError("odd number of endpoint tokens")
-    seen = set()
-    edges = []
-    for i in range(0, len(rest), 2):
-        try:
-            u, v = int(rest[i]), int(rest[i + 1])
-        except ValueError:
-            raise GraphParseError(
-                f"non-integer endpoint in pair {rest[i]!r} {rest[i + 1]!r}"
-            ) from None
-        if u == v:
-            raise GraphParseError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"endpoint out of range in edge {u} {v} (n={n})")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphParseError(f"duplicate edge {key[0]} {key[1]}")
-        seen.add(key)
-        edges.append(key)
-    return Graph.from_edges(n, edges)
 
 
 def parse_graph6(text: str) -> Graph:

@@ -30,29 +30,6 @@ def generalized_distance_matrix(profile: DistanceProfile, alpha) -> np.ndarray:
     return m
 
 
-def distance_laplacian(profile: DistanceProfile) -> np.ndarray:
-    """diag(transmissions) - distance matrix (all row sums are zero)."""
-    m = -profile.dist.astype(float)
-    np.fill_diagonal(m, profile.tr.astype(float))
-    return m
-
-
-def distance_signless_laplacian(profile: DistanceProfile) -> np.ndarray:
-    """diag(transmissions) + distance matrix."""
-    m = profile.dist.astype(float)
-    np.fill_diagonal(m, profile.tr.astype(float))
-    return m
-
-
-def trace(m: np.ndarray) -> float:
-    return float(np.trace(m))
-
-
-def frobenius_sq(m: np.ndarray) -> float:
-    """Sum of squared entries (squared Frobenius norm)."""
-    return float(np.sum(np.asarray(m, dtype=float) ** 2))
-
-
 def check_partition(n: int, blocks: Sequence[Sequence[int]]) -> list[np.ndarray]:
     """Validate a vertex partition of 0..n-1 and return index arrays."""
     seen: set[int] = set()
@@ -73,38 +50,11 @@ def check_partition(n: int, blocks: Sequence[Sequence[int]]) -> list[np.ndarray]
     return out
 
 
-def quotient_matrix(m: np.ndarray, blocks: Sequence[Sequence[int]]) -> np.ndarray:
-    """Average-row-sum quotient over a vertex partition.
-
-    Entry (i, j) is the total of block (i, j) divided by the size of block i;
-    the result is generally non-symmetric when block sizes differ.
-    """
-    m = np.asarray(m, dtype=float)
-    idx = check_partition(m.shape[0], blocks)
-    r = len(idx)
-    b = np.zeros((r, r))
-    for i in range(r):
-        for j in range(r):
-            b[i, j] = m[np.ix_(idx[i], idx[j])].sum() / len(idx[i])
-    return b
-
-
-def is_equitable(m: np.ndarray, blocks: Sequence[Sequence[int]], tol: float = 1e-9) -> bool:
-    """True when every block of the partitioned matrix has constant row sums."""
-    m = np.asarray(m, dtype=float)
-    idx = check_partition(m.shape[0], blocks)
-    for bi in idx:
-        for bj in idx:
-            sums = m[np.ix_(bi, bj)].sum(axis=1)
-            if sums.max() - sums.min() > tol:
-                return False
-    return True
-
-
 def quotient_eigenvalues(m: np.ndarray, blocks: Sequence[Sequence[int]]) -> np.ndarray:
     """Eigenvalues (descending) of the quotient matrix of a symmetric m.
 
-    The quotient is similar to the symmetric matrix with entries
+    Entry (i, j) of the quotient is the total of block (i, j) divided by the
+    size of block i, so it is generally non-symmetric; it is similar to the symmetric matrix with entries
     blocksum(i, j) / sqrt(|block i| * |block j|), so its eigenvalues are real
     and the symmetric solver applies; no nonsymmetric eigensolver is needed.
     """
@@ -116,9 +66,5 @@ def quotient_eigenvalues(m: np.ndarray, blocks: Sequence[Sequence[int]]) -> np.n
         for j in range(i, r):
             s = m[np.ix_(idx[i], idx[j])].sum()
             c[i, j] = c[j, i] = s / np.sqrt(len(idx[i]) * len(idx[j]))
-    return sym_eigen(c, vectors=False).values
+    return sym_eigen(c)
 
-
-def matrix_to_tsv(m: np.ndarray) -> str:
-    """Tab-separated rendering, handy when eyeballing small matrices."""
-    return "\n".join("\t".join(f"{x:.12g}" for x in row) for row in np.asarray(m))

@@ -11,8 +11,6 @@ import math
 
 import numpy as np
 
-from dspread.eigen import Spectrum
-
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 100
 
@@ -28,12 +26,10 @@ class NotConvergedError(RuntimeError):
 
 
 def jacobi_eigen(
-    m: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    vectors: bool = True,
-) -> Spectrum:
-    """Diagonalize a symmetric matrix with cyclic Jacobi rotations.
+    m: np.ndarray, tol: float = DEFAULT_TOL, max_sweeps: int = DEFAULT_MAX_SWEEPS
+) -> np.ndarray:
+    """Eigenvalues, descending, of a symmetric matrix by cyclic Jacobi
+    rotations.
 
     Converged when every off-diagonal magnitude drops below tol times the
     Frobenius norm of the input. Raises NotConvergedError (reporting the
@@ -49,9 +45,8 @@ def jacobi_eigen(
     if float(np.max(np.abs(a - a.T))) > tol * max(norm, 1.0):
         raise ValueError("symmetric matrix required")
     a = (a + a.T) / 2.0
-    v = np.eye(n) if vectors else None
     if n == 1 or norm == 0.0:
-        return Spectrum(values=a.diagonal().copy(), vectors=v)
+        return a.diagonal().copy()
 
     thresh = tol * norm
     skip = thresh / (8 * n)  # below this a rotation cannot affect convergence
@@ -85,16 +80,6 @@ def jacobi_eigen(
                 a[p, q] = a[q, p] = 0.0
                 a[p, p] = app - t * apq
                 a[q, q] = aqq + t * apq
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q]
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
         off = float(np.max(np.abs(a[iu])))
 
-    vals = a.diagonal().copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    if v is not None:
-        v = v[:, order]
-    return Spectrum(values=vals, vectors=v)
+    return -np.sort(-a.diagonal())

@@ -124,6 +124,23 @@ def test_bounds_tsv(capsys):
     assert code == 0
 
 
+def test_clique_cap_degrades_to_inapplicable_entries(capsys):
+    # above 40 vertices only the two entries that need the exact clique
+    # search drop out; the other 15 are still evaluated
+    code, out, err = run_cli(capsys, "bounds", "path:45", "--alpha", "0.5")
+    assert code == 0 and err == ""
+    (report,) = json.loads(out)["reports"]
+    assert report["clique_number"] is None and report["independence_number"] is None
+    skipped = {b["bound_id"]: b["reason"] for b in report["bounds"] if not b["applicable"]}
+    assert skipped == dict.fromkeys(("thm41_clique_lower", "thm43_independence_lower"),
+                                    "exact clique search capped at 40 vertices")
+    code, out, _ = run_cli(capsys, "sweep", "--seed-random", "45,2,0.2")
+    doc = json.loads(out)
+    assert code == 0 and doc["graphs_seen"] == 2
+    assert doc["bounds"]["thm25_lower"]["applicable"] == 2 * 7
+    assert not {"thm41_clique_lower", "thm43_independence_lower"} & doc["bounds"].keys()
+
+
 def test_sweep_shipped_corpus(capsys):
     from importlib import resources
 

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dspread import bounds as bounds_mod
 from dspread import corpus as corpus_mod
@@ -17,6 +18,8 @@ from dspread.corpus import (
 from dspread.families import FamilySpec, generate
 from dspread.graphs import Graph, encode_graph6, is_connected, parse_graph6
 from dspread.jsonfmt import json_text
+
+from conftest import graph_from_mask
 
 
 def test_sweep_zoo_clean(zoo):
@@ -225,3 +228,32 @@ def test_sweep_equals_per_pair_tally(zoo, monkeypatch):
     for g in graphs:
         merged.merge(sweep([g], alphas=alphas))
     assert json_text(merged.to_json()) == text
+
+
+@given(
+    specs=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 2**28 - 1)), min_size=1,
+                   max_size=6),
+    rnd=st.randoms(use_true_random=False),
+)
+@settings(max_examples=25, deadline=None)
+def test_sweep_tallies_invariant_under_relabeling(specs, rnd):
+    graphs = [graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1)) for n, mask in specs]
+    relabeled = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        relabeled.append(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+    a, b = sweep(graphs), sweep(relabeled)
+    assert (a.graphs_seen, a.skipped_disconnected) == (b.graphs_seen, b.skipped_disconnected)
+    assert a.tallies.keys() == b.tallies.keys()
+    for bid, t in a.tallies.items():
+        u = b.tallies[bid]
+        assert (t.applicable, t.holds, t.equalities) == (u.applicable, u.holds, u.equalities)
+        assert abs(t.worst_gap - u.worst_gap) <= 1e-9, bid
+    # worst_key and the graph6 of each entry follow the labeling
+
+    def pairs(entries):
+        return sorted((v["bound_id"], v["alpha"]) for v in entries)
+
+    assert pairs(a.violations) == pairs(b.violations)
+    assert pairs(a.discrepancies) == pairs(b.discrepancies)

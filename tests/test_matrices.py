@@ -2,18 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dspread.eigen import sym_eigen
 from dspread.graphs import distance_profile, is_connected
-from dspread.matrices import (
-    distance_laplacian,
-    distance_signless_laplacian,
-    frobenius_sq,
-    generalized_distance_matrix,
-    is_equitable,
-    matrix_to_tsv,
-    quotient_eigenvalues,
-    quotient_matrix,
-    trace,
-)
+from dspread.matrices import generalized_distance_matrix, quotient_eigenvalues
 
 from conftest import graph_from_mask
 
@@ -56,10 +47,12 @@ def test_dalpha_alpha_sequence_is_a_stack(zoo):
 
 def test_laplacians_p3(zoo):
     p = distance_profile(zoo["P3"])
-    dq = distance_signless_laplacian(p)
-    assert dq.tolist() == [[3, 1, 2], [1, 2, 1], [2, 1, 3]]
-    dl = distance_laplacian(p)
+    # D_1 - D_0 = Tr - D is the distance Laplacian: every row sums to zero
+    dl = generalized_distance_matrix(p, 1.0) - generalized_distance_matrix(p, 0.0)
     assert np.allclose(dl.sum(axis=1), 0.0)
+    # D_{1/2} is half the distance signless Laplacian Tr + D
+    dq = np.diag(p.tr) + p.dist
+    assert dq.tolist() == [[3, 1, 2], [1, 2, 1], [2, 1, 3]]
     assert np.allclose(2 * generalized_distance_matrix(p, 0.5), dq)
 
 
@@ -70,19 +63,21 @@ def test_laplacians_p3(zoo):
     beta=st.floats(0, 1),
 )
 def test_dalpha_pencil_identity(n, mask, alpha, beta):
+    # D_alpha is linear in alpha: D_a - D_b = (a - b) * (D_1 - D_0)
     g = graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
     if not is_connected(g):
         return
     p = distance_profile(g)
     lhs = generalized_distance_matrix(p, alpha) - generalized_distance_matrix(p, beta)
-    rhs = (alpha - beta) * distance_laplacian(p)
-    assert np.allclose(lhs, rhs, atol=1e-12)
+    d0, d1 = generalized_distance_matrix(p, (0.0, 1.0))
+    assert np.allclose(lhs, (alpha - beta) * (d1 - d0), atol=1e-12)
 
 
 def test_trace_and_frobenius(zoo):
     p = distance_profile(zoo["P3"])
-    assert trace(generalized_distance_matrix(p, 0.5)) == pytest.approx(4.0)  # 2*alpha*W
-    assert frobenius_sq(generalized_distance_matrix(p, 0.0)) == pytest.approx(12.0)
+    assert np.trace(generalized_distance_matrix(p, 0.5)) == pytest.approx(4.0)  # 2*alpha*W
+    m = generalized_distance_matrix(p, 0.0)
+    assert (m * m).sum() == pytest.approx(12.0)
 
 
 @given(n=st.integers(2, 8), mask=st.integers(0, 2**28 - 1), alpha=st.floats(0, 1))
@@ -94,56 +89,42 @@ def test_frobenius_formula(n, mask, alpha):
     m = generalized_distance_matrix(p, alpha)
     d = p.dist.astype(float)
     expected = (1 - alpha) ** 2 * (d**2).sum() + alpha**2 * (p.tr.astype(float) ** 2).sum()
-    assert frobenius_sq(m) == pytest.approx(expected, rel=1e-12)
-    assert trace(m) == pytest.approx(2 * alpha * p.wiener, abs=1e-9)
+    assert (m * m).sum() == pytest.approx(expected, rel=1e-12)
+    assert np.trace(m) == pytest.approx(2 * alpha * p.wiener, abs=1e-9)
 
 
 def test_quotient_bipartition_closed_form(zoo):
     r, s, alpha = 2, 3, 0.5
     p = distance_profile(zoo["K23"])
     m = generalized_distance_matrix(p, alpha)
-    b = quotient_matrix(m, [range(r), range(r, r + s)])
     expected = [
         [alpha * s + 2 * r - 2, s * (1 - alpha)],
         [r * (1 - alpha), alpha * r + 2 * s - 2],
     ]
-    assert np.allclose(b, expected)
+    vals = quotient_eigenvalues(m, [range(r), range(r, r + s)])
+    assert np.allclose(vals, np.sort(np.linalg.eigvals(expected).real)[::-1])
 
 
 def test_quotient_trivial_partition(zoo):
     m = generalized_distance_matrix(distance_profile(zoo["C4"]), 0.0)
-    assert quotient_matrix(m, [range(4)]).tolist() == [[4.0]]
+    assert quotient_eigenvalues(m, [range(4)]).tolist() == [4.0]
 
 
 def test_quotient_singletons_identity(zoo):
     m = generalized_distance_matrix(distance_profile(zoo["P3"]), 0.3)
-    b = quotient_matrix(m, [[0], [1], [2]])
-    assert np.allclose(b, m)
+    assert np.allclose(quotient_eigenvalues(m, [[0], [1], [2]]), sym_eigen(m))
 
 
 def test_quotient_p3_middle(zoo):
     m = generalized_distance_matrix(distance_profile(zoo["P3"]), 0.0)
-    b = quotient_matrix(m, [[0, 2], [1]])
-    assert b.tolist() == [[2.0, 1.0], [2.0, 0.0]]
     vals = quotient_eigenvalues(m, [[0, 2], [1]])
     assert np.allclose(vals, [1 + np.sqrt(3), 1 - np.sqrt(3)])
 
 
-def test_is_equitable(zoo):
-    m = generalized_distance_matrix(distance_profile(zoo["K23"]), 0.25)
-    assert is_equitable(m, [range(2), range(2, 5)])
-    m3 = generalized_distance_matrix(distance_profile(zoo["P3"]), 0.0)
-    assert is_equitable(m3, [[0, 2], [1]])
-    m4 = generalized_distance_matrix(distance_profile(zoo["P4"]), 0.0)
-    assert not is_equitable(m4, [[0, 1], [2, 3]])
-
-
 def test_equitable_quotient_values_subset_of_parent(zoo):
     # quotient eigenvalues of an equitable partition appear in the parent
-    from dspread.eigen import sym_eigen
-
     m = generalized_distance_matrix(distance_profile(zoo["P3"]), 0.0)
-    parent = sym_eigen(m, vectors=False).values
+    parent = sym_eigen(m)
     for q in quotient_eigenvalues(m, [[0, 2], [1]]):
         assert np.min(np.abs(parent - q)) < 1e-9
 
@@ -151,16 +132,11 @@ def test_equitable_quotient_values_subset_of_parent(zoo):
 def test_partition_validation(zoo):
     m = generalized_distance_matrix(distance_profile(zoo["P3"]), 0.0)
     with pytest.raises(ValueError, match="cover"):
-        quotient_matrix(m, [[0], [1]])
+        quotient_eigenvalues(m, [[0], [1]])
     with pytest.raises(ValueError, match="two blocks"):
-        quotient_matrix(m, [[0, 1], [1, 2]])
+        quotient_eigenvalues(m, [[0, 1], [1, 2]])
     with pytest.raises(ValueError, match="empty"):
-        quotient_matrix(m, [[0, 1, 2], []])
+        quotient_eigenvalues(m, [[0, 1, 2], []])
     with pytest.raises(ValueError, match="out of range"):
-        quotient_matrix(m, [[0, 1], [2, 3]])
+        quotient_eigenvalues(m, [[0, 1], [2, 3]])
 
-
-def test_matrix_to_tsv(zoo):
-    m = generalized_distance_matrix(distance_profile(zoo["P3"]), 0.5)
-    lines = matrix_to_tsv(m).splitlines()
-    assert lines[0] == "1.5\t0.5\t1"
