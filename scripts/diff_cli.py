@@ -31,6 +31,7 @@ COMMANDS = [
     "analyze Bg --format tsv",
     "analyze A?",
     "analyze Bg --alpha 1.5",
+    "analyze cycle:63 --alpha 0",
     "bounds path:20",
     "bounds kbip:1,3 --alpha 0.1",
     "bounds complete:4 --alpha 0.5",
@@ -42,10 +43,12 @@ COMMANDS = [
     "bounds complete:4 --tol -1",
     "bounds complete:4 --tol inf",
     "bounds path:45",
+    "bounds path:70 --alpha 0.5",
     "sweep --seed-random 10,200,0.5 --seed 1",
     "sweep --corpus {n6} --alphas 0,0.5,1",
     "sweep --corpus {missing}",
     "sweep --seed-random 45,2,0.2",
+    "sweep --seed-random 70,2,0.3",
     "conjecture --n 4 --alpha 0",
     "conjecture --n 5 --alpha 0.5",
     "conjecture --n 6 --alpha 0.5",

@@ -545,20 +545,20 @@ class Evaluation:
 
     def reports(self, g: int, j: int) -> list[BoundReport]:
         """One report per registry entry for graph g at alpha j."""
+        # one tolist() per (17,) column gives plain bools and floats, in
+        # BoundReport field order from exact_claim on
+        columns = (a[:, g, j].tolist() for a in (
+            self.applicable, self.claimed, self.exact, self.bound, self.actual, self.holds,
+            self.gap, self.equality, self.violated, self.claimed_miss))
         out = []
-        for i, e in enumerate(REGISTRY):
-            if not self.applicable[i, g, j]:
+        for e, applicable, claimed, *row in zip(REGISTRY, *columns):
+            if not applicable:
                 reason = e.reason(self.ctxs[g], self.alphas[j])
                 out.append(BoundReport(e.id, e.direction, False, reason, PROVEN, False,
                                        None, None, None, None, None))
-                continue
-            at = (i, g, j)
-            out.append(BoundReport(
-                e.id, e.direction, True, None, CLAIMED if self.claimed[at] else PROVEN,
-                bool(self.exact[at]), float(self.bound[at]), float(self.actual[at]),
-                bool(self.holds[at]), float(self.gap[at]), bool(self.equality[at]),
-                violated=bool(self.violated[at]), claimed_miss=bool(self.claimed_miss[at]),
-            ))
+            else:
+                out.append(BoundReport(e.id, e.direction, True, None,
+                                       CLAIMED if claimed else PROVEN, *row))
         return out
 
 

@@ -136,7 +136,7 @@ def _base_report(desc: Optional[str], ctx: bounds_mod.EvalContext, alpha: float)
         "transmission_min": int(profile.tr.min()),
         "transmission_max": int(profile.tr.max()),
         "transmission_regular": is_transmission_regular(profile),
-        "spectrum": [float(v) for v in ctx.values(alpha)],
+        "spectrum": ctx.values(alpha).tolist(),
         "spread": ctx.spread(alpha),
     }
 

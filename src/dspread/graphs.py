@@ -210,13 +210,52 @@ def induced_paths(g: Graph) -> Iterator[tuple[int, int, int]]:
 _G6_HEADER = ">>graph6<<"
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode a short-form graph6 line (n <= 62) into a Graph.
+# largest order of the 4-byte long-form header; the 8-byte form is not read
+_G6_MAX_ORDER = 258047
+# the offsets within a graph6 byte (0 = most significant of its 6 bits) of
+# the bits set in each value 0..63
+_SET_BITS = tuple(tuple(i for i in range(6) if (val >> (5 - i)) & 1) for val in range(64))
 
-    The format is the usual printable encoding: byte0 = 63 + n, then the
-    upper triangle in column-major order packed 6 bits per byte (most
-    significant bit first), padded with zero bits. Byte offsets in errors
-    refer to the stripped line.
+
+def _g6_char(data: bytes, i: int) -> int:
+    """The 6-bit value of data[i]; an error if it is not one of '?'..'~'."""
+    val = data[i] - 63
+    if val < 0 or val > 63:
+        raise GraphParseError(f"character {chr(data[i])!r} outside graph6 range", offset=i)
+    return val
+
+
+def _g6_order(data: bytes) -> tuple[int, int]:
+    """The vertex count of a graph6 header and the offset of the bit string.
+
+    Short form: one byte 63 + n for n <= 62. Long form: '~' and three bytes
+    holding n in 18 bits, most significant 6 first, for 63 <= n <= 258047.
+    """
+    first = _g6_char(data, 0)
+    if first < 63:
+        if first == 0:
+            raise GraphParseError("graph of order 0 is not supported", offset=0)
+        return first, 1
+    if len(data) > 1 and data[1] == 126:
+        raise GraphParseError(
+            f"8-byte long-form graph6 (n > {_G6_MAX_ORDER}) is not supported", offset=1)
+    if len(data) < 4:
+        raise GraphParseError("truncated long-form graph6 header", offset=len(data))
+    n = (_g6_char(data, 1) << 12) | (_g6_char(data, 2) << 6) | _g6_char(data, 3)
+    if n <= 62:
+        raise GraphParseError(f"long-form graph6 header for n = {n}, which needs the short form",
+                              offset=1)
+    return n, 4
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode a graph6 line (short form n <= 62, long form n <= 258047).
+
+    The format is McKay's printable encoding: the order n in a one-byte
+    (63 + n) or a four-byte ('~' and 18 bits) header, then the upper
+    triangle in column-major order packed 6 bits per byte (most significant
+    bit first), padded with zero bits. Byte offsets in errors refer to the
+    stripped line.
     """
     s = text.strip()
     if s.startswith(_G6_HEADER):
@@ -227,63 +266,46 @@ def parse_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError:
         raise GraphParseError("graph6 input is not ASCII") from None
-    first = data[0] - 63
-    if first < 0 or data[0] > 126:
-        raise GraphParseError(f"character {chr(data[0])!r} outside graph6 range", offset=0)
-    if first == 63:
-        raise GraphParseError("long-form graph6 (n > 62) is not supported", offset=0)
-    n = first
-    if n == 0:
-        raise GraphParseError("graph of order 0 is not supported", offset=0)
+    n, start = _g6_order(data)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(data) < 1 + nbytes:
+    if len(data) < start + nbytes:
         raise GraphParseError(
-            f"truncated bit string: need {nbytes} data bytes, found {len(data) - 1}",
+            f"truncated bit string: need {nbytes} data bytes, found {len(data) - start}",
             offset=len(data),
         )
-    if len(data) > 1 + nbytes:
-        raise GraphParseError("trailing characters after bit string", offset=1 + nbytes)
+    if len(data) > start + nbytes:
+        raise GraphParseError("trailing characters after bit string", offset=start + nbytes)
     edges = []
-    bit = 0
-    for v in range(1, n):
-        for u in range(v):
-            byte_i = 1 + bit // 6
-            val = data[byte_i] - 63
-            if val < 0 or val > 63:
-                raise GraphParseError(
-                    f"character {chr(data[byte_i])!r} outside graph6 range", offset=byte_i
-                )
-            if (val >> (5 - bit % 6)) & 1:
-                edges.append((u, v))
-            bit += 1
+    u, v = 0, 1  # the pair of the first bit of byte i
+    for i in range(start, start + nbytes):
+        val = _g6_char(data, i)
+        for bit in _SET_BITS[val]:
+            a, b = u + bit, v
+            while a >= b:
+                a -= b
+                b += 1
+            edges.append((a, b))
+        u += 6
+        while u >= v:
+            u -= v
+            v += 1
     # padding bits of the last byte must be zero
-    for pad in range(nbits, nbytes * 6):
-        byte_i = 1 + pad // 6
-        val = data[byte_i] - 63
-        if val < 0 or val > 63:
-            raise GraphParseError(
-                f"character {chr(data[byte_i])!r} outside graph6 range", offset=byte_i
-            )
-        if (val >> (5 - pad % 6)) & 1:
-            raise GraphParseError("nonzero padding bits", offset=byte_i)
+    if nbits % 6 and (data[-1] - 63) & ((1 << (6 - nbits % 6)) - 1):
+        raise GraphParseError("nonzero padding bits", offset=len(data) - 1)
     return Graph.from_edges(n, edges)
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode a graph (n <= 62) as a short-form graph6 string."""
+    """Encode a graph as graph6, in the short form for n <= 62 and the
+    long form for 63 <= n <= 258047."""
     n = g.n
-    if n > 62:
-        raise ValueError("short-form graph6 supports at most 62 vertices")
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    out = [63 + n]
-    vals = [0] * nbytes
-    bit = 0
-    for v in range(1, n):
-        for u in range(v):
-            if g.has_edge(u, v):
-                vals[bit // 6] |= 1 << (5 - bit % 6)
-            bit += 1
-    out.extend(63 + v for v in vals)
+    if n > _G6_MAX_ORDER:
+        raise ValueError(f"graph6 supports at most {_G6_MAX_ORDER} vertices")
+    out = [63 + n] if n <= 62 else [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
+    vals = [0] * ((n * (n - 1) // 2 + 5) // 6)
+    for u, v in g.edges:
+        bit = v * (v - 1) // 2 + u
+        vals[bit // 6] |= 1 << (5 - bit % 6)
+    out.extend(63 + x for x in vals)
     return bytes(out).decode("ascii")

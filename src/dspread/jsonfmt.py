@@ -2,48 +2,101 @@
 
 The stock json module prints floats with repr, which is shortest-roundtrip
 rather than fixed-width; golden-file tests want the same bytes on every
-platform, so this tiny emitter formats every float with "%.12g".
+platform, so this small writer formats every float with "%.12g". Objects
+and arrays put one member per line, indented two spaces per level, in
+insertion order; strings are ASCII with JSON escapes; NaN and infinities
+raise ValueError.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("non-finite float in report")
     return format(x, ".12g")
 
 
-def json_text(obj, indent: int = 0) -> str:
-    """Render dicts/lists/str/bool/None/int/float; dict order is preserved."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+# renderers of the leaf types by exact type; subclasses go through _leaf
+_LEAF = {
+    str: _quote,
+    float: _fmt_float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def json_text(obj) -> str:
+    """Render dicts/lists/tuples/str/bool/None/int/float; dict order is preserved."""
+    fn = _LEAF.get(type(obj))
+    text = fn(obj) if fn is not None else _leaf(obj)
+    if text is not None:
+        return text
+    out: list[str] = []
+    _write(obj, out.append, "\n", {})
+    return "".join(out)
+
+
+def _leaf(obj) -> str | None:
+    """Render an instance of a leaf type's subclass (numpy.float64, ...);
+    None for a dict, list or tuple."""
+    if isinstance(obj, (dict, list, tuple)):
+        return None
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return _fmt_float(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write(obj, emit, nl: str, prefixes: dict) -> None:
+    """Append the fragments of a dict, list or tuple to emit.
+
+    nl is the newline plus indent of obj's closing bracket. prefixes maps
+    each member indent to a memo of its '<indent>"key": ' strings.
+    """
+    inner = nl + "  "
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {json_text(v, indent + 2)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+            emit("{}")
+            return
+        memo = prefixes.get(inner)
+        if memo is None:
+            memo = prefixes[inner] = {}
+        sep = "{"
+        for k, v in obj.items():
+            prefix = memo.get(k)
+            if prefix is None:
+                prefix = inner + _quote(str(k)) + ": "
+                if type(k) is str:  # 1 and True are equal keys that render apart
+                    memo[k] = prefix
+            fn = _LEAF.get(type(v))
+            text = fn(v) if fn is not None else _leaf(v)
+            if text is None:
+                emit(sep + prefix)
+                _write(v, emit, inner, prefixes)
+            else:
+                emit(sep + prefix + text)
+            sep = ","
+        emit(nl + "}")
+    else:
         if not obj:
-            return "[]"
-        items = ",\n".join(f"{inner}{json_text(v, indent + 2)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            emit("[]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            fn = _LEAF.get(type(v))
+            text = fn(v) if fn is not None else _leaf(v)
+            if text is None:
+                emit(sep)
+                _write(v, emit, inner, prefixes)
+            else:
+                emit(sep + text)
+            sep = "," + inner
+        emit(nl + "]")

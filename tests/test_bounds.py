@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from dspread.bounds import (
     BOUND_IDS,
+    CAPPED,
     CLAIMED,
     PROVEN,
     EvalContext,
@@ -203,6 +204,20 @@ def test_alpha_gate_reason(zoo):
 def test_one_report_per_entry(zoo):
     reports = evaluate_all(zoo["K23"], 0.5)
     assert [r.bound_id for r in reports] == list(BOUND_IDS)
+
+
+def test_reports_hold_plain_python_values(zoo):
+    # the JSON writer's fast path dispatches on exact bool/float/str/None
+    path45 = Graph.from_edges(45, [(i, i + 1) for i in range(44)])
+    ev = evaluate([EvalContext(path45), EvalContext(zoo["K13"])], [0.1])
+    kinds = set()
+    for g in range(2):
+        for r in ev.reports(g, 0):
+            for name, value in vars(r).items():
+                assert type(value) in (bool, float, str, type(None)), (r.bound_id, name)
+            kinds.add("capped" if r.reason == CAPPED else
+                      r.status if r.applicable else "inapplicable")
+    assert kinds == {"capped", "inapplicable", PROVEN, CLAIMED}
 
 
 def test_single_vertex_all_inapplicable():

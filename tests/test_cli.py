@@ -141,6 +141,22 @@ def test_clique_cap_degrades_to_inapplicable_entries(capsys):
     assert not {"thm41_clique_lower", "thm43_independence_lower"} & doc["bounds"].keys()
 
 
+def test_long_form_graph6_reports(capsys):
+    # n > 62 needs the long-form graph6 header; the report's graph6 field
+    # is itself a valid input that gives the same report
+    code, out, err = run_cli(capsys, "analyze", "cycle:63", "--alpha", "0")
+    assert code == 0 and err == ""
+    (report,) = json.loads(out)["reports"]
+    assert report["graph6"].startswith("~??~") and report["diameter"] == 31
+    code, again, _ = run_cli(capsys, "analyze", report["graph6"], "--alpha", "0")
+    (other,) = json.loads(again)["reports"]
+    assert code == 0 and other == dict(report, input=report["graph6"])
+    code, out, _ = run_cli(capsys, "bounds", "path:70", "--alpha", "0.5")
+    assert code == 0 and json.loads(out)["reports"][0]["n"] == 70
+    code, out, _ = run_cli(capsys, "sweep", "--seed-random", "70,2,0.3")
+    assert code == 0 and json.loads(out)["graphs_seen"] == 2
+
+
 def test_sweep_shipped_corpus(capsys):
     from importlib import resources
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dspread.graphs import (
     Graph,
@@ -82,8 +82,29 @@ def test_parse_graph6_out_of_range_char():
 
 
 def test_parse_graph6_long_form_unsupported():
-    with pytest.raises(GraphParseError, match="long-form"):
-        parse_graph6(chr(126) + "???")
+    # the 8-byte header (n > 258047) is not read
+    with pytest.raises(GraphParseError, match=r"8-byte long-form .*\(byte offset 1\)"):
+        parse_graph6("~~??????")
+    # a long-form header must hold n >= 63
+    for text, n in (("~???", 0), ("~??}", 62)):
+        with pytest.raises(GraphParseError,
+                           match=rf"header for n = {n}, .*short form \(byte offset 1\)"):
+            parse_graph6(text)
+    with pytest.raises(GraphParseError, match=r"truncated long-form .*\(byte offset 3\)"):
+        parse_graph6("~??")
+    with pytest.raises(GraphParseError, match=r"outside graph6 range \(byte offset 2\)"):
+        parse_graph6("~?" + chr(20) + "?")
+
+
+def test_graph6_long_form_header():
+    # McKay's formats.txt: N(63) = 126 63 63 126, N(12345) = 126 66 63 120
+    assert encode_graph6(Graph(n=63, edges=frozenset())).startswith("~??~")
+    with pytest.raises(GraphParseError, match="need 12698890 data bytes, found 0"):
+        parse_graph6("~B?x")  # n = 12345: C(n, 2) bits in 6-bit bytes
+    g = parse_graph6(encode_graph6(Graph.from_edges(63, [(0, 62), (61, 62)])))
+    assert g.n == 63 and g.edges == {(0, 62), (61, 62)}
+    with pytest.raises(GraphParseError, match="truncated bit string"):
+        parse_graph6("~??~")
 
 
 def test_encode_graph6_known():
@@ -95,6 +116,17 @@ def test_encode_graph6_known():
 def test_graph6_round_trip(n, mask):
     g = graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
     assert parse_graph6(encode_graph6(g)).edges == g.edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(60, 130), data=st.data())
+def test_graph6_round_trip_across_the_form_switch(n, data):
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    g = Graph.from_edges(n, data.draw(st.lists(pairs, max_size=300)))
+    text = encode_graph6(g)
+    assert text.startswith("~") == (n > 62)
+    h = parse_graph6(text)
+    assert (h.n, h.edges) == (n, g.edges)
 
 
 # --- connectivity / bipartiteness ---

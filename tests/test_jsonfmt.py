@@ -1,0 +1,64 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dspread.jsonfmt import json_text
+
+from json_oracle import json_text as oracle_text
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | finite
+    | st.sampled_from([-0.0, 0.0, 1e16, 5e-5, 3.0, -2.0, 1e-300, 123456789012.5])
+    | finite.map(np.float64)
+    | st.text()  # non-ASCII and control characters included
+)
+# non-string keys render through str(); 1 and True are equal keys that
+# render apart
+keys = st.text(max_size=8) | st.integers(-2, 2) | st.booleans() | st.none() | finite
+documents = st.recursive(
+    leaves,
+    lambda kids: (st.lists(kids, max_size=5)
+                  | st.lists(kids, max_size=5).map(tuple)
+                  | st.dictionaries(keys, kids, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_matches_recursive_oracle(doc):
+    assert json_text(doc) == oracle_text(doc)
+
+
+def test_layout():
+    doc = {"a": [1, 2.5, None], "b": {}, "c": [], "d": {"e": (True, "x\n")}}
+    assert json_text(doc) == (
+        '{\n  "a": [\n    1,\n    2.5,\n    null\n  ],\n  "b": {},\n  "c": [],\n'
+        '  "d": {\n    "e": [\n      true,\n      "x\\n"\n    ]\n  }\n}'
+    )
+    assert json_text(1 / 3) == "0.333333333333"
+    assert json_text("é") == '"\\u00e9"'
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(np.nan)])
+def test_non_finite_raises(bad):
+    for doc in (bad, [1.0, bad], {"x": {"y": bad}}):
+        with pytest.raises(ValueError, match="non-finite float"):
+            json_text(doc)
+        with pytest.raises(ValueError, match="non-finite float"):
+            oracle_text(doc)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, b"bytes", object(), np.int64(3), np.bool_(True)])
+def test_unsupported_type_raises(bad):
+    for doc in (bad, [bad], {"x": bad}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            json_text(doc)
+        with pytest.raises(TypeError, match="cannot serialize"):
+            oracle_text(doc)
