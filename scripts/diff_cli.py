@@ -32,6 +32,8 @@ COMMANDS = [
     "analyze A?",
     "analyze Bg --alpha 1.5",
     "analyze cycle:63 --alpha 0",
+    "analyze path:62 --alpha 0.5",
+    "analyze complete:62 --alpha 0.25",
     "bounds path:20",
     "bounds kbip:1,3 --alpha 0.1",
     "bounds complete:4 --alpha 0.5",
@@ -49,6 +51,7 @@ COMMANDS = [
     "sweep --corpus {missing}",
     "sweep --seed-random 45,2,0.2",
     "sweep --seed-random 70,2,0.3",
+    "sweep --seed-random 62,3,0.1",
     "conjecture --n 4 --alpha 0",
     "conjecture --n 5 --alpha 0.5",
     "conjecture --n 6 --alpha 0.5",

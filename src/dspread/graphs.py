@@ -119,36 +119,82 @@ def is_connected(g: Graph) -> bool:
     return all(d >= 0 for d in bfs_distances(g, 0))
 
 
-def distance_profile(g: Graph) -> DistanceProfile:
-    """Run BFS from every vertex and collect all distance statistics.
+# Distances come from matrix products when (2*ecc(0) + 1) * n**3 multiply-adds
+# are at most this many times the n * (n + 2m) steps of per-vertex BFS.
+_MULADDS_PER_BFS_STEP = 2000
 
-    A disconnected graph raises DisconnectedGraphError (a ValueError) from
-    the first BFS, so callers need no separate connectivity check.
-    Distances, transmissions and the Wiener index stay exact integers;
-    average distance degrees are plain floats (denominators are small vertex
-    degrees).
+
+def distance_profile(g: Graph) -> DistanceProfile:
+    """All shortest-path distances and the statistics derived from them.
+
+    One BFS from vertex 0 comes first. A disconnected graph raises
+    DisconnectedGraphError (a ValueError) after it, so callers need no
+    separate connectivity check. It also gives ecc(0), and the diameter,
+    which is the number of BFS levels, is at most 2*ecc(0). The distance
+    matrix then comes from whichever of two methods costs less:
+
+    - matrix products (_reach_distances): every source advances one level
+      per product of an n x n float32 matrix, at most (2*ecc(0) + 1) * n**3
+      multiply-adds in BLAS;
+    - per-vertex BFS: one Python BFS from each further vertex, about
+      n * (n + 2m) interpreter steps, written row by row.
+
+    Products are chosen when their multiply-adds are at most
+    _MULADDS_PER_BFS_STEP = 2000 times the BFS steps. That is where the two
+    methods crossed over when timed on paths, cycles, grids, a path joined
+    to a clique and G(n, p), n = 20..500, with OpenBLAS on 2 cores: from
+    about 1,300 (cycles) to 2,500 (grids). Dense and small graphs take the
+    products, long paths and cycles (`path:62`, `cycle:200`) the BFS.
+
+    Distances, transmissions and the Wiener index are exact integers.
+    avg_dist_deg[i] is the sum of the transmissions of the neighbours of i
+    over the degree of i. The sums are integers below 2**53, so they are
+    exact in float64 and every quotient is correctly rounded.
     """
     n = g.n
-    dist = np.zeros((n, n), dtype=np.int64)
-    for v in range(n):
-        row = bfs_distances(g, v)
-        if min(row) < 0:
-            raise DisconnectedGraphError("requires connected graph")
-        dist[v] = row
+    row0 = bfs_distances(g, 0)
+    if min(row0) < 0:
+        raise DisconnectedGraphError("requires connected graph")
+    ends = np.array(tuple(g.edges), dtype=np.intp).reshape(-1, 2)
+    # every edge in both directions: vertex src[k] is adjacent to dst[k]
+    src, dst = ends.ravel(), ends[:, ::-1].ravel()
+    if (2 * max(row0) + 1) * n * n <= _MULADDS_PER_BFS_STEP * (n + len(src)):
+        dist = _reach_distances(n, src, dst)
+    else:
+        dist = np.empty((n, n), dtype=np.int64)
+        dist[0] = row0
+        for v in range(1, n):
+            dist[v] = bfs_distances(g, v)
     tr = dist.sum(axis=1)
-    wiener = int(tr.sum()) // 2
-    avg = np.zeros(n, dtype=float)
-    for v in range(n):
-        nbrs = g.adjacency[v]
-        if nbrs:
-            avg[v] = float(tr[list(nbrs)].sum()) / len(nbrs)
+    nbr_tr = np.bincount(src, weights=tr[dst], minlength=n)
+    avg = nbr_tr / np.maximum(np.bincount(src, minlength=n), 1)
     return DistanceProfile(
         dist=dist,
         tr=tr,
-        wiener=wiener,
+        wiener=int(tr.sum()) // 2,
         diameter=int(dist.max()),
         avg_dist_deg=avg,
     )
+
+
+def _reach_distances(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Distance matrix of a connected graph by BFS from all sources at once.
+
+    reach[s, v] is 1 once v lies within the current level of s. One product
+    with the adjacency plus the identity advances every source one level
+    (its float32 counts, at most n, are exact), and dist[s, v] counts the
+    levels at which v was still unreached from s.
+    """
+    step = np.eye(n, dtype=np.float32)
+    step[src, dst] = 1
+    reach = np.eye(n, dtype=np.float32)
+    reached = np.zeros((n, n), dtype=np.float32)
+    levels = 0
+    while not reach.all():
+        reached += reach
+        reach = np.sign(reach @ step)
+        levels += 1
+    return (levels - reached).astype(np.int64)
 
 
 def is_transmission_regular(profile: DistanceProfile) -> Optional[int]:

@@ -264,13 +264,19 @@ def test_one_profile_and_one_eigensolve_per_pair(capsys, monkeypatch, tmp_path):
 
 
 def test_one_bfs_pass_per_graph(capsys, monkeypatch, tmp_path):
+    # each graph gets one distance profile, which runs one BFS (from vertex
+    # 0) and then, for these small graphs, matrix products
+    profiles = _count_calls(monkeypatch, distance_profile)
     bfs = _count_calls(monkeypatch, bfs_distances)
-    corpus = tmp_path / "one.g6"
-    corpus.write_text("Bg\n", encoding="ascii")
-    for argv in (("analyze", "Bg"), ("bounds", "Bg"), ("sweep", "--corpus", str(corpus))):
+    corpus = tmp_path / "three.g6"
+    corpus.write_text("Bg\nBw\nC~\n", encoding="ascii")
+    for argv, graphs in ((("analyze", "Bg"), 1), (("bounds", "Bg"), 1),
+                         (("sweep", "--corpus", str(corpus)), 3)):
+        profiles.clear()
         bfs.clear()
         code, _, _ = run_cli(capsys, *argv)
-        assert code == 0 and len(bfs) == 3, argv  # one BFS from each vertex
+        assert code == 0, argv
+        assert len(profiles) == graphs and [args[1] for args in bfs] == [0] * graphs, argv
     # a disconnected graph costs one BFS and still counts as skipped
     corpus.write_text("A?\n", encoding="ascii")
     bfs.clear()

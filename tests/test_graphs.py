@@ -1,7 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dspread.graphs
+from dspread.families import generate, parse_family
 from dspread.graphs import (
     Graph,
     GraphParseError,
@@ -205,6 +209,90 @@ def test_profile_invariants(n, mask):
     # triangle inequality over all triples
     for k in range(n):
         assert np.all(d <= d[:, [k]] + d[[k], :])
+
+
+
+def _oracle_profile(g):
+    """dist, tr, wiener, diameter and avg_dist_deg from one BFS per source."""
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    dist = []
+    for s in range(g.n):
+        row = [None] * g.n
+        row[s], level, frontier = 0, 0, [s]
+        while frontier:
+            level, nxt = level + 1, []
+            for u in frontier:
+                for w in nbrs[u]:
+                    if row[w] is None:
+                        row[w] = level
+                        nxt.append(w)
+            frontier = nxt
+        dist.append(row)
+    tr = [sum(row) for row in dist]
+    avg = [float(sum(tr[w] for w in nb)) / len(nb) if nb else 0.0 for nb in nbrs]
+    return dist, tr, sum(tr) // 2, max(map(max, dist)), avg
+
+
+def _assert_matches_oracle(g):
+    p = distance_profile(g)
+    dist, tr, wiener, diameter, avg = _oracle_profile(g)
+    assert p.dist.dtype == np.int64 and p.dist.tolist() == dist
+    assert p.tr.tolist() == tr
+    assert p.wiener == wiener and p.diameter == diameter
+    # integer neighbour sums are exact, so the quotients agree bit for bit
+    assert p.avg_dist_deg.tolist() == avg
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(1, 90))
+    # vertex v hangs from one of the `span` vertices before it: span 1 with
+    # few extra edges gives long paths (the BFS branch), a large span bushy
+    # trees
+    span = draw(st.just(1) | st.integers(1, n))
+    tree = [(draw(st.integers(max(0, v - span), v - 1)), v) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=draw(st.sampled_from((2, 3 * n)))))
+    label = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in tree + extra if u != v])
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=connected_graphs())
+def test_profile_matches_bfs_oracle(g):
+    _assert_matches_oracle(g)
+
+
+def _dense_62():
+    rng = random.Random(62)
+    return Graph.from_edges(62, [(u, v) for v in range(1, 62) for u in range(v)
+                                 if rng.random() < 0.2])
+
+
+@pytest.mark.parametrize("graph, bfs_calls", [
+    (generate(parse_family("path:62")), 62),
+    (generate(parse_family("cycle:200")), 200),
+    (generate(parse_family("complete:60")), 1),
+    (_dense_62(), 1),
+    (Graph(n=1, edges=frozenset()), 1),
+    (generate(parse_family("path:2")), 1),
+], ids=["path62", "cycle200", "complete60", "gnp62", "n1", "n2"])
+def test_profile_branches_match_bfs_oracle(monkeypatch, graph, bfs_calls):
+    # long paths and cycles run a BFS from every vertex; the others run one
+    # BFS from vertex 0 and then matrix products
+    calls = []
+    bfs = dspread.graphs.bfs_distances
+
+    def counted(g, source):
+        calls.append(source)
+        return bfs(g, source)
+
+    monkeypatch.setattr(dspread.graphs, "bfs_distances", counted)
+    _assert_matches_oracle(graph)
+    assert len(calls) == bfs_calls
 
 
 # --- helpers ---
