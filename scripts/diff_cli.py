@@ -46,6 +46,10 @@ COMMANDS = [
     "bounds complete:4 --tol inf",
     "bounds path:45",
     "bounds path:70 --alpha 0.5",
+    "bounds @ --alpha 0.3",
+    "bounds A_ --alpha 0.3 --format tsv",
+    "bounds Bw --alpha 0.3",
+    "bounds path:45 --alpha 0.3 --format tsv",
     "sweep --seed-random 10,200,0.5 --seed 1",
     "sweep --corpus {n6} --alphas 0,0.5,1",
     "sweep --corpus {missing}",

@@ -30,15 +30,12 @@ from .eigen import sym_eigen
 from .families import (
     AnalyticSpectrum,
     FamilySpec,
-    SpreadFormula,
-    co_neighbor_eigenvalue,
     generate,
     matches_numeric,
     parse_family,
     spectrum_complete,
     spectrum_complete_bipartite,
     spectrum_complete_split,
-    spread_complete_bipartite,
 )
 from .graphs import (
     DisconnectedGraphError,

@@ -1,11 +1,11 @@
 """Spread bound registry, evaluated on blocks of (graph, alpha) pairs at once.
 
-Each registry entry is a record (id, direction, minimum order, alpha domain,
-requirement) with an array formula for one displayed inequality on the
-spread or extreme eigenvalues of the generalized distance matrix. evaluate()
-maps per-graph columns (G, 1) and spectra (G, k) of a block to (17, G, k)
-arrays; inapplicable entries are masked and report a reason instead of
-failing, so corpus sweeps never abort.
+Each registry entry is a record (id, direction, formula, checks, claimed,
+exact) with an array formula for one displayed inequality on the spread or
+extreme eigenvalues of the generalized distance matrix. evaluate() maps
+per-graph columns (G, 1) and spectra (G, k) of a block to (17, G, k)
+arrays; the checks mask out inapplicable entries, which report a reason
+instead of failing, so corpus sweeps never abort.
 
 Entries carry a trust status. "proven" bounds are expected to hold on every
 connected graph; a violation of one of those is a genuine soundness failure.
@@ -289,56 +289,40 @@ def _sqrt(x):
     return np.sqrt(np.maximum(x, 0.0))
 
 
+def _order(k: int) -> tuple[Callable, str]:
+    return lambda c: c.n >= k, f"requires n >= {k}"
+
+
+# omega and indep are NaN above the clique search cap, so this check comes
+# before the clique and independence checks, which read them
+_SEARCHED = (lambda c: ~np.isnan(c.omega), CAPPED)
+_BIPARTITE = (lambda c: c.bipartite, "not bipartite")
+_CLIQUE = (lambda c: c.omega >= 2, "clique number < 2")
+_INDEPENDENT = (lambda c: c.indep >= 2, "independence number < 2")
+_HALF = (lambda c: c.a >= 0.5, "alpha outside [1/2,1]")
+_ZERO_OR_HALF = (lambda c: (c.a == 0.0) | (c.a >= 0.5), "alpha outside {0} ∪ [1/2,1]")
+
+
 @dataclass(frozen=True)
 class Entry:
     """One registry entry: a displayed inequality as an array formula.
 
     formula maps the block columns (see _columns) to (bound, actual), each
-    broadcastable to (G, k). An entry applies where n >= min_order, the
-    requirement (a map from a context to the reason it fails, or None) is
-    met and domain holds for alpha; reasons name the first of these that
-    fails. claimed and exact map the columns to masks of values that are
-    only claimed, and of exact-value claims.
+    broadcastable to (G, k). checks are the (mask, reason) conditions of the
+    inequality in reporting order: order, then requirement, then alpha
+    domain, after the clique search cap where a requirement reads omega or
+    indep. Each mask maps the columns to where its condition is met; the
+    entry applies where all are met, and otherwise reports the reason of
+    the first that is not. claimed and exact map the columns to masks of
+    values that are only claimed, and of exact-value claims.
     """
 
     id: str
     direction: str  # "lower" | "upper"
     formula: Callable
-    min_order: int = 2
-    domain: tuple[Callable, Optional[str]] = (lambda a: a >= 0.0, None)  # alphas lie in [0, 1]
-    requires: Optional[Callable[[EvalContext], Optional[str]]] = None
+    checks: tuple[tuple[Callable, str], ...] = (_order(2),)
     claimed: Optional[Callable] = None
     exact: Optional[Callable] = None
-
-    def reason(self, ctx: EvalContext, alpha: float) -> Optional[str]:
-        """Why the entry does not apply to (ctx, alpha), or None if it does."""
-        if ctx.n < self.min_order:
-            return f"requires n >= {self.min_order}"
-        if self.requires is not None:
-            failed = self.requires(ctx)
-            if failed:
-                return failed
-        return None if self.domain[0](alpha) else self.domain[1]
-
-
-_HALF = (lambda a: a >= 0.5, "alpha outside [1/2,1]")
-_ZERO_OR_HALF = (lambda a: (a == 0.0) | (a >= 0.5), "alpha outside {0} ∪ [1/2,1]")
-
-
-def _bipartite(ctx: EvalContext) -> Optional[str]:
-    return None if ctx.bipartite else "not bipartite"
-
-
-def _clique(ctx: EvalContext) -> Optional[str]:
-    if ctx.cliques is None:
-        return CAPPED
-    return None if ctx.cliques[0] >= 2 else "clique number < 2"
-
-
-def _independent(ctx: EvalContext) -> Optional[str]:
-    if ctx.independence is None:
-        return CAPPED
-    return None if ctx.independence >= 2 else "independence number < 2"
 
 
 def _thm35(c):
@@ -427,16 +411,18 @@ REGISTRY: tuple[Entry, ...] = (
     Entry("thm210_upper", "upper",
           lambda c: (_sqrt(2.0 * c.power_sum - 8.0 / c.n * ((c.a * c.wiener) * (c.a * c.wiener))),
                      c.spread)),
-    Entry("halfrange_radius_upper", "upper", lambda c: (c.top, c.spread), domain=_HALF),
-    Entry("thm35_bipartite_lower", "lower", _thm35, min_order=3, requires=_bipartite,
+    Entry("halfrange_radius_upper", "upper", lambda c: (c.top, c.spread),
+          checks=(_order(2), _HALF)),
+    Entry("thm35_bipartite_lower", "lower", _thm35, checks=(_order(3), _BIPARTITE),
           claimed=lambda c: (c.delta == c.n - 1) & (c.a != 0.0),
           exact=lambda c: c.delta == c.n - 1),
-    Entry("thm38_bipartite_lower", "lower", _thm38, min_order=3, domain=_ZERO_OR_HALF,
-          requires=_bipartite, claimed=lambda c: c.a != 0.0),
-    Entry("thm41_clique_lower", "lower", _thm41, min_order=3, requires=_clique,
+    Entry("thm38_bipartite_lower", "lower", _thm38,
+          checks=(_order(3), _BIPARTITE, _ZERO_OR_HALF), claimed=lambda c: c.a != 0.0),
+    Entry("thm41_clique_lower", "lower", _thm41, checks=(_SEARCHED, _order(3), _CLIQUE),
           exact=lambda c: c.omega == c.n),
-    Entry("thm43_independence_lower", "lower", _thm43, min_order=3, domain=_ZERO_OR_HALF,
-          requires=_independent, claimed=lambda c: c.a != 0.0),
+    Entry("thm43_independence_lower", "lower", _thm43,
+          checks=(_SEARCHED, _order(3), _INDEPENDENT, _ZERO_OR_HALF),
+          claimed=lambda c: c.a != 0.0),
 )
 
 BOUND_IDS = tuple(e.id for e in REGISTRY)
@@ -490,6 +476,7 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleName
     c.a_minus_2_sq = np.array([(a - 2.0) ** 2 for a in alphas])[None, :]
     one_minus_a_sq = np.array([(1.0 - a) ** 2 for a in alphas])[None, :]
     c.n = col([ctx.n for ctx in ctxs])
+    c.bipartite = np.array([ctx.bipartite for ctx in ctxs])[:, None]
     c.wiener = col([ctx.wiener for ctx in ctxs])
     c.tr_min = col([ctx.tr_min for ctx in ctxs])
     c.tr_max = col([ctx.tr_max for ctx in ctxs])
@@ -520,17 +507,16 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleName
 class Evaluation:
     """The registry on a block of graphs and alphas.
 
-    Every array is indexed [entry, graph, alpha] in REGISTRY, ctxs and
-    alphas order. Values outside `applicable` mean nothing, and every mask
+    Every array is indexed [entry, graph, alpha] in REGISTRY, context and
+    alpha order. Values outside `applicable` mean nothing, and every mask
     is False there.
     """
 
-    ctxs: Sequence[EvalContext]
-    alphas: Sequence[float]
     bound: np.ndarray
     actual: np.ndarray
     gap: np.ndarray
     applicable: np.ndarray
+    failed: np.ndarray  # int8: where not applicable, the index of the first unmet check
     claimed: np.ndarray  # the formula is only claimed, not proven
     exact: np.ndarray  # the formula claims the exact value
     holds: np.ndarray
@@ -548,14 +534,13 @@ class Evaluation:
         # one tolist() per (17,) column gives plain bools and floats, in
         # BoundReport field order from exact_claim on
         columns = (a[:, g, j].tolist() for a in (
-            self.applicable, self.claimed, self.exact, self.bound, self.actual, self.holds,
-            self.gap, self.equality, self.violated, self.claimed_miss))
+            self.applicable, self.failed, self.claimed, self.exact, self.bound, self.actual,
+            self.holds, self.gap, self.equality, self.violated, self.claimed_miss))
         out = []
-        for e, applicable, claimed, *row in zip(REGISTRY, *columns):
+        for e, applicable, failed, claimed, *row in zip(REGISTRY, *columns):
             if not applicable:
-                reason = e.reason(self.ctxs[g], self.alphas[j])
-                out.append(BoundReport(e.id, e.direction, False, reason, PROVEN, False,
-                                       None, None, None, None, None))
+                out.append(BoundReport(e.id, e.direction, False, e.checks[failed][1], PROVEN,
+                                       False, None, None, None, None, None))
             else:
                 out.append(BoundReport(e.id, e.direction, True, None,
                                        CLAIMED if claimed else PROVEN, *row))
@@ -577,8 +562,9 @@ def evaluate(
     shape = (len(REGISTRY), len(ctxs), len(alphas))
     bound, actual = np.zeros(shape), np.zeros(shape)
     applicable, claimed, exact = (np.zeros(shape, dtype=bool) for _ in range(3))
+    failed = np.zeros(shape, dtype=np.int8)
     if not ctxs:
-        return Evaluation(ctxs, alphas, bound, actual, bound, *(applicable,) * 7)
+        return Evaluation(bound, actual, bound, applicable, failed, *(applicable,) * 6)
     solve_spectra(ctxs, [*alphas, 0.0])
     c = _columns(ctxs, alphas)
     # masked-out entries (n = 1, a star in the general branch, ...) may divide
@@ -586,9 +572,13 @@ def evaluate(
     with np.errstate(divide="ignore", invalid="ignore"):
         for i, e in enumerate(REGISTRY):
             bound[i], actual[i] = e.formula(c)
-            applicable[i] = (c.n >= e.min_order) & e.domain[0](c.a)
-            if e.requires is not None:
-                applicable[i] &= np.array([not e.requires(ctx) for ctx in ctxs])[:, None]
+            # met counts the leading checks that hold: the index of the
+            # first unmet one where the entry does not apply
+            ok, met = True, 0
+            for mask, _ in e.checks:
+                ok = ok & mask(c)
+                met = met + ok
+            applicable[i], failed[i] = ok, met
             if e.claimed is not None:
                 claimed[i] = e.claimed(c)
             if e.exact is not None:
@@ -602,8 +592,8 @@ def evaluate(
     # a claimed exact value misses whenever it disagrees, a claimed
     # inequality only when it is outright violated
     missed = claimed & np.where(exact, ~equality, ~holds)
-    return Evaluation(ctxs, alphas, bound, actual, gap, applicable, claimed, exact, holds,
-                      equality, applicable & ~claimed & ~holds, missed)
+    return Evaluation(bound, actual, gap, applicable, failed, claimed, exact, holds, equality,
+                      applicable & ~claimed & ~holds, missed)
 
 
 def evaluate_all(

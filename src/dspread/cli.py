@@ -24,7 +24,7 @@ from . import bounds as bounds_mod
 from . import corpus as corpus_mod
 from .families import parse_family, generate
 from .graphs import Graph, GraphParseError, is_transmission_regular, parse_graph6
-from .jsonfmt import json_text
+from .jsonfmt import fmt_float, json_text
 
 SCHEMA_VERSION = 1
 
@@ -33,21 +33,13 @@ class _InputError(Exception):
     pass
 
 
-class _PreconditionError(Exception):
-    pass
-
-
-def _f(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _cell(x) -> str:
     """A TSV cell: empty for None, lower case for booleans, 12 digits for floats."""
     if x is None:
         return ""
     if isinstance(x, bool):
         return str(x).lower()
-    return _f(x) if isinstance(x, float) else str(x)
+    return fmt_float(x) if isinstance(x, float) else str(x)
 
 
 def _tolerance(flag: Optional[float]) -> float:
@@ -84,7 +76,7 @@ def _parse_alpha_list(text: str) -> list[float]:
 def _check_alphas(alphas: Sequence[float]) -> None:
     for a in alphas:
         if not 0.0 <= a <= 1.0:
-            raise _PreconditionError(f"alpha must lie in [0, 1], got {a:g}")
+            raise ValueError(f"alpha must lie in [0, 1], got {a:g}")
 
 
 def _load_corpus(path) -> list[Graph]:
@@ -165,10 +157,10 @@ def _cmd_analyze(args) -> int:
     if args.format == "tsv":
         rows = ["input\talpha\tn\twiener\tdiameter\tspread\tspectrum"]
         for r in reports:
-            spectrum = ",".join(_f(v) for v in r["spectrum"])
+            spectrum = ",".join(fmt_float(v) for v in r["spectrum"])
             rows.append(
-                f"{r['input']}\t{_f(r['alpha'])}\t{r['n']}\t{r['wiener']}"
-                f"\t{r['diameter']}\t{_f(r['spread'])}\t{spectrum}"
+                f"{r['input']}\t{fmt_float(r['alpha'])}\t{r['n']}\t{r['wiener']}"
+                f"\t{r['diameter']}\t{fmt_float(r['spread'])}\t{spectrum}"
             )
         _emit("\n".join(rows))
     else:
@@ -206,7 +198,7 @@ def _cmd_bounds(args) -> int:
                 "holds", "equality", "reason")
         for r in reports:
             for b in r["bounds"]:
-                cells = [r["input"], _f(r["alpha"])] + [_cell(b[k]) for k in keys]
+                cells = [r["input"], fmt_float(r["alpha"])] + [_cell(b[k]) for k in keys]
                 rows.append("\t".join(cells))
         _emit("\n".join(rows))
     else:
@@ -326,9 +318,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_PreconditionError, ValueError) as exc:
-        # ValueError: preconditions surfaced from library code (disconnected
-        # input, alpha range)
+    except ValueError as exc:
+        # failed preconditions: disconnected input, alpha out of range
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

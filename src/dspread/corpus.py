@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import BLOCK_GRAPHS, BOUND_IDS, DEFAULT_TOL, EQ_TOL
 from .bounds import EvalContext, evaluate, solve_spectra
 from .families import FamilySpec, generate
-from .graphs import DisconnectedGraphError, Graph, is_bipartite, is_connected, parse_graph6
+from .graphs import DisconnectedGraphError, Graph, is_connected, parse_graph6
 
 ALPHA_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
@@ -159,16 +159,6 @@ class ConjectureResult:
         return asdict(self)
 
 
-def _is_balanced_complete_bipartite(g: Graph) -> bool:
-    parts = is_bipartite(g)
-    if parts is None:
-        return False
-    sizes = sorted((len(parts[0]), len(parts[1])))
-    if sizes != [g.n // 2, g.n - g.n // 2]:
-        return False
-    return g.edge_count == sizes[0] * sizes[1]
-
-
 def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> ConjectureResult:
     """Does the balanced complete bipartite graph minimize the spread?
 
@@ -193,7 +183,10 @@ def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> Conjectur
         raise ValueError("empty corpus")
     solve_spectra(ctxs, [alpha])
     best = min((ctx.spread(alpha), ctx.graph6) for ctx in ctxs)
-    balanced = [ctx.spread(alpha) for ctx in ctxs if _is_balanced_complete_bipartite(ctx.graph)]
+    # every graph here is bipartite, so at most floor(n/2)*ceil(n/2) edges,
+    # and only K_{floor(n/2),ceil(n/2)} has that many
+    edges = n // 2 * (n - n // 2)
+    balanced = [ctx.spread(alpha) for ctx in ctxs if ctx.graph.edge_count == edges]
     if not balanced:
         raise ValueError(
             "incomplete corpus: balanced complete bipartite graph not present"

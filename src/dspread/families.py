@@ -3,14 +3,7 @@
 The generators use a canonical labeling (clique / first part at the low
 indices) so positional partitions line up with the block structure the
 closed forms assume. Every closed form is meant to be cross-checked against
-the numeric solver: formulas carry a "verified" or "claimed" status, and the
-numeric spectrum is always the ground truth.
-
-The one "claimed" case: the star spread at small positive alpha. The closed
-form picks the quotient root as the smallest eigenvalue, but the co-neighbor
-eigenvalue alpha*(2n-1)-2 drops below that root for small alpha (try n=4,
-alpha=0.1), so the formula value is reported next to the numeric spread
-instead of being trusted.
+the numeric solver (matches_numeric), whose spectrum is the ground truth.
 """
 
 from __future__ import annotations
@@ -20,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import EvalContext
-from .graphs import Graph, distance_profile
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -166,39 +158,6 @@ def spectrum_complete_split(t: int, n: int, alpha: float) -> AnalyticSpectrum:
     )
 
 
-def co_neighbor_eigenvalue(
-    g: Graph, subset: tuple[int, ...], alpha: float
-) -> tuple[float, int]:
-    """Eigenvalue contributed by a set of vertices sharing a neighborhood.
-
-    For an independent set with identical open neighborhoods the value is
-    alpha*(Tr+2)-2; for a clique with identical closed neighborhoods it is
-    alpha*(Tr+1)-1. Either way the multiplicity is at least |S|-1.
-    Raises ValueError when the subset is not of either shape or transmissions
-    differ across it.
-    """
-    vs = sorted(set(subset))
-    if len(vs) < 2:
-        raise ValueError("co-neighbor set needs at least 2 vertices")
-    pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
-    all_edges = all(g.has_edge(u, v) for u, v in pairs)
-    no_edges = not any(g.has_edge(u, v) for u, v in pairs)
-    if not (all_edges or no_edges):
-        raise ValueError("set is neither independent nor a clique")
-    inside = set(vs)
-    nbhds = [set(g.adjacency[v]) - inside for v in vs]
-    if any(nb != nbhds[0] for nb in nbhds[1:]):
-        raise ValueError("vertices do not share a neighborhood outside the set")
-    profile = distance_profile(g)
-    trs = {int(profile.tr[v]) for v in vs}
-    if len(trs) != 1:
-        raise ValueError("transmissions differ across the set")
-    tr = trs.pop()
-    if no_edges:
-        return alpha * (tr + 2.0) - 2.0, len(vs) - 1
-    return alpha * (tr + 1.0) - 1.0, len(vs) - 1
-
-
 def sigma_complete_bipartite(a: int, n: int, alpha: float) -> float:
     """Discriminant of the two quotient eigenvalues of K_{a,n-a}."""
     return (
@@ -206,42 +165,6 @@ def sigma_complete_bipartite(a: int, n: int, alpha: float) -> float:
         - (n * n + 2 * a * a - 2 * a * n) * 4.0 * alpha
         + 4.0 * (n * n - 3.0 * a * n + 3.0 * a * a)
     )
-
-
-@dataclass
-class SpreadFormula:
-    """A closed-form spread value with its trust status and the numeric truth."""
-
-    value: float
-    status: str  # "verified" | "claimed"
-    numeric: float
-
-
-def spread_complete_bipartite(a: int, n: int, alpha: float) -> SpreadFormula:
-    """Closed-form spread of K_{a,n-a} for 1 <= a <= n/2.
-
-    Exact for a >= 2 (any alpha) and for the star at alpha = 0. The star
-    formula at alpha > 0 is returned with status "claimed": it misses the
-    co-neighbor eigenvalue when that one is the actual minimum.
-    """
-    if not 1 <= a <= n - a:
-        raise ValueError("need 1 <= a <= n/2")
-    numeric = EvalContext(generate(FamilySpec("kbip", (a, n - a)))).spread(alpha)
-    if a == 1:
-        if alpha == 0.0:
-            value = n + math.sqrt(n * n - 3.0 * n + 3.0)
-            status = "verified"
-        else:
-            value = math.sqrt(max(sigma_complete_bipartite(1, n, alpha), 0.0))
-            status = "claimed"
-    else:
-        value = (
-            n * (2.0 - alpha)
-            - 2.0 * a * alpha
-            + math.sqrt(max(sigma_complete_bipartite(a, n, alpha), 0.0))
-        ) / 2.0
-        status = "verified"
-    return SpreadFormula(value=value, status=status, numeric=numeric)
 
 
 def matches_numeric(analytic: AnalyticSpectrum, values: np.ndarray, tol: float = 1e-8) -> bool:

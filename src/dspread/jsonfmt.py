@@ -14,7 +14,8 @@ import math
 from json.encoder import encode_basestring_ascii as _quote
 
 
-def _fmt_float(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """x as %.12g, the one float format of JSON and TSV output."""
     if not math.isfinite(x):
         raise ValueError("non-finite float in report")
     return format(x, ".12g")
@@ -23,7 +24,7 @@ def _fmt_float(x: float) -> str:
 # renderers of the leaf types by exact type; subclasses go through _leaf
 _LEAF = {
     str: _quote,
-    float: _fmt_float,
+    float: fmt_float,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
@@ -51,7 +52,7 @@ def _leaf(obj) -> str | None:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        return fmt_float(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

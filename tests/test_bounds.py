@@ -22,7 +22,8 @@ from dspread.bounds import (
     independence_number,
 )
 from dspread.eigen import sym_eigen
-from dspread.graphs import Graph, distance_profile, is_connected
+from dspread.families import generate, parse_family
+from dspread.graphs import Graph, distance_profile, is_connected, parse_graph6
 from dspread.matrices import generalized_distance_matrix, quotient_eigenvalues
 
 from conftest import graph_from_mask
@@ -199,6 +200,34 @@ def test_alpha_gate_reason(zoo):
         assert not by_id[bid].applicable
         assert "alpha outside" in by_id[bid].reason
     assert not by_id["halfrange_radius_upper"].applicable
+
+
+_N2, _N3 = "requires n >= 2", "requires n >= 3"
+_HALF, _ZERO_OR_HALF = "alpha outside [1/2,1]", "alpha outside {0} ∪ [1/2,1]"
+_SPECIAL = ("thm35_bipartite_lower", "thm38_bipartite_lower", "thm41_clique_lower",
+            "thm43_independence_lower")
+
+
+@pytest.mark.parametrize("graph, alpha, expected", [
+    # n = 1: every entry fails its order first
+    ("@", 0.3, [(b, _N2) for b in BOUND_IDS[:13]] + [(b, _N3) for b in _SPECIAL]),
+    # K2: order before the alpha domain (thm38, thm43)
+    ("A_", 0.3, [("halfrange_radius_upper", _HALF)] + [(b, _N3) for b in _SPECIAL]),
+    # K3: "not bipartite" before the alpha domain (thm38)
+    ("Bw", 0.3, [("halfrange_radius_upper", _HALF), ("thm35_bipartite_lower", "not bipartite"),
+                 ("thm38_bipartite_lower", "not bipartite"),
+                 ("thm43_independence_lower", "independence number < 2")]),
+    # n = 45: the clique search cap before the alpha domain (thm43)
+    ("path:45", 0.3, [("halfrange_radius_upper", _HALF),
+                      ("thm38_bipartite_lower", _ZERO_OR_HALF),
+                      ("thm41_clique_lower", CAPPED), ("thm43_independence_lower", CAPPED)]),
+    ("C~", 0.5, [("thm35_bipartite_lower", "not bipartite"),
+                 ("thm38_bipartite_lower", "not bipartite"),
+                 ("thm43_independence_lower", "independence number < 2")]),
+])
+def test_reason_order(graph, alpha, expected):
+    g = generate(parse_family(graph)) if ":" in graph else parse_graph6(graph)
+    assert [(r.bound_id, r.reason) for r in evaluate_all(g, alpha) if not r.applicable] == expected
 
 
 def test_one_report_per_entry(zoo):
@@ -461,11 +490,10 @@ def test_reports_invariant_under_relabeling(n, mask, perm_seed):
     perm = list(range(n))
     perm_seed.shuffle(perm)
     h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
-    ev_g = evaluate([EvalContext(g)], GRID)
-    ctx_h = EvalContext(h)
-    ev_h = evaluate([ctx_h], GRID)
+    ctx_g, ctx_h = EvalContext(g), EvalContext(h)
+    ev_g, ev_h = evaluate([ctx_g], GRID), evaluate([ctx_h], GRID)
     for j, alpha in enumerate(GRID):
-        assert np.allclose(ev_g.ctxs[0].values(alpha), ctx_h.values(alpha), rtol=0, atol=1e-9)
+        assert np.allclose(ctx_g.values(alpha), ctx_h.values(alpha), rtol=0, atol=1e-9)
         for a, b in zip(ev_g.reports(0, j), ev_h.reports(0, j)):
             assert (a.applicable, a.holds, a.equality) == (b.applicable, b.holds, b.equality)
             if a.applicable:

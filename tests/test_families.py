@@ -6,14 +6,12 @@ import pytest
 from dspread.eigen import sym_eigen
 from dspread.families import (
     FamilySpec,
-    co_neighbor_eigenvalue,
     generate,
     matches_numeric,
     parse_family,
     spectrum_complete,
     spectrum_complete_bipartite,
     spectrum_complete_split,
-    spread_complete_bipartite,
 )
 from dspread.graphs import distance_profile, is_bipartite
 from dspread.matrices import generalized_distance_matrix
@@ -140,86 +138,3 @@ def test_spectrum_split_matches_numeric():
         g = generate(FamilySpec("split", (t, n)))
         for alpha in GRID:
             assert matches_numeric(spectrum_complete_split(t, n, alpha), _numeric_values(g, alpha))
-
-
-# --- co-neighbor eigenvalues ---
-
-
-def test_co_neighbor_star_leaves():
-    g = generate(FamilySpec("kbip", (1, 3)))
-    val, mult = co_neighbor_eigenvalue(g, (1, 2, 3), 0.0)
-    assert val == pytest.approx(-2.0)  # leaves have Tr = 5, alpha*(Tr+2)-2
-    assert mult == 2
-    numeric = _numeric_values(g, 0.0)
-    assert np.sum(np.abs(numeric - val) < 1e-8) >= mult
-
-
-def test_co_neighbor_clique_case():
-    g = generate(FamilySpec("complete", (5,)))
-    for alpha in (0.0, 0.3, 1.0):
-        val, mult = co_neighbor_eigenvalue(g, (0, 1), alpha)
-        assert val == pytest.approx(alpha * 5 - 1)
-        assert mult == 1
-
-
-def test_co_neighbor_bipartite_part():
-    g = generate(FamilySpec("kbip", (2, 3)))
-    val, mult = co_neighbor_eigenvalue(g, (0, 1), 0.5)
-    assert (val, mult) == (pytest.approx(1.5), 1)
-
-
-def test_co_neighbor_preconditions():
-    p4 = generate(FamilySpec("path", (4,)))
-    with pytest.raises(ValueError):
-        co_neighbor_eigenvalue(p4, (0, 3), 0.5)  # distinct neighborhoods
-    with pytest.raises(ValueError):
-        co_neighbor_eigenvalue(p4, (0,), 0.5)
-    # paw graph: {0, 1, 2} all see only vertex 3 outside, but 0-1 is an edge
-    # while 2 touches neither, so the set is neither independent nor a clique
-    from dspread.graphs import Graph
-
-    paw = Graph.from_edges(4, [(0, 1), (0, 3), (1, 3), (2, 3)])
-    with pytest.raises(ValueError, match="neither"):
-        co_neighbor_eigenvalue(paw, (0, 1, 2), 0.5)
-
-
-# --- spread closed forms ---
-
-
-def test_spread_bipartite_p3():
-    f = spread_complete_bipartite(1, 3, 0.0)
-    assert f.status == "verified"
-    assert f.value == pytest.approx(3 + math.sqrt(3), abs=1e-10)
-    assert f.numeric == pytest.approx(f.value, abs=1e-8)
-
-
-def test_spread_bipartite_balanced_exact():
-    for a, n in [(2, 5), (3, 6), (2, 7)]:
-        for alpha in GRID:
-            f = spread_complete_bipartite(a, n, alpha)
-            assert f.status == "verified"
-            assert f.value == pytest.approx(f.numeric, abs=1e-8)
-
-
-def test_spread_star_small_alpha_is_claimed_and_wrong():
-    # the quotient root is not the smallest eigenvalue here: the numeric
-    # minimum is the co-neighbor value 0.1*(2*4-1) - 2 = -1.3
-    f = spread_complete_bipartite(1, 4, 0.1)
-    assert f.status == "claimed"
-    assert f.value == pytest.approx(math.sqrt(24.16), abs=1e-9)
-    numeric_min = _numeric_values(generate(FamilySpec("kbip", (1, 3))), 0.1)[-1]
-    assert numeric_min == pytest.approx(-1.3, abs=1e-9)
-    assert f.numeric - f.value > 1e-3  # claimed formula understates the spread
-
-
-def test_spread_star_large_alpha_matches():
-    f = spread_complete_bipartite(1, 5, 1.0)
-    assert f.status == "claimed"
-    assert f.value == pytest.approx(f.numeric, abs=1e-8)  # exact at alpha = 1
-
-
-def test_spread_monotone_in_a():
-    for alpha in (0.0, 0.5):
-        vals = [spread_complete_bipartite(a, 6, alpha).numeric for a in (1, 2, 3)]
-        assert vals[0] >= vals[1] - 1e-9 >= vals[2] - 2e-9
-
