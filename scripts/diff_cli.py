@@ -34,6 +34,8 @@ COMMANDS = [
     "analyze cycle:63 --alpha 0",
     "analyze path:62 --alpha 0.5",
     "analyze complete:62 --alpha 0.25",
+    "analyze kbip:2,3 --alpha 0.5 --alpha-grid 0,1",
+    "analyze complete:300 --alpha 0",
     "bounds path:20",
     "bounds kbip:1,3 --alpha 0.1",
     "bounds complete:4 --alpha 0.5",
@@ -53,6 +55,9 @@ COMMANDS = [
     "sweep --seed-random 10,200,0.5 --seed 1",
     "sweep --corpus {n6} --alphas 0,0.5,1",
     "sweep --corpus {missing}",
+    "sweep --corpus {late}",
+    "sweep --seed-random 5,3,2",
+    "sweep --seed-random 0,3,0.5",
     "sweep --seed-random 45,2,0.2",
     "sweep --seed-random 70,2,0.3",
     "sweep --seed-random 62,3,0.1",

@@ -18,8 +18,6 @@ from .bounds import (
 )
 from .corpus import (
     ALPHA_GRID,
-    ConjectureResult,
-    CorpusSummary,
     check_problem_39,
     check_theorem_36_ordering,
     load_corpus,

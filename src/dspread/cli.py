@@ -6,7 +6,8 @@ invocations with the same numpy/LAPACK build are byte-identical; another
 build may move the last digits and noise-level gaps.
 
 Exit codes: 0 success, 2 input error (unparseable graph, bad family spec,
-unreadable corpus, NaN/infinite/negative tolerance), 3 precondition failure
+unreadable corpus, NaN/infinite/negative tolerance, bad --seed-random
+values, --alpha with --alpha-grid), 3 precondition failure
 (disconnected graph, alpha out of range), 4 at least one applicable proven
 bound violated.
 """
@@ -214,29 +215,35 @@ def _parse_seed_random(text: str) -> tuple[int, int, float]:
     if len(parts) != 3:
         raise _InputError("--seed-random expects n,count,p")
     try:
-        return int(parts[0]), int(parts[1]), float(parts[2])
+        n, count, p = int(parts[0]), int(parts[1]), float(parts[2])
     except ValueError:
         raise _InputError(f"bad --seed-random value {text!r}") from None
+    if n < 1 or count < 0:
+        raise _InputError(f"--seed-random needs n >= 1 and count >= 0, got {text!r}")
+    if not 0.0 < p <= 1.0:  # NaN fails too
+        raise _InputError(f"--seed-random edge probability must lie in (0, 1], got {text!r}")
+    return n, count, p
 
 
 def _cmd_sweep(args) -> int:
     alphas = _parse_alpha_list(args.alphas) if args.alphas else list(corpus_mod.ALPHA_GRID)
     _check_alphas(alphas)
     tol = _tolerance(args.tol)
+    # parsed before any graph is read or drawn
+    seed_random = _parse_seed_random(args.seed_random) if args.seed_random else None
     graphs: list[Graph] = []
     if args.corpus:
         graphs.extend(_load_corpus(args.corpus))
-    if args.seed_random:
-        n, count, p = _parse_seed_random(args.seed_random)
+    if seed_random is not None:
+        n, count, p = seed_random
         for i in range(count):
             graphs.append(corpus_mod.random_connected_graph(n, p, seed=args.seed + i))
     if not graphs and not args.corpus:
         raise _InputError("nothing to sweep: give --corpus and/or --seed-random")
-    summary = corpus_mod.sweep(graphs, alphas=alphas, tol=tol)
     doc = {"schema_version": SCHEMA_VERSION, "command": "sweep", "alphas": [float(a) for a in alphas]}
-    doc.update(summary.to_json())
+    doc.update(corpus_mod.sweep(graphs, alphas=alphas, tol=tol))
     _emit(json_text(doc))
-    return 4 if summary.violations else 0
+    return 4 if doc["violations"] else 0
 
 
 # --- conjecture -------------------------------------------------------------
@@ -261,7 +268,7 @@ def _cmd_conjecture(args) -> int:
     except ValueError as exc:
         raise _InputError(str(exc)) from None
     doc = {"schema_version": SCHEMA_VERSION, "command": "conjecture"}
-    doc.update(result.to_json())
+    doc.update(result)
     _emit(json_text(doc))
     return 0
 
@@ -281,8 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="spectrum, spread, and distance statistics")
     p.add_argument("input", help="graph6 string, corpus file, or family spec like kbip:2,3")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--alpha-grid", default=None, help="comma-separated alphas")
+    alpha = p.add_mutually_exclusive_group()
+    alpha.add_argument("--alpha", type=float, default=None)
+    alpha.add_argument("--alpha-grid", default=None, help="comma-separated alphas")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.set_defaults(fn=_cmd_analyze)
 

@@ -1,18 +1,17 @@
 """Corpus sweeps: stress bounds over many graphs, probe the bipartite
 minimum-spread conjecture, and generate reproducible random graphs.
 
-A sweep works through blocks of graphs and merges the block summaries in
-order. Merging is associative but not commutative: a tie between worst
-margins keeps the first one merged, so summaries reproduce bit-exactly only
-when they are merged in corpus order.
+Both corpus checks return their JSON document as a plain dict. A sweep
+folds its blocks of graphs into one document in corpus order: counts add
+up, and an entry's worst margin moves only to a strictly smaller one, so
+a tie keeps the first (graph, alpha) of the corpus.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,66 +21,6 @@ from .families import FamilySpec, generate
 from .graphs import DisconnectedGraphError, Graph, is_connected, parse_graph6
 
 ALPHA_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
-
-
-@dataclass
-class BoundTally:
-    """Counts of one bound over a sweep, with the (graph, alpha) key of its
-    smallest margin to violation: gap for lower bounds, -gap for upper."""
-
-    applicable: int = 0
-    holds: int = 0
-    equalities: int = 0
-    worst_gap: Optional[float] = None
-    worst_key: Optional[str] = None
-    _worst_margin: Optional[float] = None
-
-    def merge(self, other: "BoundTally") -> None:
-        self.applicable += other.applicable
-        self.holds += other.holds
-        self.equalities += other.equalities
-        if other._worst_margin is not None and (
-            self._worst_margin is None or other._worst_margin < self._worst_margin
-        ):
-            self._worst_margin, self.worst_gap = other._worst_margin, other.worst_gap
-            self.worst_key = other.worst_key
-
-
-@dataclass
-class CorpusSummary:
-    graphs_seen: int = 0
-    skipped_disconnected: int = 0
-    tallies: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-    discrepancies: list = field(default_factory=list)
-
-    def merge(self, other: "CorpusSummary") -> "CorpusSummary":
-        self.graphs_seen += other.graphs_seen
-        self.skipped_disconnected += other.skipped_disconnected
-        for bid, tally in other.tallies.items():
-            if bid in self.tallies:
-                self.tallies[bid].merge(tally)
-            else:
-                self.tallies[bid] = tally
-        self.violations.extend(other.violations)
-        self.discrepancies.extend(other.discrepancies)
-        return self
-
-    def to_json(self) -> dict:
-        return {
-            "graphs_seen": self.graphs_seen,
-            "skipped_disconnected": self.skipped_disconnected,
-            "bounds": {
-                bid: {k: v for k, v in asdict(t).items() if not k.startswith("_")}
-                for bid, t in sorted(self.tallies.items())
-            },
-            "violations": sorted(
-                self.violations, key=lambda v: (v["graph6"], v["bound_id"], v["alpha"])
-            ),
-            "discrepancies": sorted(
-                self.discrepancies, key=lambda v: (v["graph6"], v["bound_id"], v["alpha"])
-            ),
-        }
 
 
 def iter_graph6_lines(lines: Iterable[str]) -> Iterator[str]:
@@ -99,68 +38,71 @@ def load_corpus(path) -> list[Graph]:
 
 def sweep(
     graphs: Iterable[Graph], alphas: Sequence[float] = ALPHA_GRID, tol: float = DEFAULT_TOL
-) -> CorpusSummary:
+) -> dict:
     """Evaluate the whole bound registry on every (graph, alpha).
 
-    Graphs go through evaluate() BLOCK_GRAPHS at a time and the block
-    summaries merge in order, so ties keep the first (graph, alpha).
-    Disconnected graphs are counted and skipped. Violations list failed
-    proven bounds; claimed-formula mismatches land in discrepancies.
+    Graphs go through evaluate() BLOCK_GRAPHS at a time, folded in corpus
+    order. Disconnected graphs are counted and skipped. The document lists
+    every entry that applied somewhere, with its counts and the (graph,
+    alpha) key of its smallest margin to violation (gap for lower bounds,
+    -gap for upper), ties keeping the first. Violations list failed proven
+    bounds; claimed-formula mismatches land in discrepancies.
     """
-    summary, it, alphas = CorpusSummary(), iter(graphs), list(alphas)
+    it, alphas = iter(graphs), list(alphas)
+    seen = skipped = 0
+    tallies: dict[str, dict] = {}
+    worst_margin: dict[str, float] = {}
+    violations, discrepancies = [], []
     while block := list(islice(it, BLOCK_GRAPHS)):
-        summary.merge(_sweep_block(block, alphas, tol))
-    return summary
-
-
-def _sweep_block(graphs: list[Graph], alphas: list[float], tol: float) -> CorpusSummary:
-    part = CorpusSummary()
-    ctxs = []
-    for g in graphs:
-        try:
-            ctxs.append(EvalContext(g))
-        except DisconnectedGraphError:
-            part.skipped_disconnected += 1
-    part.graphs_seen = len(ctxs)
-    ev = evaluate(ctxs, alphas, tol=tol)
-    keys = [ctx.graph6 for ctx in ctxs]
-    margin = ev.margin()
-    for i, bid in enumerate(BOUND_IDS):
-        if ev.applicable[i].any():
-            # the first minimum in (graph, alpha) order, as a sequential scan finds
+        ctxs = []
+        for g in block:
+            try:
+                ctxs.append(EvalContext(g))
+            except DisconnectedGraphError:
+                skipped += 1
+        seen += len(ctxs)
+        ev = evaluate(ctxs, alphas, tol=tol)
+        keys = [ctx.graph6 for ctx in ctxs]
+        counts = np.stack([ev.applicable, ev.holds, ev.equality]).sum(axis=(2, 3)).tolist()
+        margin = ev.margin()
+        for i, bid in enumerate(BOUND_IDS):
+            if not counts[0][i]:
+                continue
+            t = tallies.setdefault(bid, {"applicable": 0, "holds": 0, "equalities": 0,
+                                         "worst_gap": None, "worst_key": None})
+            t["applicable"] += counts[0][i]
+            t["holds"] += counts[1][i]
+            t["equalities"] += counts[2][i]
+            # the block's first minimum in (graph, alpha) order, as a
+            # sequential scan finds it
             g, j = np.unravel_index(np.argmin(margin[i]), margin[i].shape)
-            part.tallies[bid] = BoundTally(
-                int(ev.applicable[i].sum()), int(ev.holds[i].sum()), int(ev.equality[i].sum()),
-                float(ev.gap[i, g, j]), f"{keys[g]}@{alphas[j]:g}", float(margin[i, g, j]))
-    for i, g, j in zip(*np.nonzero(ev.violated)):
-        part.violations.append({"graph6": keys[g], "bound_id": BOUND_IDS[i],
-                                "alpha": alphas[j], "gap": float(ev.gap[i, g, j])})
-    for i, g, j in zip(*np.nonzero(ev.claimed_miss)):
-        part.discrepancies.append({"graph6": keys[g], "bound_id": BOUND_IDS[i],
-                                   "alpha": alphas[j], "claimed": float(ev.bound[i, g, j]),
-                                   "actual": float(ev.actual[i, g, j]),
-                                   "gap": float(ev.gap[i, g, j])})
-    return part
+            if bid not in worst_margin or margin[i, g, j] < worst_margin[bid]:
+                worst_margin[bid] = float(margin[i, g, j])
+                t["worst_gap"], t["worst_key"] = float(ev.gap[i, g, j]), f"{keys[g]}@{alphas[j]:g}"
+        for i, g, j in zip(*np.nonzero(ev.violated)):
+            violations.append({"graph6": keys[g], "bound_id": BOUND_IDS[i],
+                               "alpha": alphas[j], "gap": float(ev.gap[i, g, j])})
+        for i, g, j in zip(*np.nonzero(ev.claimed_miss)):
+            discrepancies.append({"graph6": keys[g], "bound_id": BOUND_IDS[i],
+                                  "alpha": alphas[j], "claimed": float(ev.bound[i, g, j]),
+                                  "actual": float(ev.actual[i, g, j]),
+                                  "gap": float(ev.gap[i, g, j])})
+
+    def order(entry: dict) -> tuple:
+        return entry["graph6"], entry["bound_id"], entry["alpha"]
+
+    return {
+        "graphs_seen": seen,
+        "skipped_disconnected": skipped,
+        "bounds": dict(sorted(tallies.items())),
+        "violations": sorted(violations, key=order),
+        "discrepancies": sorted(discrepancies, key=order),
+    }
 
 
-@dataclass
-class ConjectureResult:
-    """Minimum-spread scan of an exhaustive bipartite corpus of one order."""
-
-    n: int
-    alpha: float
-    graphs_seen: int
-    candidate_min_graph: str
-    candidate_min_spread: float
-    conjectured_graph_spread: float
-    confirmed: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> ConjectureResult:
+def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> dict:
     """Does the balanced complete bipartite graph minimize the spread?
+    Returns the scan's JSON document.
 
     The corpus must be the complete set of connected bipartite graphs of
     order n; missing the conjectured graph raises ValueError. Ties in the
@@ -192,15 +134,15 @@ def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> Conjectur
             "incomplete corpus: balanced complete bipartite graph not present"
         )
     conjectured_spread = balanced[-1]
-    return ConjectureResult(
-        n=n,
-        alpha=alpha,
-        graphs_seen=len(ctxs),
-        candidate_min_graph=best[1],
-        candidate_min_spread=best[0],
-        conjectured_graph_spread=conjectured_spread,
-        confirmed=conjectured_spread <= best[0] + EQ_TOL,
-    )
+    return {
+        "n": n,
+        "alpha": alpha,
+        "graphs_seen": len(ctxs),
+        "candidate_min_graph": best[1],
+        "candidate_min_spread": best[0],
+        "conjectured_graph_spread": conjectured_spread,
+        "confirmed": conjectured_spread <= best[0] + EQ_TOL,
+    }
 
 
 def check_theorem_36_ordering(n: int, alpha: float, tol: float = DEFAULT_TOL) -> bool:

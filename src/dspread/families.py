@@ -16,34 +16,51 @@ import numpy as np
 from .graphs import Graph
 
 
+# kind -> (arity, parameter range check, message when the check fails)
+_FAMILIES = {
+    "complete": (1, lambda n: n >= 1, "complete graph needs n >= 1"),
+    "kbip": (2, lambda r, s: r >= 1 and s >= 1, "complete bipartite graph needs r, s >= 1"),
+    "split": (2, lambda t, n: 1 <= t <= n - 1, "complete split graph needs 1 <= t <= n-1"),
+    "path": (1, lambda n: n >= 1, "path needs n >= 1"),
+    "cycle": (1, lambda n: n >= 3, "cycle needs n >= 3"),
+    "star": (1, lambda n: n >= 2, "star needs n >= 2"),
+}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named graph family instance, e.g. kind="kbip", params=(2, 3)."""
+    """A named graph family instance, e.g. kind="kbip", params=(2, 3).
+
+    Construction checks the kind, the arity and the parameter ranges, so
+    every spec names a graph that generate() can build.
+    """
 
     kind: str
     params: tuple[int, ...]
 
-
-_ARITY = {"complete": 1, "kbip": 2, "split": 2, "path": 1, "cycle": 1, "star": 1}
+    def __post_init__(self) -> None:
+        if self.kind not in _FAMILIES:
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        arity, in_range, need = _FAMILIES[self.kind]
+        if len(self.params) != arity:
+            raise ValueError(
+                f"family {self.kind!r} takes {arity} parameter(s), got {len(self.params)}"
+            )
+        if not in_range(*self.params):
+            raise ValueError(need)
 
 
 def parse_family(text: str) -> FamilySpec:
     """Parse CLI strings like "complete:4", "kbip:2,3", "split:2,5"."""
     kind, sep, rest = text.partition(":")
     kind = kind.strip()
-    if not sep or kind not in _ARITY:
+    if not sep or kind not in _FAMILIES:
         raise ValueError(f"unknown family spec {text!r}")
     try:
         params = tuple(int(p) for p in rest.split(","))
     except ValueError:
         raise ValueError(f"non-integer parameter in family spec {text!r}") from None
-    if len(params) != _ARITY[kind]:
-        raise ValueError(
-            f"family {kind!r} takes {_ARITY[kind]} parameter(s), got {len(params)}"
-        )
-    spec = FamilySpec(kind=kind, params=params)
-    generate(spec)  # validate parameter ranges eagerly
-    return spec
+    return FamilySpec(kind=kind, params=params)
 
 
 def generate(spec: FamilySpec) -> Graph:
@@ -51,37 +68,23 @@ def generate(spec: FamilySpec) -> Graph:
     kind, p = spec.kind, spec.params
     if kind == "complete":
         (n,) = p
-        if n < 1:
-            raise ValueError("complete graph needs n >= 1")
         return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     if kind == "kbip":
         r, s = p
-        if r < 1 or s < 1:
-            raise ValueError("complete bipartite graph needs r, s >= 1")
         return Graph.from_edges(r + s, [(u, r + v) for u in range(r) for v in range(s)])
     if kind == "star":
         (n,) = p
-        if n < 2:
-            raise ValueError("star needs n >= 2")
         return generate(FamilySpec("kbip", (1, n - 1)))
     if kind == "split":
         t, n = p
-        if not 1 <= t <= n - 1:
-            raise ValueError("complete split graph needs 1 <= t <= n-1")
         edges = [(u, v) for u in range(t) for v in range(u + 1, t)]
         edges += [(u, v) for u in range(t) for v in range(t, n)]
         return Graph.from_edges(n, edges)
     if kind == "path":
         (n,) = p
-        if n < 1:
-            raise ValueError("path needs n >= 1")
         return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "cycle":
-        (n,) = p
-        if n < 3:
-            raise ValueError("cycle needs n >= 3")
-        return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    raise ValueError(f"unknown family kind {kind!r}")
+    (n,) = p  # a cycle, the one kind left
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 @dataclass

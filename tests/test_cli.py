@@ -8,6 +8,7 @@ import pytest
 
 from dspread.cli import main
 from dspread.eigen import sym_eigen
+from dspread.families import generate
 from dspread.graphs import bfs_distances, distance_profile
 
 
@@ -75,6 +76,14 @@ def test_exit_2_on_parse_error(capsys):
 def test_exit_2_on_bad_family(capsys):
     code, _, err = run_cli(capsys, "analyze", "complete:0", "--alpha", "0")
     assert code == 2 and "error" in err
+
+
+def test_alpha_and_alpha_grid_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "kbip:2,3", "--alpha", "0.5", "--alpha-grid", "0,1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "not allowed with argument" in err
 
 
 def test_exit_3_on_disconnected(capsys):
@@ -182,6 +191,16 @@ def test_sweep_seeded_random_deterministic(capsys):
     assert json.loads(out1)["graphs_seen"] == 5
 
 
+@pytest.mark.parametrize("spec", ["0,3,0.5", "-2,3,0.5", "5,-1,0.5", "5,3,2", "5,3,0",
+                                  "5,3,-0.5", "5,3,nan"])
+def test_sweep_bad_seed_random_is_an_input_error(capsys, tmp_path, spec):
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("Bg\n", encoding="ascii")
+    for extra in ((), ("--corpus", str(corpus))):
+        code, out, err = run_cli(capsys, "sweep", f"--seed-random={spec}", *extra)
+        assert code == 2 and "--seed-random" in err and out == "", extra
+
+
 def test_sweep_requires_source(capsys):
     code, _, err = run_cli(capsys, "sweep")
     assert code == 2 and "nothing to sweep" in err
@@ -283,6 +302,12 @@ def test_one_bfs_pass_per_graph(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, "sweep", "--corpus", str(corpus))
     assert code == 0 and len(bfs) == 1
     assert json.loads(out)["skipped_disconnected"] == 1
+
+
+def test_family_input_builds_its_graph_once(capsys, monkeypatch):
+    builds = _count_calls(monkeypatch, generate)
+    code, _, _ = run_cli(capsys, "analyze", "complete:5")
+    assert code == 0 and len(builds) == 1
 
 
 def test_non_ascii_corpus_is_an_input_error(capsys, tmp_path):

@@ -7,7 +7,6 @@ from dspread import bounds as bounds_mod
 from dspread import corpus as corpus_mod
 from dspread.bounds import CLAIMED, PROVEN, evaluate_all
 from dspread.corpus import (
-    CorpusSummary,
     check_problem_39,
     check_theorem_36_ordering,
     iter_graph6_lines,
@@ -25,33 +24,24 @@ from conftest import graph_from_mask
 def test_sweep_zoo_clean(zoo):
     graphs = [zoo[k] for k in ("K3", "K4", "P3", "C4", "C5")]
     summary = sweep(graphs, alphas=(0.0, 0.5, 1.0))
-    assert summary.graphs_seen == 5
-    assert summary.skipped_disconnected == 0
-    assert summary.violations == []
-    assert summary.tallies["thm25_lower"].applicable == 15
+    assert summary["graphs_seen"] == 5
+    assert summary["skipped_disconnected"] == 0
+    assert summary["violations"] == []
+    assert summary["bounds"]["thm25_lower"]["applicable"] == 15
 
 
 def test_sweep_skips_disconnected(zoo):
     graphs = [zoo["K3"], Graph.from_edges(3, [(0, 1)])]
     summary = sweep(graphs, alphas=(0.0,))
-    assert summary.graphs_seen == 1
-    assert summary.skipped_disconnected == 1
+    assert summary["graphs_seen"] == 1
+    assert summary["skipped_disconnected"] == 1
 
 
 def test_sweep_empty():
     summary = sweep([], alphas=(0.0, 0.5))
-    assert summary.graphs_seen == 0
-    assert summary.tallies == {}
-    assert summary.violations == [] and summary.discrepancies == []
-
-
-def test_sweep_merge_is_monoid(zoo):
-    graphs = [zoo[k] for k in ("K3", "P4", "C4", "CS22", "K13")]
-    whole = sweep(graphs, alphas=(0.0, 0.5))
-    left = sweep(graphs[:2], alphas=(0.0, 0.5))
-    right = sweep(graphs[2:], alphas=(0.0, 0.5))
-    merged = left.merge(right)
-    assert json_text(merged.to_json()) == json_text(whole.to_json())
+    assert summary["graphs_seen"] == 0
+    assert summary["bounds"] == {}
+    assert summary["violations"] == [] and summary["discrepancies"] == []
 
 
 def test_iter_graph6_lines():
@@ -68,9 +58,9 @@ def test_load_corpus(tmp_path):
 
 def test_problem39_n3():
     result = check_problem_39([generate(FamilySpec("path", (3,)))], 3, 0.0)
-    assert result.confirmed
-    assert result.candidate_min_spread == pytest.approx(3 + math.sqrt(3), abs=1e-10)
-    assert result.graphs_seen == 1
+    assert result["confirmed"]
+    assert result["candidate_min_spread"] == pytest.approx(3 + math.sqrt(3), abs=1e-10)
+    assert result["graphs_seen"] == 1
 
 
 def test_problem39_n4_exhaustive():
@@ -80,11 +70,11 @@ def test_problem39_n4_exhaustive():
         generate(FamilySpec("cycle", (4,))),
     ]
     result = check_problem_39(graphs, 4, 0.0)
-    assert result.confirmed
-    assert result.candidate_min_spread == pytest.approx(6.0, abs=1e-10)
-    assert result.candidate_min_graph == encode_graph6(generate(FamilySpec("cycle", (4,))))
+    assert result["confirmed"]
+    assert result["candidate_min_spread"] == pytest.approx(6.0, abs=1e-10)
+    assert result["candidate_min_graph"] == encode_graph6(generate(FamilySpec("cycle", (4,))))
     again = check_problem_39(graphs, 4, 0.5)
-    assert again.confirmed  # evaluated per alpha
+    assert again["confirmed"]  # evaluated per alpha
 
 
 def test_problem39_missing_conjectured_graph():
@@ -106,7 +96,7 @@ def test_problem39_reproducible():
     ]
     a = check_problem_39(graphs, 4, 0.25)
     b = check_problem_39(graphs, 4, 0.25)
-    assert json_text(a.to_json()) == json_text(b.to_json())
+    assert json_text(a) == json_text(b)
 
 
 def test_theorem36_ordering():
@@ -215,19 +205,29 @@ def test_sweep_equals_per_pair_tally(zoo, monkeypatch):
     graphs = _mixed_corpus(zoo)
     alphas = (0.1, 0.5, 0.9, 1.0)  # no 0: the alpha-0 spectra are solved apart
     summary = sweep(graphs, alphas=alphas)
-    assert summary.skipped_disconnected == 1
-    assert {d["bound_id"] for d in summary.discrepancies} == {
+    assert summary["skipped_disconnected"] == 1
+    assert {d["bound_id"] for d in summary["discrepancies"]} == {
         "thm35_bipartite_lower", "thm38_bipartite_lower", "thm43_independence_lower"}
-    text = json_text(summary.to_json())
+    text = json_text(summary)
     assert text == json_text(_tally_from_reports(graphs, alphas))
-    # one-graph blocks, merged in order, give the same document
-    monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", 1)
-    monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", 1)
-    assert json_text(sweep(graphs, alphas=alphas).to_json()) == text
-    merged = CorpusSummary()
-    for g in graphs:
-        merged.merge(sweep([g], alphas=alphas))
-    assert json_text(merged.to_json()) == text
+    # smaller blocks give the same document; with one-graph blocks the
+    # disconnected graph is a block with nothing to evaluate
+    for size in (1, 2, 3):
+        monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", size)
+        monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", size)
+        assert json_text(sweep(graphs, alphas=alphas)) == text, size
+
+
+@pytest.mark.parametrize("block", [1, 2, 64])
+def test_sweep_exact_tie_keeps_first_pair(zoo, monkeypatch, block):
+    monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
+    monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", block)
+    alphas = (0.0, 0.5, 1.0)
+    # thm26 is exactly tight on every complete graph at alpha = 1: a tie across blocks
+    for k in ("K4", "K5"):
+        assert sweep([zoo[k]], alphas=alphas)["bounds"]["thm26_lower"]["worst_gap"] == 0.0
+    tally = sweep([zoo["K3"], zoo["K4"], zoo["K5"]], alphas=alphas)["bounds"]["thm26_lower"]
+    assert (tally["worst_key"], tally["worst_gap"]) == ("Bw@1", 0.0)
 
 
 @given(
@@ -244,16 +244,18 @@ def test_sweep_tallies_invariant_under_relabeling(specs, rnd):
         rnd.shuffle(perm)
         relabeled.append(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
     a, b = sweep(graphs), sweep(relabeled)
-    assert (a.graphs_seen, a.skipped_disconnected) == (b.graphs_seen, b.skipped_disconnected)
-    assert a.tallies.keys() == b.tallies.keys()
-    for bid, t in a.tallies.items():
-        u = b.tallies[bid]
-        assert (t.applicable, t.holds, t.equalities) == (u.applicable, u.holds, u.equalities)
-        assert abs(t.worst_gap - u.worst_gap) <= 1e-9, bid
+    assert (a["graphs_seen"], a["skipped_disconnected"]) == (
+        b["graphs_seen"], b["skipped_disconnected"])
+    assert a["bounds"].keys() == b["bounds"].keys()
+    for bid, t in a["bounds"].items():
+        u = b["bounds"][bid]
+        assert (t["applicable"], t["holds"], t["equalities"]) == (
+            u["applicable"], u["holds"], u["equalities"])
+        assert abs(t["worst_gap"] - u["worst_gap"]) <= 1e-9, bid
     # worst_key and the graph6 of each entry follow the labeling
 
     def pairs(entries):
         return sorted((v["bound_id"], v["alpha"]) for v in entries)
 
-    assert pairs(a.violations) == pairs(b.violations)
-    assert pairs(a.discrepancies) == pairs(b.discrepancies)
+    assert pairs(a["violations"]) == pairs(b["violations"])
+    assert pairs(a["discrepancies"]) == pairs(b["discrepancies"])
