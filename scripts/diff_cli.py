@@ -52,6 +52,10 @@ COMMANDS = [
     "bounds A_ --alpha 0.3 --format tsv",
     "bounds Bw --alpha 0.3",
     "bounds path:45 --alpha 0.3 --format tsv",
+    "bounds cycle:4 --alpha 0.5",
+    "bounds split:2,4 --alpha 0.5 --format tsv",
+    "bounds Bg --tol 1e308",
+    "analyze Bg --alpha -0",
     "sweep --seed-random 10,200,0.5 --seed 1",
     "sweep --corpus {n6} --alphas 0,0.5,1",
     "sweep --corpus {missing}",
@@ -61,6 +65,7 @@ COMMANDS = [
     "sweep --seed-random 45,2,0.2",
     "sweep --seed-random 70,2,0.3",
     "sweep --seed-random 62,3,0.1",
+    "sweep --corpus {n6} --alphas=-0,0.5",
     "conjecture --n 4 --alpha 0",
     "conjecture --n 5 --alpha 0.5",
     "conjecture --n 6 --alpha 0.5",

@@ -2,14 +2,12 @@
 closed-form family spectra, and numerical verification of spread bounds."""
 
 from .bounds import (
-    BoundReport,
     BOUND_IDS,
     EvalContext,
     Evaluation,
     check_edge_deletion_monotonicity,
     check_interlacing,
     clique_number,
-    discrepancies,
     evaluate,
     evaluate_all,
     evaluate_bound,

@@ -5,7 +5,8 @@ exact) with an array formula for one displayed inequality on the spread or
 extreme eigenvalues of the generalized distance matrix. evaluate() maps
 per-graph columns (G, 1) and spectra (G, k) of a block to (17, G, k)
 arrays; the checks mask out inapplicable entries, which report a reason
-instead of failing, so corpus sweeps never abort.
+instead of failing, so corpus sweeps never abort. Evaluation.reports() and
+Evaluation.discrepancies() build the `bounds` JSON of one pair from them.
 
 Entries carry a trust status. "proven" bounds are expected to hold on every
 connected graph; a violation of one of those is a genuine soundness failure.
@@ -56,45 +57,6 @@ CAPPED = f"exact clique search capped at {CLIQUE_SEARCH_CAP} vertices"
 # graphs per eigensolve stack and per sweep block, so a stack holds at most
 # BLOCK_GRAPHS * k matrices however large the corpus
 BLOCK_GRAPHS = 64
-
-
-@dataclass
-class BoundReport:
-    """Outcome of one bound on one (graph, alpha) pair.
-
-    gap is actual - bound (signed); holds follows the direction with a
-    max(tol, tol*|bound|) cushion; equality means |gap| <= EQ_TOL. violated
-    marks a proven bound that failed, claimed_miss a claimed formula that
-    missed (see Evaluation).
-    """
-
-    bound_id: str
-    direction: str  # "lower" | "upper"
-    applicable: bool
-    reason: Optional[str]
-    status: str  # "proven" | "claimed"
-    exact_claim: bool
-    bound_value: Optional[float]
-    actual_value: Optional[float]
-    holds: Optional[bool]
-    gap: Optional[float]
-    equality: Optional[bool]
-    violated: bool = False
-    claimed_miss: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "direction": self.direction,
-            "bound": self.bound_value,
-            "actual": self.actual_value,
-            "holds": self.holds,
-            "gap": self.gap,
-            "equality": self.equality,
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "status": self.status,
-        }
 
 
 # --- exact clique / independence search ------------------------------------
@@ -529,22 +491,33 @@ class Evaluation:
         bounds, and inf where an entry does not apply."""
         return np.where(self.applicable, np.where(_UPPER, -self.gap, self.gap), np.inf)
 
-    def reports(self, g: int, j: int) -> list[BoundReport]:
-        """One report per registry entry for graph g at alpha j."""
-        # one tolist() per (17,) column gives plain bools and floats, in
-        # BoundReport field order from exact_claim on
+    def reports(self, g: int, j: int) -> list[dict]:
+        """The `bounds` entries of graph g at alpha j, in registry order: gap
+        is actual - bound, holds allows a max(tol, tol*|bound|) cushion and
+        equality means |gap| <= EQ_TOL; an entry that does not apply has
+        null values and the reason of its first unmet check."""
+        # one tolist() per (17,) column gives plain bools, ints and floats
         columns = (a[:, g, j].tolist() for a in (
-            self.applicable, self.failed, self.claimed, self.exact, self.bound, self.actual,
-            self.holds, self.gap, self.equality, self.violated, self.claimed_miss))
+            self.applicable, self.failed, self.claimed, self.bound, self.actual, self.holds,
+            self.gap, self.equality))
         out = []
         for e, applicable, failed, claimed, *row in zip(REGISTRY, *columns):
-            if not applicable:
-                out.append(BoundReport(e.id, e.direction, False, e.checks[failed][1], PROVEN,
-                                       False, None, None, None, None, None))
-            else:
-                out.append(BoundReport(e.id, e.direction, True, None,
-                                       CLAIMED if claimed else PROVEN, *row))
+            bound, actual, holds, gap, equality = row if applicable else (None,) * 5
+            out.append({"bound_id": e.id, "direction": e.direction, "bound": bound,
+                        "actual": actual, "holds": holds, "gap": gap, "equality": equality,
+                        "applicable": applicable,
+                        "reason": None if applicable else e.checks[failed][1],
+                        "status": CLAIMED if claimed else PROVEN})
         return out
+
+    def discrepancies(self, g: int, j: int) -> list[dict]:
+        """The claimed formulas that missed on graph g at alpha j, in
+        registry order: informational, never soundness."""
+        return [{"bound_id": BOUND_IDS[i],
+                 "kind": "exact-value mismatch" if self.exact[i, g, j] else "bound violated",
+                 "claimed": float(self.bound[i, g, j]), "actual": float(self.actual[i, g, j]),
+                 "gap": float(self.gap[i, g, j])}
+                for i in np.flatnonzero(self.claimed_miss[:, g, j])]
 
 
 def evaluate(
@@ -568,8 +541,9 @@ def evaluate(
     solve_spectra(ctxs, [*alphas, 0.0])
     c = _columns(ctxs, alphas)
     # masked-out entries (n = 1, a star in the general branch, ...) may divide
-    # by zero; their values are never read
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # by zero; their values are never read. A huge tol may overflow the
+    # cushion to inf, where every bound holds, as it should
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i, e in enumerate(REGISTRY):
             bound[i], actual[i] = e.formula(c)
             # met counts the leading checks that hold: the index of the
@@ -598,8 +572,8 @@ def evaluate(
 
 def evaluate_all(
     g: Graph, alpha: float, tol: float = DEFAULT_TOL, ctx: Optional[EvalContext] = None
-) -> list[BoundReport]:
-    """One report per registry entry, inapplicable ones included: the
+) -> list[dict]:
+    """The `bounds` entries of (g, alpha), inapplicable ones included: the
     one-graph, one-alpha view of evaluate()."""
     ctx = EvalContext(g) if ctx is None else ctx
     return evaluate([ctx], [alpha], tol).reports(0, 0)
@@ -608,23 +582,9 @@ def evaluate_all(
 def evaluate_bound(
     bound_id: str, g: Graph, alpha: float, tol: float = DEFAULT_TOL,
     ctx: Optional[EvalContext] = None,
-) -> BoundReport:
-    """Evaluate a single registry entry on (g, alpha)."""
+) -> dict:
+    """The `bounds` entry of a single registry entry on (g, alpha)."""
     if bound_id not in BOUND_IDS:
         raise KeyError(f"unknown bound_id {bound_id!r}")
     return evaluate_all(g, alpha, tol, ctx)[BOUND_IDS.index(bound_id)]
 
-
-def discrepancies(reports: Sequence[BoundReport]) -> list[dict]:
-    """Mismatches of claimed formulas -- informational, never soundness."""
-    return [
-        {
-            "bound_id": r.bound_id,
-            "kind": "exact-value mismatch" if r.exact_claim else "bound violated",
-            "claimed": r.bound_value,
-            "actual": r.actual_value,
-            "gap": r.gap,
-        }
-        for r in reports
-        if r.claimed_miss
-    ]

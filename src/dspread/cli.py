@@ -74,10 +74,11 @@ def _parse_alpha_list(text: str) -> list[float]:
     return out
 
 
-def _check_alphas(alphas: Sequence[float]) -> None:
+def _check_alphas(alphas: Sequence[float]) -> list[float]:
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {a:g}")
+    return [a + 0.0 for a in alphas]  # -0 renders as 0
 
 
 def _load_corpus(path) -> list[Graph]:
@@ -151,7 +152,7 @@ def _cmd_analyze(args) -> int:
         alphas = _parse_alpha_list(args.alpha_grid)
     else:
         alphas = list(corpus_mod.ALPHA_GRID)
-    _check_alphas(alphas)
+    alphas = _check_alphas(alphas)
     ctxs = _contexts(inputs)
     bounds_mod.solve_spectra(ctxs, alphas)
     reports = [_base_report(d, ctx, a) for (d, _), ctx in zip(inputs, ctxs) for a in alphas]
@@ -175,20 +176,19 @@ def _cmd_analyze(args) -> int:
 def _cmd_bounds(args) -> int:
     inputs = _resolve_inputs(args.input)
     alphas = [args.alpha] if args.alpha is not None else list(corpus_mod.ALPHA_GRID)
-    _check_alphas(alphas)
+    alphas = _check_alphas(alphas)
     tol = _tolerance(args.tol)
     ctxs = _contexts(inputs)
     ev = bounds_mod.evaluate(ctxs, alphas, tol=tol)
     reports = []
     for g, ((desc, _), ctx) in enumerate(zip(inputs, ctxs)):
         for j, a in enumerate(alphas):
-            evaluated = ev.reports(g, j)
             base = _base_report(desc, ctx, a)
             # null above the clique search cap
             base["clique_number"] = None if ctx.cliques is None else ctx.cliques[0]
             base["independence_number"] = ctx.independence
-            base["bounds"] = [r.to_json() for r in evaluated]
-            base["discrepancies"] = bounds_mod.discrepancies(evaluated)
+            base["bounds"] = ev.reports(g, j)
+            base["discrepancies"] = ev.discrepancies(g, j)
             reports.append(base)
     if args.format == "tsv":
         rows = [
@@ -227,7 +227,7 @@ def _parse_seed_random(text: str) -> tuple[int, int, float]:
 
 def _cmd_sweep(args) -> int:
     alphas = _parse_alpha_list(args.alphas) if args.alphas else list(corpus_mod.ALPHA_GRID)
-    _check_alphas(alphas)
+    alphas = _check_alphas(alphas)
     tol = _tolerance(args.tol)
     # parsed before any graph is read or drawn
     seed_random = _parse_seed_random(args.seed_random) if args.seed_random else None
@@ -261,10 +261,10 @@ def _packaged_corpus(n: int):
 
 
 def _cmd_conjecture(args) -> int:
-    _check_alphas([args.alpha])
+    [alpha] = _check_alphas([args.alpha])
     graphs = _load_corpus(args.corpus or _packaged_corpus(args.n))
     try:
-        result = corpus_mod.check_problem_39(graphs, args.n, args.alpha)
+        result = corpus_mod.check_problem_39(graphs, args.n, alpha)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
     doc = {"schema_version": SCHEMA_VERSION, "command": "conjecture"}

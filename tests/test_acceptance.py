@@ -171,20 +171,20 @@ def test_criterion_05_equality_characterizations(zoo):
         ctx = EvalContext(g)
         for a in alphas:
             r25 = evaluate_bound("thm25_lower", g, a, ctx=ctx)
-            assert r25.equality, ("thm25 missed equality on complete graph", g.n, a)
+            assert r25["equality"], ("thm25 missed equality on complete graph", g.n, a)
             r26 = evaluate_bound("thm26_lower", g, a, ctx=ctx)
             if g.n * a >= 1.0:
-                assert r26.equality, ("thm26 missed equality", g.n, a)
+                assert r26["equality"], ("thm26 missed equality", g.n, a)
             else:
                 # the stated iff fails here: the smallest eigenvalue
                 # n*alpha - 1 is negative, so the bound is strict
-                assert not r26.equality and r26.gap > 1e-6
+                assert not r26["equality"] and r26["gap"] > 1e-6
                 thm26_small_alpha += 1
     for g in others:
         ctx = EvalContext(g)
         for a in alphas:
-            assert not evaluate_bound("thm25_lower", g, a, ctx=ctx).equality
-            assert not evaluate_bound("thm26_lower", g, a, ctx=ctx).equality
+            assert not evaluate_bound("thm25_lower", g, a, ctx=ctx)["equality"]
+            assert not evaluate_bound("thm26_lower", g, a, ctx=ctx)["equality"]
     print(f"\n[PASS] criterion 5: equality flags characterize completeness for "
           f"alpha < 1 ({len(completes)} complete, {len(others)} non-complete graphs); "
           f"note: thm26 equality additionally needs n*alpha >= 1 "
@@ -200,7 +200,7 @@ def test_criterion_06_transmission_regular_identity():
             assert abs(ctx.spread(alpha) - (1 - alpha) * sd) <= TOL, (n, alpha)
             lo = evaluate_bound("thm24_lower", g, alpha, ctx=ctx)
             hi = evaluate_bound("thm24_upper", g, alpha, ctx=ctx)
-            assert hi.bound_value - lo.bound_value <= TOL
+            assert hi["bound"] - lo["bound"] <= TOL
     print("\n[PASS] criterion 6: cycles satisfy spread = (1-alpha) * distance spread "
           "and the envelope collapses to width 0")
 

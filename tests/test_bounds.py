@@ -15,7 +15,6 @@ from dspread.bounds import (
     check_edge_deletion_monotonicity,
     check_interlacing,
     clique_number,
-    discrepancies,
     evaluate,
     evaluate_all,
     evaluate_bound,
@@ -114,35 +113,35 @@ def test_independence_cap():
 
 def test_thm25_equality_on_k4(zoo):
     r = evaluate_bound("thm25_lower", zoo["K4"], 0.5)
-    assert r.bound_value == pytest.approx(2.0, abs=1e-10)
-    assert r.actual_value == pytest.approx(2.0, abs=1e-10)
-    assert r.holds and r.equality
+    assert r["bound"] == pytest.approx(2.0, abs=1e-10)
+    assert r["actual"] == pytest.approx(2.0, abs=1e-10)
+    assert r["holds"] and r["equality"]
 
 
 def test_thm210_on_k4(zoo):
     r = evaluate_bound("thm210_upper", zoo["K4"], 0.0)
-    assert r.bound_value == pytest.approx(math.sqrt(24), abs=1e-10)
-    assert r.actual_value == pytest.approx(4.0, abs=1e-10)
-    assert r.holds and not r.equality
+    assert r["bound"] == pytest.approx(math.sqrt(24), abs=1e-10)
+    assert r["actual"] == pytest.approx(4.0, abs=1e-10)
+    assert r["holds"] and not r["equality"]
 
 
 def test_thm38_equality_on_p3(zoo):
     r = evaluate_bound("thm38_bipartite_lower", zoo["P3"], 0.0)
-    assert r.bound_value == pytest.approx(3 + math.sqrt(3), abs=1e-10)
-    assert r.equality
+    assert r["bound"] == pytest.approx(3 + math.sqrt(3), abs=1e-10)
+    assert r["equality"]
 
 
 def test_thm41_complete_branch(zoo):
     r = evaluate_bound("thm41_clique_lower", zoo["K4"], 0.25)
-    assert r.bound_value == pytest.approx(3.0)
-    assert r.equality
+    assert r["bound"] == pytest.approx(3.0)
+    assert r["equality"]
 
 
 def test_ineq24_equality_on_transmission_regular(zoo):
     lo = evaluate_bound("ineq24_radius_lower", zoo["C4"], 0.0)
     hi = evaluate_bound("ineq24_radius_upper", zoo["C4"], 0.0)
-    assert lo.bound_value == pytest.approx(hi.bound_value)
-    assert lo.equality and hi.equality
+    assert lo["bound"] == pytest.approx(hi["bound"])
+    assert lo["equality"] and hi["equality"]
 
 
 def test_unknown_bound_id(zoo):
@@ -188,18 +187,18 @@ def test_registry_ids():
 
 
 def test_not_bipartite_reason(zoo):
-    by_id = {r.bound_id: r for r in evaluate_all(zoo["K3"], 0.0)}
+    by_id = {r["bound_id"]: r for r in evaluate_all(zoo["K3"], 0.0)}
     for bid in ("thm35_bipartite_lower", "thm38_bipartite_lower"):
-        assert not by_id[bid].applicable
-        assert by_id[bid].reason == "not bipartite"
+        assert not by_id[bid]["applicable"]
+        assert by_id[bid]["reason"] == "not bipartite"
 
 
 def test_alpha_gate_reason(zoo):
-    by_id = {r.bound_id: r for r in evaluate_all(zoo["C4"], 0.3)}
+    by_id = {r["bound_id"]: r for r in evaluate_all(zoo["C4"], 0.3)}
     for bid in ("thm38_bipartite_lower", "thm43_independence_lower"):
-        assert not by_id[bid].applicable
-        assert "alpha outside" in by_id[bid].reason
-    assert not by_id["halfrange_radius_upper"].applicable
+        assert not by_id[bid]["applicable"]
+        assert "alpha outside" in by_id[bid]["reason"]
+    assert not by_id["halfrange_radius_upper"]["applicable"]
 
 
 _N2, _N3 = "requires n >= 2", "requires n >= 3"
@@ -227,12 +226,13 @@ _SPECIAL = ("thm35_bipartite_lower", "thm38_bipartite_lower", "thm41_clique_lowe
 ])
 def test_reason_order(graph, alpha, expected):
     g = generate(parse_family(graph)) if ":" in graph else parse_graph6(graph)
-    assert [(r.bound_id, r.reason) for r in evaluate_all(g, alpha) if not r.applicable] == expected
+    reports = evaluate_all(g, alpha)
+    assert [(r["bound_id"], r["reason"]) for r in reports if not r["applicable"]] == expected
 
 
 def test_one_report_per_entry(zoo):
     reports = evaluate_all(zoo["K23"], 0.5)
-    assert [r.bound_id for r in reports] == list(BOUND_IDS)
+    assert [r["bound_id"] for r in reports] == list(BOUND_IDS)
 
 
 def test_reports_hold_plain_python_values(zoo):
@@ -242,18 +242,31 @@ def test_reports_hold_plain_python_values(zoo):
     kinds = set()
     for g in range(2):
         for r in ev.reports(g, 0):
-            for name, value in vars(r).items():
-                assert type(value) in (bool, float, str, type(None)), (r.bound_id, name)
-            kinds.add("capped" if r.reason == CAPPED else
-                      r.status if r.applicable else "inapplicable")
+            for name, value in r.items():
+                assert type(value) in (bool, float, str, type(None)), (r["bound_id"], name)
+            kinds.add("capped" if r["reason"] == CAPPED else
+                      r["status"] if r["applicable"] else "inapplicable")
     assert kinds == {"capped", "inapplicable", PROVEN, CLAIMED}
+
+
+def test_entry_and_discrepancy_key_order(zoo):
+    # the key order of the `bounds` JSON entries and discrepancies
+    ev = evaluate([EvalContext(zoo["K13"])], [0.1])
+    by_id = {r["bound_id"]: r for r in ev.reports(0, 0)}
+    applicable, inapplicable = by_id["thm35_bipartite_lower"], by_id["thm38_bipartite_lower"]
+    assert applicable["applicable"] and not inapplicable["applicable"]
+    keys = ["bound_id", "direction", "bound", "actual", "holds", "gap", "equality",
+            "applicable", "reason", "status"]
+    assert list(applicable) == list(inapplicable) == keys
+    assert [list(d) for d in ev.discrepancies(0, 0)] == [
+        ["bound_id", "kind", "claimed", "actual", "gap"]]
 
 
 def test_single_vertex_all_inapplicable():
     from dspread.graphs import Graph
 
     reports = evaluate_all(Graph(n=1, edges=frozenset()), 0.5)
-    assert all(not r.applicable for r in reports)
+    assert all(not r["applicable"] for r in reports)
 
 
 # --- soundness on the zoo ---
@@ -264,7 +277,8 @@ def test_zoo_soundness(zoo):
         ctx = EvalContext(g)
         for alpha in GRID:
             reports = evaluate_all(g, alpha, ctx=ctx)
-            assert [r.bound_id for r in reports if r.violated] == []
+            violated = [r for r in reports if r["status"] == PROVEN and r["holds"] is False]
+            assert [r["bound_id"] for r in violated] == []
 
 
 def test_thm24_envelope_zero_width_on_transmission_regular(zoo):
@@ -272,8 +286,8 @@ def test_thm24_envelope_zero_width_on_transmission_regular(zoo):
         for alpha in GRID:
             lo = evaluate_bound("thm24_lower", zoo[name], alpha)
             hi = evaluate_bound("thm24_upper", zoo[name], alpha)
-            assert hi.bound_value - lo.bound_value == pytest.approx(0.0, abs=1e-9)
-            assert lo.equality and hi.equality
+            assert hi["bound"] - lo["bound"] == pytest.approx(0.0, abs=1e-9)
+            assert lo["equality"] and hi["equality"]
 
 
 def test_thm25_equality_characterizes_completeness(zoo):
@@ -281,7 +295,7 @@ def test_thm25_equality_characterizes_completeness(zoo):
         complete = g.edge_count == g.n * (g.n - 1) // 2
         for alpha in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9):  # alpha=1 degenerates
             r = evaluate_bound("thm25_lower", g, alpha)
-            assert r.equality == complete, (name, alpha)
+            assert r["equality"] == complete, (name, alpha)
 
 
 def test_thm26_equality_needs_n_alpha_at_least_one(zoo):
@@ -290,7 +304,7 @@ def test_thm26_equality_needs_n_alpha_at_least_one(zoo):
         for alpha in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9):
             r = evaluate_bound("thm26_lower", g, alpha)
             expected = complete and g.n * alpha >= 1.0
-            assert r.equality == expected, (name, alpha)
+            assert r["equality"] == expected, (name, alpha)
 
 
 def test_halfrange_equality_iff_zero_smallest(zoo):
@@ -299,7 +313,7 @@ def test_halfrange_equality_iff_zero_smallest(zoo):
             r = evaluate_bound("halfrange_radius_upper", g, alpha)
             ctx = EvalContext(g)
             smallest = ctx.values(alpha)[-1]
-            assert r.equality == (abs(smallest) <= 1e-6)
+            assert r["equality"] == (abs(smallest) <= 1e-6)
 
 
 def test_mirsky_equals_thm210_dual_route(zoo):
@@ -308,7 +322,7 @@ def test_mirsky_equals_thm210_dual_route(zoo):
         for alpha in GRID:
             m = evaluate_bound("mirsky_upper", g, alpha)
             t = evaluate_bound("thm210_upper", g, alpha)
-            assert m.bound_value == pytest.approx(t.bound_value, rel=1e-9)
+            assert m["bound"] == pytest.approx(t["bound"], rel=1e-9)
 
 
 def test_thm210_equality_condition(zoo):
@@ -319,7 +333,7 @@ def test_thm210_equality_condition(zoo):
         ctx = EvalContext(g)
         for alpha in GRID:
             r = evaluate_bound("thm210_upper", g, alpha, ctx=ctx)
-            if not r.equality:
+            if not r["equality"]:
                 continue
             hits += 1
             vals = ctx.values(alpha)
@@ -363,7 +377,7 @@ def test_thm41_matches_explicit_quotient(zoo):
                 q = quotient_eigenvalues(m, [list(cl), rest])
                 best = max(best, q[0] - q[-1])
             r = evaluate_bound("thm41_clique_lower", g, alpha)
-            assert r.bound_value == pytest.approx(best, abs=1e-9)
+            assert r["bound"] == pytest.approx(best, abs=1e-9)
 
 
 def test_thm35_matches_explicit_quotient(zoo):
@@ -385,52 +399,57 @@ def test_thm35_matches_explicit_quotient(zoo):
                 q = quotient_eigenvalues(m, [blk, rest])
                 best = max(best, q[0] - q[-1])
             r = evaluate_bound("thm35_bipartite_lower", g, alpha)
-            assert r.bound_value == pytest.approx(best, abs=1e-9)
+            assert r["bound"] == pytest.approx(best, abs=1e-9)
 
 
 # --- claimed branches: pinned counterexamples ---
 
 
 def test_thm38_halfrange_counterexample_c4(zoo):
-    r = evaluate_bound("thm38_bipartite_lower", zoo["C4"], 0.5)
-    assert r.status == CLAIMED
-    assert r.actual_value == pytest.approx(3.0, abs=1e-9)
-    assert r.bound_value > r.actual_value + 0.25  # bound 3.2808 beats the spread
-    assert not r.holds
-    assert not r.violated  # claimed misses never count as violations
-    assert discrepancies([r])[0]["bound_id"] == "thm38_bipartite_lower"
+    ev = evaluate([EvalContext(zoo["C4"])], [0.5])
+    i = BOUND_IDS.index("thm38_bipartite_lower")
+    r = ev.reports(0, 0)[i]
+    assert r["status"] == CLAIMED
+    assert r["actual"] == pytest.approx(3.0, abs=1e-9)
+    assert r["bound"] > r["actual"] + 0.25  # bound 3.2808 beats the spread
+    assert not r["holds"]
+    assert not ev.violated[i, 0, 0]  # claimed misses never count as violations
+    assert ev.discrepancies(0, 0)[0]["bound_id"] == "thm38_bipartite_lower"
 
 
 def test_thm43_halfrange_counterexample_diamond(zoo):
-    r = evaluate_bound("thm43_independence_lower", zoo["CS22"], 0.5)
-    assert r.status == CLAIMED
-    assert r.actual_value == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-9)
-    assert not r.holds
-    assert discrepancies([r])
+    ev = evaluate([EvalContext(zoo["CS22"])], [0.5])
+    r = ev.reports(0, 0)[BOUND_IDS.index("thm43_independence_lower")]
+    assert r["status"] == CLAIMED
+    assert r["actual"] == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-9)
+    assert not r["holds"]
+    assert "thm43_independence_lower" in [d["bound_id"] for d in ev.discrepancies(0, 0)]
 
 
 def test_thm43_zero_alpha_equality_on_split_graphs(zoo):
     for name in ("CS25", "CS22", "K13"):
         r = evaluate_bound("thm43_independence_lower", zoo[name], 0.0)
-        assert r.status == PROVEN
-        assert r.equality, name
+        assert r["status"] == PROVEN
+        assert r["equality"], name
 
 
 def test_thm35_star_claim_discrepancy(zoo):
-    r = evaluate_bound("thm35_bipartite_lower", zoo["K13"], 0.1)
-    assert r.status == CLAIMED and r.exact_claim
-    assert r.bound_value == pytest.approx(math.sqrt(24.16), abs=1e-9)
-    assert r.actual_value == pytest.approx((4.4 + math.sqrt(24.16)) / 2 + 1.3, abs=1e-9)
-    assert r.holds and not r.equality  # sound as a bound, wrong as an exact value
-    d = discrepancies([r])
+    ev = evaluate([EvalContext(zoo["K13"])], [0.1])
+    i = BOUND_IDS.index("thm35_bipartite_lower")
+    r = ev.reports(0, 0)[i]
+    assert r["status"] == CLAIMED and ev.exact[i, 0, 0]
+    assert r["bound"] == pytest.approx(math.sqrt(24.16), abs=1e-9)
+    assert r["actual"] == pytest.approx((4.4 + math.sqrt(24.16)) / 2 + 1.3, abs=1e-9)
+    assert r["holds"] and not r["equality"]  # sound as a bound, wrong as an exact value
+    d = ev.discrepancies(0, 0)
     assert d and d[0]["kind"] == "exact-value mismatch"
 
 
 def test_thm35_star_alpha0_exact(zoo):
     r = evaluate_bound("thm35_bipartite_lower", zoo["K13"], 0.0)
-    assert r.status == PROVEN
-    assert r.bound_value == pytest.approx(4 + math.sqrt(7), abs=1e-10)
-    assert r.equality
+    assert r["status"] == PROVEN
+    assert r["bound"] == pytest.approx(4 + math.sqrt(7), abs=1e-10)
+    assert r["equality"]
 
 
 # --- interlacing and edge deletion ---
@@ -495,10 +514,11 @@ def test_reports_invariant_under_relabeling(n, mask, perm_seed):
     for j, alpha in enumerate(GRID):
         assert np.allclose(ctx_g.values(alpha), ctx_h.values(alpha), rtol=0, atol=1e-9)
         for a, b in zip(ev_g.reports(0, j), ev_h.reports(0, j)):
-            assert (a.applicable, a.holds, a.equality) == (b.applicable, b.holds, b.equality)
-            if a.applicable:
-                assert abs(a.bound_value - b.bound_value) <= 1e-9, (a.bound_id, alpha)
-                assert abs(a.actual_value - b.actual_value) <= 1e-9, (a.bound_id, alpha)
+            assert (a["applicable"], a["holds"], a["equality"]) == (
+                b["applicable"], b["holds"], b["equality"])
+            if a["applicable"]:
+                assert abs(a["bound"] - b["bound"]) <= 1e-9, (a["bound_id"], alpha)
+                assert abs(a["actual"] - b["actual"]) <= 1e-9, (a["bound_id"], alpha)
 
 
 # --- random soundness mini-sweep ---
@@ -511,5 +531,5 @@ def test_random_graph_soundness(n, mask, alpha):
     if not is_connected(g):
         return
     reports = evaluate_all(g, alpha)
-    bad = [r for r in reports if r.violated]
-    assert bad == [], [(r.bound_id, r.gap) for r in bad]
+    bad = [r for r in reports if r["status"] == PROVEN and r["holds"] is False]
+    assert bad == [], [(r["bound_id"], r["gap"]) for r in bad]

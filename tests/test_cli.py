@@ -6,10 +6,12 @@ import warnings
 
 import pytest
 
+from dspread.bounds import EvalContext, evaluate, evaluate_all
 from dspread.cli import main
 from dspread.eigen import sym_eigen
-from dspread.families import generate
+from dspread.families import generate, parse_family
 from dspread.graphs import bfs_distances, distance_profile
+from dspread.jsonfmt import json_text
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +127,29 @@ def test_bounds_star_discrepancy_channel(capsys):
     assert any(d["bound_id"] == "thm35_bipartite_lower" for d in disc)
 
 
+@pytest.mark.parametrize("spec, alpha, kind", [("kbip:1,3", 0.1, "exact-value mismatch"),
+                                               ("split:2,4", 0.5, "bound violated")])
+def test_bounds_report_renders_the_registry_entries(capsys, spec, alpha, kind):
+    code, out, _ = run_cli(capsys, "bounds", spec, "--alpha", str(alpha))
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    g = generate(parse_family(spec))
+    discrepancies = evaluate([EvalContext(g)], [alpha]).discrepancies(0, 0)
+    assert report["bounds"] == json.loads(json_text(evaluate_all(g, alpha)))
+    assert report["discrepancies"] == json.loads(json_text(discrepancies))
+    assert [d["kind"] for d in report["discrepancies"]] == [kind]
+
+
+def test_bounds_huge_tolerance_keeps_stderr_clean(capsys):
+    # tol * |bound| overflows to an infinite cushion, inside which every bound holds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "bounds", "Bg", "--tol", "1e308")
+    assert code == 0 and err == ""
+    for report in json.loads(out)["reports"]:
+        assert all(b["holds"] for b in report["bounds"] if b["applicable"])
+
+
 def test_bounds_tsv(capsys):
     code, out, _ = run_cli(capsys, "bounds", "complete:4", "--alpha", "0.5", "--format", "tsv")
     lines = out.strip().splitlines()
@@ -199,6 +224,19 @@ def test_sweep_bad_seed_random_is_an_input_error(capsys, tmp_path, spec):
     for extra in ((), ("--corpus", str(corpus))):
         code, out, err = run_cli(capsys, "sweep", f"--seed-random={spec}", *extra)
         assert code == 2 and "--seed-random" in err and out == "", extra
+
+
+@pytest.mark.parametrize("argv", [("analyze", "Bg", "--alpha={}"),
+                                  ("bounds", "kbip:1,3", "--alpha={}"),
+                                  ("sweep", "--seed-random", "5,3,0.5", "--alphas={},0.5"),
+                                  ("conjecture", "--n", "4", "--alpha={}")])
+def test_negative_zero_alpha_reads_as_zero(capsys, argv):
+    outs = []
+    for zero in ("-0", "0"):
+        code, out, err = run_cli(capsys, *(arg.format(zero) for arg in argv))
+        assert code == 0 and err == "", zero
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_sweep_requires_source(capsys):
