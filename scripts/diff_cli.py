@@ -21,8 +21,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+# the complement of a perfect matching on 40 vertices, in graph6: 2^20
+# maximum cliques, so the clique search runs out of its node budget, and
+# independence number 2
+COCKTAIL_PARTY_40 = ("g]~v~z~~v~~}~~~~^~~~}~~~~~v~~~~~z~~~~~~v~~~~~~}~~~~~~~~^~~~~~~~}~~~~~"
+                     "~~~~v~~~~~~~~~z~~~~~~~~~~v~~~~~~~~~~}~~~~~~~~~~~~^~~~~~~~~~~~}")
+
 # {n6}: the packaged n = 6 bipartite corpus; {late}: a corpus file whose last
-# graph is disconnected; {missing}: a path that does not exist
+# graph is disconnected; {missing}: a path that does not exist; {cocktail}:
+# a corpus file holding COCKTAIL_PARTY_40
 COMMANDS = [
     "analyze Bg",
     "analyze kbip:2,3",
@@ -56,6 +63,9 @@ COMMANDS = [
     "bounds split:2,4 --alpha 0.5 --format tsv",
     "bounds Bg --tol 1e308",
     "analyze Bg --alpha -0",
+    "bounds cycle:200 --alpha 0.5",
+    "bounds {cocktail} --alpha 0.5",
+    "sweep --seed-random 6,3,0.5 --alphas 0.1234567,0.1234568",
     "sweep --seed-random 10,200,0.5 --seed 1",
     "sweep --corpus {n6} --alphas 0,0.5,1",
     "sweep --corpus {missing}",
@@ -92,8 +102,10 @@ def main(parent: str, change: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         late = Path(tmp) / "late_disconnected.g6"
         late.write_text("Bg\nBw\nC~\nA?\n", encoding="ascii")
+        cocktail = Path(tmp) / "cocktail_party_40.g6"
+        cocktail.write_text(COCKTAIL_PARTY_40 + "\n", encoding="ascii")
         files = {"n6": trees[0] / "dspread" / "data" / "bipartite_connected_n6.g6",
-                 "late": late, "missing": Path(tmp) / "missing.g6"}
+                 "late": late, "missing": Path(tmp) / "missing.g6", "cocktail": cocktail}
         for command in COMMANDS:
             argv = command.format(**files).split()
             (code_a, out_a), (code_b, out_b) = (run(tree, argv) for tree in trees)

@@ -7,13 +7,12 @@ from .bounds import (
     Evaluation,
     check_edge_deletion_monotonicity,
     check_interlacing,
-    clique_number,
     evaluate,
     evaluate_all,
     evaluate_bound,
-    independence_number,
     solve_spectra,
 )
+from .cliques import SearchBudgetExceeded, clique_number, independence_number
 from .corpus import (
     ALPHA_GRID,
     check_problem_39,

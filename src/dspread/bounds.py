@@ -36,6 +36,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .cliques import (
+    CLIQUE_BUDGET_SPENT,
+    INDEPENDENCE_BUDGET_SPENT,
+    SearchBudgetExceeded,
+    adjacency_masks,
+    clique_number,
+    independence_number,
+)
 from .eigen import sym_eigen
 from .graphs import (
     DisconnectedGraphError,
@@ -52,83 +60,9 @@ CLAIMED = "claimed"
 
 DEFAULT_TOL = 1e-8
 EQ_TOL = 1e-6
-CLIQUE_SEARCH_CAP = 40
-CAPPED = f"exact clique search capped at {CLIQUE_SEARCH_CAP} vertices"
 # graphs per eigensolve stack and per sweep block, so a stack holds at most
 # BLOCK_GRAPHS * k matrices however large the corpus
 BLOCK_GRAPHS = 64
-
-
-# --- exact clique / independence search ------------------------------------
-
-
-def _adjacency_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def _maximum_cliques(masks: list[int], every: bool) -> list[int]:
-    """Maximum cliques as bitmasks, by branch and bound.
-
-    Candidates are added lowest vertex first, so cliques are met in
-    lexicographic order. A branch is pruned when |R| + |P| cannot reach the
-    best size so far, which keeps every maximum clique (every=True), or
-    cannot beat it (every=False): a much shorter search whose first result
-    is still the lexicographically smallest maximum clique.
-    """
-    best: list[int] = []
-    best_size, slack = 0, 0 if every else 1
-
-    def expand(r: int, size: int, p: int) -> None:
-        nonlocal best, best_size
-        if not p:
-            if size > best_size:
-                best, best_size = [r], size
-            elif size == best_size:
-                best.append(r)
-            return
-        while p and size + p.bit_count() >= best_size + slack:
-            bit = p & -p
-            expand(r | bit, size + 1, p & masks[bit.bit_length() - 1])
-            p ^= bit
-
-    expand(0, 0, (1 << len(masks)) - 1)
-    return best
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
-
-
-def _check_cap(g: Graph) -> None:
-    if g.n > CLIQUE_SEARCH_CAP:
-        raise ValueError(f"{CAPPED}, got {g.n}")
-
-
-def clique_number(g: Graph) -> tuple[int, list[tuple[int, ...]]]:
-    """Exact clique number together with every maximum clique, in
-    lexicographic order."""
-    _check_cap(g)
-    cliques = _maximum_cliques(_adjacency_masks(g), every=True)
-    return cliques[0].bit_count(), [_mask_to_tuple(c) for c in cliques]
-
-
-def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact independence number with the lexicographically smallest maximum
-    independent set: a maximum clique of the complement."""
-    _check_cap(g)
-    full = (1 << g.n) - 1
-    non_adjacent = [full & ~(m | 1 << v) for v, m in enumerate(_adjacency_masks(g))]
-    best = _maximum_cliques(non_adjacent, every=False)[0]
-    return best.bit_count(), _mask_to_tuple(best)
 
 
 # --- structural checks ------------------------------------------------------
@@ -173,9 +107,10 @@ def check_edge_deletion_monotonicity(
 
 class EvalContext:
     """Per-graph data the registry reads: the distance profile and its
-    scalars, cliques and independence number on first use (None above
-    CLIQUE_SEARCH_CAP vertices, where the exact search is not run), and the
-    spectra of D_alpha as solve_spectra() caches them.
+    scalars, cliques and independence number on first use (each None when
+    its search runs out of cliques.SEARCH_BUDGET nodes; search_nodes holds
+    the nodes of each search run), and the spectra of D_alpha as
+    solve_spectra() caches them.
 
     A disconnected graph raises DisconnectedGraphError from the one BFS
     pass of its distance profile.
@@ -186,6 +121,7 @@ class EvalContext:
         self.profile = p = distance_profile(graph)
         # alpha -> (descending eigenvalues, [top, bottom, |D|_F^2, trace])
         self._solved: dict[float, tuple[np.ndarray, list[float]]] = {}
+        self.search_nodes: dict[str, int] = {}
         self.bipartite = is_bipartite(graph) is not None
         self.n = p.n
         self.wiener = p.wiener
@@ -209,12 +145,23 @@ class EvalContext:
         return float(v[0] - v[-1])  # 0 for a single vertex
 
     @cached_property
+    def masks(self) -> list[int]:
+        """Adjacency bitmasks, shared by the clique and independence searches."""
+        return adjacency_masks(self.graph)
+
+    @cached_property
     def cliques(self) -> Optional[tuple[int, list[tuple[int, ...]]]]:
-        return clique_number(self.graph) if self.n <= CLIQUE_SEARCH_CAP else None
+        try:
+            return clique_number(self.graph, self.masks, self.search_nodes)
+        except SearchBudgetExceeded:
+            return None
 
     @cached_property
     def independence(self) -> Optional[int]:
-        return independence_number(self.graph)[0] if self.n <= CLIQUE_SEARCH_CAP else None
+        try:
+            return independence_number(self.graph, self.masks, self.search_nodes)[0]
+        except SearchBudgetExceeded:
+            return None
 
 
 def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> None:
@@ -255,9 +202,10 @@ def _order(k: int) -> tuple[Callable, str]:
     return lambda c: c.n >= k, f"requires n >= {k}"
 
 
-# omega and indep are NaN above the clique search cap, so this check comes
-# before the clique and independence checks, which read them
-_SEARCHED = (lambda c: ~np.isnan(c.omega), CAPPED)
+# omega and indep are NaN where their search ran out of budget, so these
+# checks come before the clique and independence checks, which read them
+_CLIQUES_SEARCHED = (lambda c: ~np.isnan(c.omega), CLIQUE_BUDGET_SPENT)
+_INDEPENDENCE_SEARCHED = (lambda c: ~np.isnan(c.indep), INDEPENDENCE_BUDGET_SPENT)
 _BIPARTITE = (lambda c: c.bipartite, "not bipartite")
 _CLIQUE = (lambda c: c.omega >= 2, "clique number < 2")
 _INDEPENDENT = (lambda c: c.indep >= 2, "independence number < 2")
@@ -272,7 +220,7 @@ class Entry:
     formula maps the block columns (see _columns) to (bound, actual), each
     broadcastable to (G, k). checks are the (mask, reason) conditions of the
     inequality in reporting order: order, then requirement, then alpha
-    domain, after the clique search cap where a requirement reads omega or
+    domain, after the search budget where a requirement reads omega or
     indep. Each mask maps the columns to where its condition is met; the
     entry applies where all are met, and otherwise reports the reason of
     the first that is not. claimed and exact map the columns to masks of
@@ -380,10 +328,10 @@ REGISTRY: tuple[Entry, ...] = (
           exact=lambda c: c.delta == c.n - 1),
     Entry("thm38_bipartite_lower", "lower", _thm38,
           checks=(_order(3), _BIPARTITE, _ZERO_OR_HALF), claimed=lambda c: c.a != 0.0),
-    Entry("thm41_clique_lower", "lower", _thm41, checks=(_SEARCHED, _order(3), _CLIQUE),
+    Entry("thm41_clique_lower", "lower", _thm41, checks=(_CLIQUES_SEARCHED, _order(3), _CLIQUE),
           exact=lambda c: c.omega == c.n),
     Entry("thm43_independence_lower", "lower", _thm43,
-          checks=(_SEARCHED, _order(3), _INDEPENDENT, _ZERO_OR_HALF),
+          checks=(_INDEPENDENCE_SEARCHED, _order(3), _INDEPENDENT, _ZERO_OR_HALF),
           claimed=lambda c: c.a != 0.0),
 )
 
@@ -447,7 +395,7 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleName
     c.delta = col(degrees)
     cand = _padded(list(cand))
     c.deg_k, c.deg_lin, c.deg_sq = (cand[:, None, :, i] for i in range(3))
-    # NaN where the clique search is capped: thm41 and thm43 do not apply
+    # NaN where a search ran out of budget: thm41 or thm43 does not apply
     c.omega = col([np.nan if ctx.cliques is None else ctx.cliques[0] for ctx in ctxs])
     # thm41 reads the transmission sum of each maximum clique
     c.clique_tr = _padded([_clique_sums(ctx) for ctx in ctxs])[:, None, :]

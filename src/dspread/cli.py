@@ -184,7 +184,7 @@ def _cmd_bounds(args) -> int:
     for g, ((desc, _), ctx) in enumerate(zip(inputs, ctxs)):
         for j, a in enumerate(alphas):
             base = _base_report(desc, ctx, a)
-            # null above the clique search cap
+            # null where the search ran out of its node budget
             base["clique_number"] = None if ctx.cliques is None else ctx.cliques[0]
             base["independence_number"] = ctx.independence
             base["bounds"] = ev.reports(g, j)

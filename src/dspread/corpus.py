@@ -19,6 +19,7 @@ from .bounds import BLOCK_GRAPHS, BOUND_IDS, DEFAULT_TOL, EQ_TOL
 from .bounds import EvalContext, evaluate, solve_spectra
 from .families import FamilySpec, generate
 from .graphs import DisconnectedGraphError, Graph, is_connected, parse_graph6
+from .jsonfmt import fmt_float
 
 ALPHA_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
@@ -78,7 +79,8 @@ def sweep(
             g, j = np.unravel_index(np.argmin(margin[i]), margin[i].shape)
             if bid not in worst_margin or margin[i, g, j] < worst_margin[bid]:
                 worst_margin[bid] = float(margin[i, g, j])
-                t["worst_gap"], t["worst_key"] = float(ev.gap[i, g, j]), f"{keys[g]}@{alphas[j]:g}"
+                t["worst_gap"] = float(ev.gap[i, g, j])
+                t["worst_key"] = f"{keys[g]}@{fmt_float(alphas[j])}"
         for i, g, j in zip(*np.nonzero(ev.violated)):
             violations.append({"graph6": keys[g], "bound_id": BOUND_IDS[i],
                                "alpha": alphas[j], "gap": float(ev.gap[i, g, j])})

@@ -14,17 +14,25 @@ import math
 from json.encoder import encode_basestring_ascii as _quote
 
 
+_NON_FINITE = "non-finite float in report"
+
+
 def fmt_float(x: float) -> str:
     """x as %.12g, the one float format of JSON and TSV output."""
     if not math.isfinite(x):
-        raise ValueError("non-finite float in report")
+        raise ValueError(_NON_FINITE)
     return format(x, ".12g")
 
+
+# fmt_float's format as one C call, for the many floats of a document; it
+# renders NaN and infinities as nan, inf and -inf, so its callers raise on
+# a text that ends in "n" or "f", which no finite float's does
+_FLOAT = "%.12g".__mod__
 
 # renderers of the leaf types by exact type; subclasses go through _leaf
 _LEAF = {
     str: _quote,
-    float: fmt_float,
+    float: _FLOAT,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
@@ -35,6 +43,8 @@ def json_text(obj) -> str:
     """Render dicts/lists/tuples/str/bool/None/int/float; dict order is preserved."""
     fn = _LEAF.get(type(obj))
     text = fn(obj) if fn is not None else _leaf(obj)
+    if fn is _FLOAT and text[-1] in "nf":
+        raise ValueError(_NON_FINITE)
     if text is not None:
         return text
     out: list[str] = []
@@ -79,6 +89,8 @@ def _write(obj, emit, nl: str, prefixes: dict) -> None:
                     memo[k] = prefix
             fn = _LEAF.get(type(v))
             text = fn(v) if fn is not None else _leaf(v)
+            if fn is _FLOAT and text[-1] in "nf":
+                raise ValueError(_NON_FINITE)
             if text is None:
                 emit(sep + prefix)
                 _write(v, emit, inner, prefixes)
@@ -94,6 +106,8 @@ def _write(obj, emit, nl: str, prefixes: dict) -> None:
         for v in obj:
             fn = _LEAF.get(type(v))
             text = fn(v) if fn is not None else _leaf(v)
+            if fn is _FLOAT and text[-1] in "nf":
+                raise ValueError(_NON_FINITE)
             if text is None:
                 emit(sep)
                 _write(v, emit, inner, prefixes)

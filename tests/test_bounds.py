@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dspread import cliques as cliques_mod
 from dspread.bounds import (
     BOUND_IDS,
-    CAPPED,
     CLAIMED,
     PROVEN,
     EvalContext,
@@ -20,12 +21,13 @@ from dspread.bounds import (
     evaluate_bound,
     independence_number,
 )
+from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT, SearchBudgetExceeded
 from dspread.eigen import sym_eigen
 from dspread.families import generate, parse_family
 from dspread.graphs import Graph, distance_profile, is_connected, parse_graph6
 from dspread.matrices import generalized_distance_matrix, quotient_eigenvalues
 
-from conftest import graph_from_mask
+from conftest import connected_graph_from_mask, graph_from_mask
 
 GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
@@ -48,12 +50,14 @@ def test_clique_split_graph(zoo):
     assert independence_number(zoo["CS25"])[0] == 3
 
 
-def test_clique_cap():
-    from dspread.graphs import Graph
-
+def test_clique_cap(monkeypatch):
+    # the search stops after SEARCH_BUDGET nodes, whatever the order
+    monkeypatch.setattr(cliques_mod, "SEARCH_BUDGET", 20)
     g = Graph.from_edges(45, [(i, i + 1) for i in range(44)])
-    with pytest.raises(ValueError, match="capped"):
-        clique_number(g)
+    nodes = {}
+    with pytest.raises(SearchBudgetExceeded, match=CLIQUE_BUDGET_SPENT):
+        clique_number(g, nodes=nodes)
+    assert nodes == {"clique": 20}
 
 
 def _brute_clique(g):
@@ -74,38 +78,87 @@ def _brute_independence(g):
     return best
 
 
+def _brute_maximum_cliques(g):
+    """Every maximum clique, in lexicographic order, by exhaustion."""
+    for size in range(g.n, 0, -1):
+        found = [sub for sub in combinations(range(g.n), size)
+                 if all(g.has_edge(u, v) for u, v in combinations(sub, 2))]
+        if found:
+            return found
+
+
 @given(n=st.integers(2, 7), mask=st.integers(0, 2**21 - 1))
 @settings(max_examples=60, deadline=None)
 def test_clique_against_exhaustive_oracle(n, mask):
     g = graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
     omega, maxima = clique_number(g)
     assert omega == _brute_clique(g)
-    for cl in maxima:
-        assert all(g.has_edge(u, v) for u, v in combinations(cl, 2))
+    assert maxima == _brute_maximum_cliques(g)
     assert independence_number(g)[0] == _brute_independence(g)
 
 
-def _brute_first_independent_set(g, size):
-    return next(
-        sub for sub in combinations(range(g.n), size)
-        if not any(g.has_edge(u, v) for u, v in combinations(sub, 2))
-    )
+def test_maximum_clique_list_above_the_small_candidate_switch():
+    # the complete 5-partite graph with parts of 3 has 3**5 maximum cliques,
+    # found by the colouring branch and returned in lexicographic order
+    g = Graph.from_edges(15, [(u, v) for u in range(15) for v in range(u + 1, 15)
+                              if u % 5 != v % 5])
+    assert g.n > cliques_mod.SMALL_CANDIDATES
+    omega, maxima = clique_number(g)
+    assert omega == 5
+    assert len(maxima) == 3 ** 5
+    assert maxima == _brute_maximum_cliques(g)
 
 
 @given(n=st.integers(1, 9), mask=st.integers(0, 2**36 - 1))
 @settings(max_examples=60, deadline=None)
-def test_independence_set_is_lexicographically_first(n, mask):
+def test_independence_set_is_a_maximum_independent_set(n, mask):
     g = graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
     t, chosen = independence_number(g)
     assert t == _brute_independence(g)
-    assert chosen == _brute_first_independent_set(g, t)
+    assert len(chosen) == len(set(chosen)) == t
+    assert not any(g.has_edge(u, v) for u, v in combinations(chosen, 2))
 
 
-def test_independence_cap():
-    from dspread.graphs import Graph
+def test_independence_cap(monkeypatch):
+    # the complement of 41 isolated vertices is K41: one 42-node descent
+    monkeypatch.setattr(cliques_mod, "SEARCH_BUDGET", 20)
+    nodes = {}
+    with pytest.raises(SearchBudgetExceeded, match=INDEPENDENCE_BUDGET_SPENT):
+        independence_number(Graph(n=41, edges=frozenset()), nodes=nodes)
+    assert nodes == {"independence": 20}
 
-    with pytest.raises(ValueError, match="capped"):
-        independence_number(Graph(n=41, edges=frozenset()))
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # a 300-clique, searched with 60 frames to spare above this test
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        omega, maxima = clique_number(generate(parse_family("complete:300")))
+        alpha = independence_number(generate(parse_family("star:300")))[0]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (omega, maxima, alpha) == (300, [tuple(range(300))], 299)
+
+
+@given(n=st.integers(2, 16), mask=st.integers(0, 2**120 - 1), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_searches_invariant_under_relabeling(n, mask, data):
+    g = connected_graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
+    if g is None:
+        return
+    perm = data.draw(st.permutations(range(n)))
+    h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
+
+    def invariants(graph):
+        omega, maxima = clique_number(graph)
+        tr = distance_profile(graph).tr.tolist()
+        return (omega, independence_number(graph)[0],
+                sorted(sum(tr[v] for v in cl) for cl in maxima))
+
+    assert invariants(g) == invariants(h)
 
 
 # --- single-bound examples ---
@@ -216,15 +269,19 @@ _SPECIAL = ("thm35_bipartite_lower", "thm38_bipartite_lower", "thm41_clique_lowe
     ("Bw", 0.3, [("halfrange_radius_upper", _HALF), ("thm35_bipartite_lower", "not bipartite"),
                  ("thm38_bipartite_lower", "not bipartite"),
                  ("thm43_independence_lower", "independence number < 2")]),
-    # n = 45: the clique search cap before the alpha domain (thm43)
+    # n = 45, both searches out of a 20-node budget: the search before the
+    # alpha domain (thm43)
     ("path:45", 0.3, [("halfrange_radius_upper", _HALF),
                       ("thm38_bipartite_lower", _ZERO_OR_HALF),
-                      ("thm41_clique_lower", CAPPED), ("thm43_independence_lower", CAPPED)]),
+                      ("thm41_clique_lower", CLIQUE_BUDGET_SPENT),
+                      ("thm43_independence_lower", INDEPENDENCE_BUDGET_SPENT)]),
     ("C~", 0.5, [("thm35_bipartite_lower", "not bipartite"),
                  ("thm38_bipartite_lower", "not bipartite"),
                  ("thm43_independence_lower", "independence number < 2")]),
 ])
-def test_reason_order(graph, alpha, expected):
+def test_reason_order(graph, alpha, expected, monkeypatch):
+    # every other case finishes both searches well inside 20 nodes
+    monkeypatch.setattr(cliques_mod, "SEARCH_BUDGET", 20)
     g = generate(parse_family(graph)) if ":" in graph else parse_graph6(graph)
     reports = evaluate_all(g, alpha)
     assert [(r["bound_id"], r["reason"]) for r in reports if not r["applicable"]] == expected
@@ -235,8 +292,10 @@ def test_one_report_per_entry(zoo):
     assert [r["bound_id"] for r in reports] == list(BOUND_IDS)
 
 
-def test_reports_hold_plain_python_values(zoo):
-    # the JSON writer's fast path dispatches on exact bool/float/str/None
+def test_reports_hold_plain_python_values(zoo, monkeypatch):
+    # the JSON writer's fast path dispatches on exact bool/float/str/None;
+    # both searches on the 45-path run out of a 20-node budget
+    monkeypatch.setattr(cliques_mod, "SEARCH_BUDGET", 20)
     path45 = Graph.from_edges(45, [(i, i + 1) for i in range(44)])
     ev = evaluate([EvalContext(path45), EvalContext(zoo["K13"])], [0.1])
     kinds = set()
@@ -244,9 +303,10 @@ def test_reports_hold_plain_python_values(zoo):
         for r in ev.reports(g, 0):
             for name, value in r.items():
                 assert type(value) in (bool, float, str, type(None)), (r["bound_id"], name)
-            kinds.add("capped" if r["reason"] == CAPPED else
+            budget = r["reason"] in (CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT)
+            kinds.add("budget" if budget else
                       r["status"] if r["applicable"] else "inapplicable")
-    assert kinds == {"capped", "inapplicable", PROVEN, CLAIMED}
+    assert kinds == {"budget", "inapplicable", PROVEN, CLAIMED}
 
 
 def test_entry_and_discrepancy_key_order(zoo):

@@ -6,7 +6,9 @@ import warnings
 
 import pytest
 
+from dspread import cliques as cliques_mod
 from dspread.bounds import EvalContext, evaluate, evaluate_all
+from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT
 from dspread.cli import main
 from dspread.eigen import sym_eigen
 from dspread.families import generate, parse_family
@@ -158,21 +160,69 @@ def test_bounds_tsv(capsys):
     assert code == 0
 
 
-def test_clique_cap_degrades_to_inapplicable_entries(capsys):
-    # above 40 vertices only the two entries that need the exact clique
-    # search drop out; the other 15 are still evaluated
+def test_clique_cap_degrades_to_inapplicable_entries(capsys, monkeypatch):
+    # when both searches run out of budget only the two entries that need
+    # them drop out; the other 15 are still evaluated
+    monkeypatch.setattr(cliques_mod, "SEARCH_BUDGET", 20)
     code, out, err = run_cli(capsys, "bounds", "path:45", "--alpha", "0.5")
     assert code == 0 and err == ""
     (report,) = json.loads(out)["reports"]
     assert report["clique_number"] is None and report["independence_number"] is None
     skipped = {b["bound_id"]: b["reason"] for b in report["bounds"] if not b["applicable"]}
-    assert skipped == dict.fromkeys(("thm41_clique_lower", "thm43_independence_lower"),
-                                    "exact clique search capped at 40 vertices")
+    assert skipped == {"thm41_clique_lower": CLIQUE_BUDGET_SPENT,
+                       "thm43_independence_lower": INDEPENDENCE_BUDGET_SPENT}
     code, out, _ = run_cli(capsys, "sweep", "--seed-random", "45,2,0.2")
     doc = json.loads(out)
     assert code == 0 and doc["graphs_seen"] == 2
     assert doc["bounds"]["thm25_lower"]["applicable"] == 2 * 7
     assert not {"thm41_clique_lower", "thm43_independence_lower"} & doc["bounds"].keys()
+
+
+@pytest.mark.parametrize("graph, budget, field, bound_id, reason", [
+    # kbip:6,6 takes 48 clique nodes and 12 independence nodes
+    ("kbip:6,6", 30, "clique_number", "thm41_clique_lower", CLIQUE_BUDGET_SPENT),
+    # path:12 takes 23 clique nodes and 64 independence nodes
+    ("path:12", 40, "independence_number", "thm43_independence_lower",
+     INDEPENDENCE_BUDGET_SPENT),
+])
+def test_one_search_out_of_budget(capsys, monkeypatch, graph, budget, field, bound_id, reason):
+    _, out, _ = run_cli(capsys, "bounds", graph, "--alpha", "0.5")
+    (full,) = json.loads(out)["reports"]
+    assert all(b["applicable"] for b in full["bounds"]
+               if b["bound_id"] != "halfrange_radius_upper")
+    monkeypatch.setattr(cliques_mod, "SEARCH_BUDGET", budget)
+    code, out, err = run_cli(capsys, "bounds", graph, "--alpha", "0.5")
+    assert code == 0 and err == ""
+    (report,) = json.loads(out)["reports"]
+    assert report[field] is None
+    other = ({"clique_number", "independence_number"} - {field}).pop()
+    assert report[other] == full[other] is not None
+    entry = next(b for b in report["bounds"] if b["bound_id"] == bound_id)
+    assert not entry["applicable"] and entry["reason"] == reason
+    assert ([b for b in report["bounds"] if b["bound_id"] != bound_id]
+            == [b for b in full["bounds"] if b["bound_id"] != bound_id])
+
+
+@pytest.mark.parametrize("spec", ["path:70", "cycle:200"])
+def test_large_sparse_graphs_are_searched(capsys, spec):
+    # no order limit: a long path or cycle finishes both searches in a few
+    # hundred nodes
+    code, out, _ = run_cli(capsys, "bounds", spec, "--alpha", "0.5")
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    n = report["n"]
+    assert (report["clique_number"], report["independence_number"]) == (2, n // 2)
+    by_id = {b["bound_id"]: b for b in report["bounds"]}
+    for bid in ("thm41_clique_lower", "thm43_independence_lower"):
+        assert by_id[bid]["applicable"] and by_id[bid]["holds"], bid
+
+
+def test_sweep_worst_key_keeps_twelve_digits_of_alpha(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--seed-random", "6,3,0.5",
+                           "--alphas", "0.1234567,0.1234568")
+    assert code == 0
+    keys = {t["worst_key"].rpartition("@")[2] for t in json.loads(out)["bounds"].values()}
+    assert keys <= {"0.1234567", "0.1234568"} and keys
 
 
 def test_long_form_graph6_reports(capsys):

@@ -16,7 +16,7 @@ from dspread.corpus import (
 )
 from dspread.families import FamilySpec, generate
 from dspread.graphs import Graph, encode_graph6, is_connected, parse_graph6
-from dspread.jsonfmt import json_text
+from dspread.jsonfmt import fmt_float, json_text
 
 from conftest import graph_from_mask
 
@@ -188,7 +188,7 @@ def _tally_from_reports(graphs, alphas):
                 margin = r["gap"] if r["direction"] == "lower" else -r["gap"]
                 if r["bound_id"] not in worst or margin < worst[r["bound_id"]]:
                     worst[r["bound_id"]] = margin
-                    t["worst_gap"], t["worst_key"] = r["gap"], f"{key}@{alpha:g}"
+                    t["worst_gap"], t["worst_key"] = r["gap"], f"{key}@{fmt_float(alpha)}"
                 entry = {"graph6": key, "bound_id": r["bound_id"], "alpha": alpha}
                 if r["status"] == PROVEN and not r["holds"]:
                     doc["violations"].append({**entry, "gap": r["gap"]})

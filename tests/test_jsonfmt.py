@@ -55,6 +55,26 @@ def test_non_finite_raises(bad):
             oracle_text(doc)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(np.inf)])
+@pytest.mark.parametrize("depth", range(6))
+def test_non_finite_raises_at_every_depth(bad, depth):
+    # alternately a dict member and a list member, after finite siblings
+    # and strings that spell the non-finite texts
+    doc = bad
+    for level in range(depth):
+        doc = ({"nan": "inf", "a": -2.5, "b": doc} if level % 2 else
+               ["-inf", 1e300, (0.5, doc)])
+    with pytest.raises(ValueError, match="non-finite float"):
+        json_text(doc)
+    with pytest.raises(ValueError, match="non-finite float"):
+        oracle_text(doc)
+
+
+def test_strings_that_spell_non_finite_floats_render():
+    doc = {"nan": ["inf", "-inf", "nan"], "inf": "x nan", "f": "n", "": [""]}
+    assert json_text(doc) == oracle_text(doc)
+
+
 @pytest.mark.parametrize("bad", [{1, 2}, b"bytes", object(), np.int64(3), np.bool_(True)])
 def test_unsupported_type_raises(bad):
     for doc in (bad, [bad], {"x": bad}):
