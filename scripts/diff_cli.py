@@ -29,7 +29,8 @@ COCKTAIL_PARTY_40 = ("g]~v~z~~v~~}~~~~^~~~}~~~~~v~~~~~z~~~~~~v~~~~~~}~~~~~~~~^~~
 
 # {n6}: the packaged n = 6 bipartite corpus; {late}: a corpus file whose last
 # graph is disconnected; {missing}: a path that does not exist; {cocktail}:
-# a corpus file holding COCKTAIL_PARTY_40
+# a corpus file holding COCKTAIL_PARTY_40; {colon}: a corpus file whose name
+# holds ":", so it also reads as a (bad) family spec
 COMMANDS = [
     "analyze Bg",
     "analyze kbip:2,3",
@@ -43,6 +44,9 @@ COMMANDS = [
     "analyze complete:62 --alpha 0.25",
     "analyze kbip:2,3 --alpha 0.5 --alpha-grid 0,1",
     "analyze complete:300 --alpha 0",
+    "analyze star:6 --alpha 0.5",
+    "analyze split:3,7 --format tsv",
+    "analyze {colon}",
     "bounds path:20",
     "bounds kbip:1,3 --alpha 0.1",
     "bounds complete:4 --alpha 0.5",
@@ -65,6 +69,9 @@ COMMANDS = [
     "analyze Bg --alpha -0",
     "bounds cycle:200 --alpha 0.5",
     "bounds {cocktail} --alpha 0.5",
+    "bounds kbip:3,5",
+    "bounds path:30 --alpha 0.5",
+    "bounds {colon} --alpha 0.5",
     "sweep --seed-random 6,3,0.5 --alphas 0.1234567,0.1234568",
     "sweep --seed-random 10,200,0.5 --seed 1",
     "sweep --corpus {n6} --alphas 0,0.5,1",
@@ -76,6 +83,7 @@ COMMANDS = [
     "sweep --seed-random 70,2,0.3",
     "sweep --seed-random 62,3,0.1",
     "sweep --corpus {n6} --alphas=-0,0.5",
+    "sweep --seed-random 10,300,0.2",
     "conjecture --n 4 --alpha 0",
     "conjecture --n 5 --alpha 0.5",
     "conjecture --n 6 --alpha 0.5",
@@ -104,8 +112,11 @@ def main(parent: str, change: str) -> int:
         late.write_text("Bg\nBw\nC~\nA?\n", encoding="ascii")
         cocktail = Path(tmp) / "cocktail_party_40.g6"
         cocktail.write_text(COCKTAIL_PARTY_40 + "\n", encoding="ascii")
+        colon = Path(tmp) / "graphs:v2.g6"
+        colon.write_text("Bg\nBw\nC~\n", encoding="ascii")
         files = {"n6": trees[0] / "dspread" / "data" / "bipartite_connected_n6.g6",
-                 "late": late, "missing": Path(tmp) / "missing.g6", "cocktail": cocktail}
+                 "late": late, "missing": Path(tmp) / "missing.g6", "cocktail": cocktail,
+                 "colon": colon}
         for command in COMMANDS:
             argv = command.format(**files).split()
             (code_a, out_a), (code_b, out_b) = (run(tree, argv) for tree in trees)

@@ -106,11 +106,11 @@ def check_edge_deletion_monotonicity(
 
 
 class EvalContext:
-    """Per-graph data the registry reads: the distance profile and its
-    scalars, cliques and independence number on first use (each None when
-    its search runs out of cliques.SEARCH_BUDGET nodes; search_nodes holds
-    the nodes of each search run), and the spectra of D_alpha as
-    solve_spectra() caches them.
+    """Per-graph data the registry reads: the distance profile, and on first
+    use bipartiteness, cliques and independence number (each None when its
+    search runs out of cliques.SEARCH_BUDGET nodes; search_nodes holds the
+    nodes of each search run) and the spectra of D_alpha as solve_spectra()
+    caches them.
 
     A disconnected graph raises DisconnectedGraphError from the one BFS
     pass of its distance profile.
@@ -118,17 +118,14 @@ class EvalContext:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.profile = p = distance_profile(graph)
+        self.profile = distance_profile(graph)
         # alpha -> (descending eigenvalues, [top, bottom, |D|_F^2, trace])
         self._solved: dict[float, tuple[np.ndarray, list[float]]] = {}
         self.search_nodes: dict[str, int] = {}
-        self.bipartite = is_bipartite(graph) is not None
-        self.n = p.n
-        self.wiener = p.wiener
-        self.tr_min = float(p.tr.min())
-        self.tr_max = float(p.tr.max())
-        self.sum_d2_pairs = float((p.dist.astype(float) ** 2).sum()) / 2.0
-        self.sum_tr_sq = float((p.tr.astype(float) ** 2).sum())
+
+    @cached_property
+    def bipartite(self) -> bool:
+        return is_bipartite(self.graph) is not None
 
     @cached_property
     def graph6(self) -> str:
@@ -176,7 +173,7 @@ def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> None:
     for ctx in ctxs:
         todo = tuple(a for a in dict.fromkeys(alphas) if a not in ctx._solved)
         if todo:
-            groups.setdefault((ctx.n, todo), []).append(ctx)
+            groups.setdefault((ctx.graph.n, todo), []).append(ctx)
     for (n, todo), group in groups.items():
         for start in range(0, len(group), BLOCK_GRAPHS):
             chunk = group[start:start + BLOCK_GRAPHS]
@@ -224,15 +221,22 @@ class Entry:
     indep. Each mask maps the columns to where its condition is met; the
     entry applies where all are met, and otherwise reports the reason of
     the first that is not. claimed and exact map the columns to masks of
-    values that are only claimed, and of exact-value claims.
+    values that are only claimed, and of exact-value claims (none by default).
     """
 
     id: str
     direction: str  # "lower" | "upper"
     formula: Callable
     checks: tuple[tuple[Callable, str], ...] = (_order(2),)
-    claimed: Optional[Callable] = None
-    exact: Optional[Callable] = None
+    claimed: Callable = lambda c: False
+    exact: Callable = lambda c: False
+
+
+def _best_quotient_spread(ai, bi, m1, m2, where):
+    """The largest spread sqrt(ai^2 - 4 bi m1 m2) / (m1 m2), and at least 0, of a 2x2
+    quotient with parts of m1 and m2 vertices over the last-axis candidates `where` marks."""
+    root = _sqrt(ai * ai - 4.0 * bi * m1 * m2) / (m1 * m2)
+    return np.max(root, axis=-1, initial=0.0, where=where)
 
 
 def _thm35(c):
@@ -240,12 +244,17 @@ def _thm35(c):
     n, a = c.n, c.a
     star = np.where(a == 0.0, n + _sqrt(n * n - 3.0 * n + 3.0), _sqrt(
         c.a_minus_2_sq * (n * n - 2.0 * n + 2.0) + 2.0 * (n - 1.0) * (a * a - 2.0)))
-    # otherwise the best max-degree quotient, candidate vertices on a last axis
+    # otherwise the best quotient of a maximum-degree vertex with its
+    # neighbours against the rest, vertices on a last axis
     n, w, delta, a = (x[..., None] for x in (c.n, c.wiener, c.delta, c.a))
-    m1, m2 = delta + 1.0, n - delta - 1.0
-    ai = a * n * c.deg_k + 2.0 * n * delta * delta + c.deg_lin
-    bi = 2.0 * a * w * c.deg_k + 4.0 * w * delta * delta - c.deg_sq
-    best = np.maximum(0.0, (_sqrt(ai * ai - 4.0 * bi * m1 * m2) / (m1 * m2)).max(axis=-1))
+    s = c.avg_dist_deg * delta + c.tr
+    k = s - 2.0 * delta * delta
+    lin = (delta + 1.0) * (2.0 * w - 2.0 * c.avg_dist_deg * delta - 2.0 * c.tr)
+    ai = a * n * k + 2.0 * n * delta * delta + lin
+    # float_power squares with libm pow, as Python's ** does; s * s may
+    # round differently in the last bit
+    bi = 2.0 * a * w * k + 4.0 * w * delta * delta - np.float_power(s, 2.0)
+    best = _best_quotient_spread(ai, bi, delta + 1.0, n - delta - 1.0, c.degree == delta)
     return np.where(c.delta == c.n - 1, star, best), c.spread
 
 
@@ -268,8 +277,7 @@ def _thm41(c):
     # the quotient-spread cross-check in the tests pins it
     ai = si * (a * n - 2.0 * omega) + omega * (2.0 * w + (1.0 - a) * n * (omega - 1.0))
     bi = 2.0 * w * omega * (omega - 1.0) - si * si + 2.0 * w * a * (si - omega * (omega - 1.0))
-    root = _sqrt(ai * ai - 4.0 * bi * omega * (n - omega)) / (omega * (n - omega))
-    best = np.maximum(0.0, root.max(axis=-1))
+    best = _best_quotient_spread(ai, bi, omega, n - omega, ~np.isnan(si))
     return np.where(c.omega == c.n, (1.0 - c.a) * c.n, best), c.spread
 
 
@@ -339,43 +347,26 @@ BOUND_IDS = tuple(e.id for e in REGISTRY)
 _UPPER = np.array([e.direction == "upper" for e in REGISTRY])[:, None, None]
 
 
-def _padded(rows: list[list]) -> np.ndarray:
-    """Ragged per-graph candidate rows as one (G, width, ...) array; a short
-    row repeats its first candidate, which leaves every maximum unchanged."""
-    width = max(len(r) for r in rows)
-    return np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=float)
-
-
-def _degree_columns(ctx: EvalContext) -> tuple[int, list[tuple[float, float, float]]]:
-    """The maximum degree delta and, for thm35, the alpha-free terms of the
-    quotient at each vertex of degree delta: k, (delta+1)*(2W - 2*avg*delta
-    - 2*tr) and (avg*delta + tr)**2, where avg is the vertex's mean
-    neighbor transmission."""
-    degrees = [len(nbrs) for nbrs in ctx.graph.adjacency]
-    delta = max(degrees)
-    if ctx.n < 3 or not ctx.bipartite:
-        return delta, [(0.0, 0.0, 0.0)]  # thm35 does not apply
-    avgs, trs, w = ctx.profile.avg_dist_deg.tolist(), ctx.profile.tr.tolist(), ctx.wiener
-    out = set()
-    for deg, avg, trv in zip(degrees, avgs, trs):
-        if deg == delta:
-            trv = float(trv)
-            k = avg * delta + trv - 2.0 * delta * delta
-            lin = (delta + 1.0) * (2.0 * w - 2.0 * avg * delta - 2.0 * trv)
-            out.add((k, lin, (avg * delta + trv) ** 2))
-    return delta, sorted(out)
+def _padded(rows: list) -> np.ndarray:
+    """Ragged per-graph rows as one (G, 1, width) array, NaN past the end
+    of each row."""
+    lengths = np.array([len(r) for r in rows])
+    out = np.full((len(rows), lengths.max()), np.nan)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.concatenate(rows)
+    return out[:, None, :]
 
 
 def _clique_sums(ctx: EvalContext) -> list[float]:
     if ctx.cliques is None:
         return [np.nan]  # thm41 does not apply
     tr = ctx.profile.tr.tolist()
-    return sorted({float(sum(tr[v] for v in cl)) for cl in ctx.cliques[1]})
+    return list({float(sum(tr[v] for v in cl)) for cl in ctx.cliques[1]})
 
 
 def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleNamespace:
     """What the formulas read: the alpha row (1, k), per-graph columns
-    (G, 1), spectral arrays (G, k) and candidate arrays (G, 1, width)."""
+    (G, 1), spectral arrays (G, k), and per-vertex and per-clique arrays
+    (G, 1, width), NaN-padded."""
 
     def col(xs):
         return np.array(xs, dtype=float)[:, None]
@@ -385,20 +376,20 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleName
     # scalar formulas to the last bit
     c.a_minus_2_sq = np.array([(a - 2.0) ** 2 for a in alphas])[None, :]
     one_minus_a_sq = np.array([(1.0 - a) ** 2 for a in alphas])[None, :]
-    c.n = col([ctx.n for ctx in ctxs])
+    c.n = col([ctx.graph.n for ctx in ctxs])
     c.bipartite = np.array([ctx.bipartite for ctx in ctxs])[:, None]
-    c.wiener = col([ctx.wiener for ctx in ctxs])
-    c.tr_min = col([ctx.tr_min for ctx in ctxs])
-    c.tr_max = col([ctx.tr_max for ctx in ctxs])
+    c.wiener = col([ctx.profile.wiener for ctx in ctxs])
+    # per-vertex columns: degree, mean neighbour transmission, transmission
+    c.degree = _padded([[len(nbrs) for nbrs in ctx.graph.adjacency] for ctx in ctxs])
+    c.avg_dist_deg = _padded([ctx.profile.avg_dist_deg for ctx in ctxs])
+    c.tr = _padded([ctx.profile.tr for ctx in ctxs])
+    c.delta = np.nanmax(c.degree, axis=-1)
+    c.tr_min, c.tr_max = np.nanmin(c.tr, axis=-1), np.nanmax(c.tr, axis=-1)
     c.tr_range = c.tr_max - c.tr_min
-    degrees, cand = zip(*map(_degree_columns, ctxs))
-    c.delta = col(degrees)
-    cand = _padded(list(cand))
-    c.deg_k, c.deg_lin, c.deg_sq = (cand[:, None, :, i] for i in range(3))
     # NaN where a search ran out of budget: thm41 or thm43 does not apply
     c.omega = col([np.nan if ctx.cliques is None else ctx.cliques[0] for ctx in ctxs])
     # thm41 reads the transmission sum of each maximum clique
-    c.clique_tr = _padded([_clique_sums(ctx) for ctx in ctxs])[:, None, :]
+    c.clique_tr = _padded([_clique_sums(ctx) for ctx in ctxs])
     c.indep = col([np.nan if ctx.independence is None else ctx.independence for ctx in ctxs])
     stats = np.array([[ctx._solved[a][1] for a in alphas] for ctx in ctxs])
     stats = stats.reshape(len(ctxs), len(alphas), 4)
@@ -407,9 +398,9 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleName
     zero = np.array([ctx._solved[0.0][1] for ctx in ctxs])
     c.top0, c.bottom0 = col(zero[:, 0]), col(zero[:, 1])
     c.spread0 = c.top0 - c.bottom0
-    # sum of squared eigenvalues: 2(1-a)^2 sum_{i<j} d^2 + a^2 sum Tr^2
-    c.power_sum = (2.0 * one_minus_a_sq * col([ctx.sum_d2_pairs for ctx in ctxs])
-                   + c.a * c.a * col([ctx.sum_tr_sq for ctx in ctxs]))
+    # sum of squared eigenvalues: (1-a)^2 sum_{i,j} d^2 + a^2 sum Tr^2
+    c.power_sum = (one_minus_a_sq * col([(ctx.profile.dist ** 2).sum() for ctx in ctxs])
+                   + c.a * c.a * np.nansum(c.tr * c.tr, axis=-1))
     return c
 
 
@@ -477,9 +468,6 @@ def evaluate(
     which thm24 and ineq24/25 read at every alpha, join the same batch when
     0 is not among the alphas.
     """
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {a}")
     shape = (len(REGISTRY), len(ctxs), len(alphas))
     bound, actual = np.zeros(shape), np.zeros(shape)
     applicable, claimed, exact = (np.zeros(shape, dtype=bool) for _ in range(3))
@@ -501,10 +489,7 @@ def evaluate(
                 ok = ok & mask(c)
                 met = met + ok
             applicable[i], failed[i] = ok, met
-            if e.claimed is not None:
-                claimed[i] = e.claimed(c)
-            if e.exact is not None:
-                exact[i] = e.exact(c)
+            claimed[i], exact[i] = e.claimed(c), e.exact(c)
         gap = actual - bound
         cushion = np.maximum(tol, tol * np.abs(bound))
         holds = applicable & np.where(_UPPER, gap <= cushion, gap >= -cushion)

@@ -8,8 +8,8 @@ build may move the last digits and noise-level gaps.
 Exit codes: 0 success, 2 input error (unparseable graph, bad family spec,
 unreadable corpus, NaN/infinite/negative tolerance, bad --seed-random
 values, --alpha with --alpha-grid), 3 precondition failure
-(disconnected graph, alpha out of range), 4 at least one applicable proven
-bound violated.
+(disconnected graph, alpha out of range, no connected --seed-random
+sample), 4 at least one applicable proven bound violated.
 """
 
 from __future__ import annotations
@@ -95,17 +95,18 @@ def _load_corpus(path) -> list[Graph]:
 
 
 def _resolve_inputs(text: str) -> list[tuple[Optional[str], Graph]]:
-    """An input is a family spec ("kbip:2,3"), a corpus file path, or a
-    graph6 string; files yield one graph per non-comment line, described
-    (desc None) by its graph6 string."""
+    """An input is a corpus file path, a family spec ("kbip:2,3") or a
+    graph6 string, tried in that order; graph6 never holds ":". Files yield
+    one graph per non-comment line, described (desc None) by its graph6
+    string."""
+    if os.path.exists(text):
+        return [(None, g) for g in _load_corpus(text)]
     if ":" in text:
         try:
             spec = parse_family(text)
         except ValueError as exc:
             raise _InputError(str(exc)) from None
         return [(text, generate(spec))]
-    if os.path.exists(text):
-        return [(None, g) for g in _load_corpus(text)]
     try:
         return [(text, parse_graph6(text))]
     except GraphParseError as exc:
@@ -123,7 +124,7 @@ def _base_report(desc: Optional[str], ctx: bounds_mod.EvalContext, alpha: float)
     return {
         "input": desc or ctx.graph6,
         "graph6": ctx.graph6,
-        "n": ctx.n,
+        "n": ctx.graph.n,
         "alpha": float(alpha),
         "wiener": profile.wiener,
         "diameter": profile.diameter,

@@ -16,14 +16,22 @@ import numpy as np
 from .graphs import Graph
 
 
-# kind -> (arity, parameter range check, message when the check fails)
+# kind -> (arity, parameter range check, message when the check fails,
+# builder of the (order, edges) of the graph)
 _FAMILIES = {
-    "complete": (1, lambda n: n >= 1, "complete graph needs n >= 1"),
-    "kbip": (2, lambda r, s: r >= 1 and s >= 1, "complete bipartite graph needs r, s >= 1"),
-    "split": (2, lambda t, n: 1 <= t <= n - 1, "complete split graph needs 1 <= t <= n-1"),
-    "path": (1, lambda n: n >= 1, "path needs n >= 1"),
-    "cycle": (1, lambda n: n >= 3, "cycle needs n >= 3"),
-    "star": (1, lambda n: n >= 2, "star needs n >= 2"),
+    "complete": (1, lambda n: n >= 1, "complete graph needs n >= 1",
+                 lambda n: (n, [(u, v) for u in range(n) for v in range(u + 1, n)])),
+    "kbip": (2, lambda r, s: r >= 1 and s >= 1, "complete bipartite graph needs r, s >= 1",
+             lambda r, s: (r + s, [(u, r + v) for u in range(r) for v in range(s)])),
+    "split": (2, lambda t, n: 1 <= t <= n - 1, "complete split graph needs 1 <= t <= n-1",
+              # a clique on 0..t-1, joined to every later vertex
+              lambda t, n: (n, [(u, v) for u in range(t) for v in range(u + 1, n)])),
+    "path": (1, lambda n: n >= 1, "path needs n >= 1",
+             lambda n: (n, [(i, i + 1) for i in range(n - 1)])),
+    "cycle": (1, lambda n: n >= 3, "cycle needs n >= 3",
+              lambda n: (n, [(i, (i + 1) % n) for i in range(n)])),
+    "star": (1, lambda n: n >= 2, "star needs n >= 2",
+             lambda n: (n, [(0, v) for v in range(1, n)])),
 }
 
 
@@ -41,7 +49,7 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in _FAMILIES:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        arity, in_range, need = _FAMILIES[self.kind]
+        arity, in_range, need, _ = _FAMILIES[self.kind]
         if len(self.params) != arity:
             raise ValueError(
                 f"family {self.kind!r} takes {arity} parameter(s), got {len(self.params)}"
@@ -65,26 +73,7 @@ def parse_family(text: str) -> FamilySpec:
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the named graph with canonical vertex labeling."""
-    kind, p = spec.kind, spec.params
-    if kind == "complete":
-        (n,) = p
-        return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    if kind == "kbip":
-        r, s = p
-        return Graph.from_edges(r + s, [(u, r + v) for u in range(r) for v in range(s)])
-    if kind == "star":
-        (n,) = p
-        return generate(FamilySpec("kbip", (1, n - 1)))
-    if kind == "split":
-        t, n = p
-        edges = [(u, v) for u in range(t) for v in range(u + 1, t)]
-        edges += [(u, v) for u in range(t) for v in range(t, n)]
-        return Graph.from_edges(n, edges)
-    if kind == "path":
-        (n,) = p
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    (n,) = p  # a cycle, the one kind left
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph.from_edges(*_FAMILIES[spec.kind][3](*spec.params))
 
 
 @dataclass

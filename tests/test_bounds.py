@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dspread import cliques as cliques_mod
@@ -440,26 +440,49 @@ def test_thm41_matches_explicit_quotient(zoo):
             assert r["bound"] == pytest.approx(best, abs=1e-9)
 
 
+def _explicit_thm35(g, alpha):
+    """The best quotient spread of a maximum-degree vertex with its
+    neighbours against the rest, from the matrix itself."""
+    m = generalized_distance_matrix(distance_profile(g), alpha)
+    degs = [len(nbrs) for nbrs in g.adjacency]
+    best = 0.0
+    for v in [v for v in range(g.n) if degs[v] == max(degs)]:
+        blk = [v, *g.adjacency[v]]
+        q = quotient_eigenvalues(m, [blk, [w for w in range(g.n) if w not in blk]])
+        best = max(best, q[0] - q[-1])
+    return best
+
+
 def test_thm35_matches_explicit_quotient(zoo):
     for name in ("K23", "C6", "P5", "P4"):
         g = zoo[name]
-        p = distance_profile(g)
-        degs = [len(nbrs) for nbrs in g.adjacency]
-        delta = max(degs)
-        if delta > g.n - 2:
+        if max(len(nbrs) for nbrs in g.adjacency) > g.n - 2:
             continue
         for alpha in (0.0, 0.4, 0.75, 1.0):
-            m = generalized_distance_matrix(p, alpha)
-            best = 0.0
-            for v in range(g.n):
-                if degs[v] != delta:
-                    continue
-                blk = [v] + list(g.adjacency[v])
-                rest = [w for w in range(g.n) if w not in blk]
-                q = quotient_eigenvalues(m, [blk, rest])
-                best = max(best, q[0] - q[-1])
             r = evaluate_bound("thm35_bipartite_lower", g, alpha)
-            assert r["bound"] == pytest.approx(best, abs=1e-9)
+            assert r["bound"] == pytest.approx(_explicit_thm35(g, alpha), abs=1e-9)
+
+
+@given(st.lists(st.tuples(st.integers(2, 7), st.integers(0, 2**49 - 1)), min_size=2, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_thm35_matches_explicit_quotient_in_mixed_blocks(shapes):
+    # bipartite graphs of several orders in one block. Each has parts
+    # 0..r-1 and r..2r-1 joined by a zigzag path and edges drawn in mirror
+    # pairs, so swapping the parts is an automorphism: connected, at least
+    # two vertices of each degree, and none adjacent to all others
+    block = []
+    for r, mask in shapes:
+        pairs = [(i, j) for i in range(r) for j in range(i, r)
+                 if j - i <= 1 or (mask >> (i * 7 + j)) & 1]
+        block.append(Graph.from_edges(2 * r, [e for i, j in pairs for e in ((i, r + j), (j, r + i))]))
+    assume(len({g.n for g in block}) >= 2)
+    alphas = (0.0, 0.4, 0.75, 1.0)
+    ev = evaluate([EvalContext(g) for g in block], alphas)
+    i = BOUND_IDS.index("thm35_bipartite_lower")
+    for k, g in enumerate(block):
+        for j, alpha in enumerate(alphas):
+            assert ev.applicable[i, k, j]
+            assert ev.bound[i, k, j] == pytest.approx(_explicit_thm35(g, alpha), abs=1e-9)
 
 
 # --- claimed branches: pinned counterexamples ---

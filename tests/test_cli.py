@@ -12,7 +12,7 @@ from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT
 from dspread.cli import main
 from dspread.eigen import sym_eigen
 from dspread.families import generate, parse_family
-from dspread.graphs import bfs_distances, distance_profile
+from dspread.graphs import bfs_distances, distance_profile, is_bipartite
 from dspread.jsonfmt import json_text
 
 
@@ -372,24 +372,43 @@ def test_one_profile_and_one_eigensolve_per_pair(capsys, monkeypatch, tmp_path):
 
 def test_one_bfs_pass_per_graph(capsys, monkeypatch, tmp_path):
     # each graph gets one distance profile, which runs one BFS (from vertex
-    # 0) and then, for these small graphs, matrix products
+    # 0) and then, for these small graphs, matrix products; only the
+    # registry reads bipartiteness, once per graph
     profiles = _count_calls(monkeypatch, distance_profile)
     bfs = _count_calls(monkeypatch, bfs_distances)
+    bipartite = _count_calls(monkeypatch, is_bipartite)
     corpus = tmp_path / "three.g6"
     corpus.write_text("Bg\nBw\nC~\n", encoding="ascii")
-    for argv, graphs in ((("analyze", "Bg"), 1), (("bounds", "Bg"), 1),
-                         (("sweep", "--corpus", str(corpus)), 3)):
+    for argv, graphs, checks in ((("analyze", "Bg"), 1, 0), (("analyze", str(corpus)), 3, 0),
+                                 (("bounds", "Bg"), 1, 1), (("bounds", str(corpus)), 3, 3),
+                                 (("sweep", "--corpus", str(corpus)), 3, 3)):
         profiles.clear()
         bfs.clear()
+        bipartite.clear()
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         assert len(profiles) == graphs and [args[1] for args in bfs] == [0] * graphs, argv
+        assert len(bipartite) == checks, argv
     # a disconnected graph costs one BFS and still counts as skipped
     corpus.write_text("A?\n", encoding="ascii")
     bfs.clear()
     code, out, _ = run_cli(capsys, "sweep", "--corpus", str(corpus))
     assert code == 0 and len(bfs) == 1
     assert json.loads(out)["skipped_disconnected"] == 1
+
+
+def test_existing_file_wins_over_family_spec(capsys, monkeypatch, tmp_path):
+    # graph6 never holds ":", so a name with one is a file or a family spec
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graphs:v2.g6").write_text("Bg\nBw\n", encoding="ascii")
+    (tmp_path / "kbip:2,3").write_text("Bg\n", encoding="ascii")
+    for cmd in ("analyze", "bounds"):
+        for name, graphs in (("graphs:v2.g6", ["Bg", "Bw"]), ("kbip:2,3", ["Bg"]),
+                             (str(tmp_path / "graphs:v2.g6"), ["Bg", "Bw"]),
+                             ("kbip:1,2", ["kbip:1,2"])):
+            code, out, err = run_cli(capsys, cmd, name, "--alpha", "0.5")
+            assert code == 0 and err == "", (cmd, name)
+            assert [r["input"] for r in json.loads(out)["reports"]] == graphs, (cmd, name)
 
 
 def test_family_input_builds_its_graph_once(capsys, monkeypatch):
