@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Run a fixed list of dspread commands against two source trees and report
-every exit code and stdout line that differs.
+every exit code, stdout line and stderr line that differs.
 
     python3 scripts/diff_cli.py PARENT_SRC CHANGE_SRC
 
@@ -92,12 +92,12 @@ COMMANDS = [
 ]
 
 
-def run(src: Path, argv: list[str]) -> tuple[int, str]:
+def run(src: Path, argv: list[str]) -> tuple[int, str, str]:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
     env.pop("SPREAD_TOL", None)
     proc = subprocess.run([sys.executable, "-m", "dspread.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=600)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def main(parent: str, change: str) -> int:
@@ -119,18 +119,19 @@ def main(parent: str, change: str) -> int:
                  "colon": colon}
         for command in COMMANDS:
             argv = command.format(**files).split()
-            (code_a, out_a), (code_b, out_b) = (run(tree, argv) for tree in trees)
-            if code_a == code_b and out_a == out_b:
+            (code_a, *streams_a), (code_b, *streams_b) = (run(tree, argv) for tree in trees)
+            if code_a == code_b and streams_a == streams_b:
                 print(f"same  {command}")
                 continue
             differing += 1
             print(f"DIFF  {command}")
             if code_a != code_b:
                 print(f"  exit code {code_a} -> {code_b}")
-            diff = difflib.unified_diff(out_a.splitlines(), out_b.splitlines(),
-                                        "parent", "change", n=0, lineterm="")
-            for line in diff:
-                print(f"  {line}")
+            for stream, a, b in zip(("stdout", "stderr"), streams_a, streams_b):
+                diff = difflib.unified_diff(a.splitlines(), b.splitlines(), f"parent {stream}",
+                                            f"change {stream}", n=0, lineterm="")
+                for line in diff:
+                    print(f"  {line}")
     print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands identical")
     return 1 if differing else 0
 

@@ -40,7 +40,6 @@ from .cliques import (
     CLIQUE_BUDGET_SPENT,
     INDEPENDENCE_BUDGET_SPENT,
     SearchBudgetExceeded,
-    adjacency_masks,
     clique_number,
     independence_number,
 )
@@ -68,25 +67,20 @@ BLOCK_GRAPHS = 64
 # --- structural checks ------------------------------------------------------
 
 
-def check_interlacing(
-    parent_values: np.ndarray,
-    child_values: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """a_i >= b_i >= a_{n-r+i} within tol for descending eigenvalue vectors;
+def check_interlacing(parent_values: np.ndarray, child_values: np.ndarray) -> bool:
+    """a_i >= b_i >= a_{n-r+i} within DEFAULT_TOL for descending eigenvalue vectors;
     applies equally to quotient-matrix and principal-submatrix children."""
     a = np.sort(np.asarray(parent_values, dtype=float))[::-1]
     b = np.sort(np.asarray(child_values, dtype=float))[::-1]
     n, r = len(a), len(b)
     if r > n:
         raise ValueError("child order exceeds parent order")
-    return bool(np.all(b <= a[:r] + tol) and np.all(b >= a[n - r:] - tol))
+    return bool(np.all(b <= a[:r] + DEFAULT_TOL) and np.all(b >= a[n - r:] - DEFAULT_TOL))
 
 
-def check_edge_deletion_monotonicity(
-    g: Graph, edge: tuple[int, int], alpha: float, tol: float = DEFAULT_TOL
-) -> bool:
-    """True when every eigenvalue weakly increases after deleting the edge.
+def check_edge_deletion_monotonicity(g: Graph, edge: tuple[int, int], alpha: float) -> bool:
+    """True when every eigenvalue weakly increases, within DEFAULT_TOL, after
+    deleting the edge.
 
     Only meaningful for 1/2 <= alpha <= 1 and when the deletion keeps the
     graph connected; out-of-range alpha or a bridge raises ValueError.
@@ -99,7 +93,7 @@ def check_edge_deletion_monotonicity(
         raise ValueError("edge deletion disconnects the graph") from None
     before = EvalContext(g)
     solve_spectra([before, smaller], [alpha])
-    return bool(np.all(smaller.values(alpha) >= before.values(alpha) - tol))
+    return bool(np.all(smaller.values(alpha) >= before.values(alpha) - DEFAULT_TOL))
 
 
 # --- evaluation context and batched spectra ---------------------------------
@@ -142,21 +136,16 @@ class EvalContext:
         return float(v[0] - v[-1])  # 0 for a single vertex
 
     @cached_property
-    def masks(self) -> list[int]:
-        """Adjacency bitmasks, shared by the clique and independence searches."""
-        return adjacency_masks(self.graph)
-
-    @cached_property
     def cliques(self) -> Optional[tuple[int, list[tuple[int, ...]]]]:
         try:
-            return clique_number(self.graph, self.masks, self.search_nodes)
+            return clique_number(self.graph, self.search_nodes)
         except SearchBudgetExceeded:
             return None
 
     @cached_property
     def independence(self) -> Optional[int]:
         try:
-            return independence_number(self.graph, self.masks, self.search_nodes)[0]
+            return independence_number(self.graph, self.search_nodes)[0]
         except SearchBudgetExceeded:
             return None
 
@@ -207,7 +196,7 @@ _BIPARTITE = (lambda c: c.bipartite, "not bipartite")
 _CLIQUE = (lambda c: c.omega >= 2, "clique number < 2")
 _INDEPENDENT = (lambda c: c.indep >= 2, "independence number < 2")
 _HALF = (lambda c: c.a >= 0.5, "alpha outside [1/2,1]")
-_ZERO_OR_HALF = (lambda c: (c.a == 0.0) | (c.a >= 0.5), "alpha outside {0} ∪ [1/2,1]")
+_ZERO_OR_HALF = (lambda c: (c.a == 0.0) | (c.a >= 0.5), "alpha outside {0} and [1/2,1]")
 
 
 @dataclass(frozen=True)
@@ -336,8 +325,7 @@ REGISTRY: tuple[Entry, ...] = (
           exact=lambda c: c.delta == c.n - 1),
     Entry("thm38_bipartite_lower", "lower", _thm38,
           checks=(_order(3), _BIPARTITE, _ZERO_OR_HALF), claimed=lambda c: c.a != 0.0),
-    Entry("thm41_clique_lower", "lower", _thm41, checks=(_CLIQUES_SEARCHED, _order(3), _CLIQUE),
-          exact=lambda c: c.omega == c.n),
+    Entry("thm41_clique_lower", "lower", _thm41, checks=(_CLIQUES_SEARCHED, _order(3), _CLIQUE)),
     Entry("thm43_independence_lower", "lower", _thm43,
           checks=(_INDEPENDENCE_SEARCHED, _order(3), _INDEPENDENT, _ZERO_OR_HALF),
           claimed=lambda c: c.a != 0.0),
@@ -503,21 +491,18 @@ def evaluate(
                       applicable & ~claimed & ~holds, missed)
 
 
-def evaluate_all(
-    g: Graph, alpha: float, tol: float = DEFAULT_TOL, ctx: Optional[EvalContext] = None
-) -> list[dict]:
+def evaluate_all(g: Graph, alpha: float, ctx: Optional[EvalContext] = None) -> list[dict]:
     """The `bounds` entries of (g, alpha), inapplicable ones included: the
     one-graph, one-alpha view of evaluate()."""
     ctx = EvalContext(g) if ctx is None else ctx
-    return evaluate([ctx], [alpha], tol).reports(0, 0)
+    return evaluate([ctx], [alpha]).reports(0, 0)
 
 
 def evaluate_bound(
-    bound_id: str, g: Graph, alpha: float, tol: float = DEFAULT_TOL,
-    ctx: Optional[EvalContext] = None,
+    bound_id: str, g: Graph, alpha: float, ctx: Optional[EvalContext] = None
 ) -> dict:
     """The `bounds` entry of a single registry entry on (g, alpha)."""
     if bound_id not in BOUND_IDS:
         raise KeyError(f"unknown bound_id {bound_id!r}")
-    return evaluate_all(g, alpha, tol, ctx)[BOUND_IDS.index(bound_id)]
+    return evaluate_all(g, alpha, ctx)[BOUND_IDS.index(bound_id)]
 

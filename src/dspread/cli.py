@@ -333,9 +333,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -8,7 +8,7 @@ needs more, so a search gives up on every machine at the same point.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph
 
@@ -27,16 +27,7 @@ class SearchBudgetExceeded(RuntimeError):
     """An exact search visited SEARCH_BUDGET nodes without finishing."""
 
 
-def adjacency_masks(g: Graph) -> list[int]:
-    """The neighbours of each vertex as a bitmask."""
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
-def _maximum_cliques(masks: list[int], every: bool) -> tuple[Optional[list[int]], int]:
+def _maximum_cliques(masks: Sequence[int], every: bool) -> tuple[Optional[list[int]], int]:
     """Maximum cliques as bitmasks, and the number of search nodes visited.
 
     Branch and bound in the MCQ style (Tomita and Seki, 2003): a node
@@ -122,16 +113,15 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
 
 
 def clique_number(
-    g: Graph, masks: Optional[list[int]] = None, nodes: Optional[dict[str, int]] = None
+    g: Graph, nodes: Optional[dict[str, int]] = None
 ) -> tuple[int, list[tuple[int, ...]]]:
     """Exact clique number together with every maximum clique, in
     lexicographic order.
 
-    masks are g's adjacency bitmasks, when the caller has them. nodes, when
-    given, gets the search's node count under "clique". Raises
+    nodes, when given, gets the search's node count under "clique". Raises
     SearchBudgetExceeded when the search runs out of its budget.
     """
-    cliques, spent = _maximum_cliques(adjacency_masks(g) if masks is None else masks, True)
+    cliques, spent = _maximum_cliques(g.masks, True)
     if nodes is not None:
         nodes["clique"] = spent
     if cliques is None:
@@ -140,16 +130,15 @@ def clique_number(
 
 
 def independence_number(
-    g: Graph, masks: Optional[list[int]] = None, nodes: Optional[dict[str, int]] = None
+    g: Graph, nodes: Optional[dict[str, int]] = None
 ) -> tuple[int, tuple[int, ...]]:
     """Exact independence number with the first maximum independent set the
     search finds: a maximum clique of the complement.
 
-    masks and nodes as for clique_number, the count under "independence".
+    nodes as for clique_number, the count under "independence".
     """
     full = (1 << g.n) - 1
-    masks = adjacency_masks(g) if masks is None else masks
-    non_adjacent = [full & ~(m | 1 << v) for v, m in enumerate(masks)]
+    non_adjacent = [full & ~(m | 1 << v) for v, m in enumerate(g.masks)]
     sets, spent = _maximum_cliques(non_adjacent, every=False)
     if nodes is not None:
         nodes["independence"] = spent

@@ -159,10 +159,11 @@ def sigma_complete_bipartite(a: int, n: int, alpha: float) -> float:
     )
 
 
-def matches_numeric(analytic: AnalyticSpectrum, values: np.ndarray, tol: float = 1e-8) -> bool:
-    """Multiset comparison of a closed-form spectrum against solver output."""
+def matches_numeric(analytic: AnalyticSpectrum, values: np.ndarray) -> bool:
+    """Multiset comparison of a closed-form spectrum against solver output,
+    entrywise within 1e-8."""
     a = analytic.values()
     b = np.sort(np.asarray(values))[::-1]
     if len(a) != len(b):
         return False
-    return bool(np.max(np.abs(a - b)) <= tol)
+    return bool(np.max(np.abs(a - b)) <= 1e-8)

@@ -1,9 +1,9 @@
 """Simple undirected graphs and their distance-derived statistics.
 
 Graphs are immutable once constructed (vertex count plus a normalized edge
-set); everything derived from shortest-path distances is computed once into
-a DistanceProfile. All functions here are pure, so they are safe to call
-concurrently on shared inputs.
+set; adjacency lists and bitmasks are cached on first use); everything
+derived from shortest-path distances is computed once into a
+DistanceProfile. All functions here are pure.
 """
 
 from __future__ import annotations
@@ -68,6 +68,15 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The neighbours of each vertex as a bitmask, for the clique searches."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     @property
     def edge_count(self) -> int:

@@ -255,7 +255,7 @@ def test_alpha_gate_reason(zoo):
 
 
 _N2, _N3 = "requires n >= 2", "requires n >= 3"
-_HALF, _ZERO_OR_HALF = "alpha outside [1/2,1]", "alpha outside {0} ∪ [1/2,1]"
+_HALF, _ZERO_OR_HALF = "alpha outside [1/2,1]", "alpha outside {0} and [1/2,1]"
 _SPECIAL = ("thm35_bipartite_lower", "thm38_bipartite_lower", "thm41_clique_lower",
             "thm43_independence_lower")
 

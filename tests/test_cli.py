@@ -1,13 +1,18 @@
+import dataclasses
+import importlib
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+from dspread import bounds as bounds_mod
 from dspread import cliques as cliques_mod
-from dspread.bounds import EvalContext, evaluate, evaluate_all
+from dspread.bounds import BOUND_IDS, EvalContext, evaluate, evaluate_all
 from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT
 from dspread.cli import main
 from dspread.eigen import sym_eigen
@@ -90,6 +95,30 @@ def test_alpha_and_alpha_grid_exclude_each_other(capsys):
     assert "not allowed with argument" in err
 
 
+@pytest.mark.parametrize("argv, corpus, messages", [
+    (("analyze", "Bg", "--alpha-grid", "0,x"), None, ["bad alpha list"]),
+    (("sweep", "--seed-random", "1,2"), None, ["expects n,count,p"]),
+    (("sweep", "--seed-random", "a,b,c"), None, ["bad --seed-random value"]),
+    (("analyze", "{corpus}"), "zz\n", ["{corpus}: ", "byte offset 2"]),
+    (("conjecture", "--n", "3", "--alpha", "0", "--corpus", "{corpus}"), "Bw\n",
+     ["non-(connected bipartite)"]),
+    (("conjecture", "--n", "3", "--alpha", "0", "--corpus", "{corpus}"), "# a comment\n",
+     ["empty corpus"]),
+    (("conjecture", "--n", "1", "--alpha", "0", "--corpus", "{corpus}"), "Bg\n", ["need n >= 2"]),
+    (("analyze", "?"), None, ["order 0"]),
+    (("analyze", ""), None, ["empty graph6 input"]),
+    (("analyze", "\u00e9"), None, ["not ASCII"]),
+])
+def test_input_errors_exit_2(capsys, tmp_path, argv, corpus, messages):
+    path = tmp_path / "corpus.g6"
+    if corpus is not None:
+        path.write_text(corpus, encoding="ascii")
+    code, out, err = run_cli(capsys, *(arg.format(corpus=path) for arg in argv))
+    assert code == 2 and out == ""
+    for message in messages:
+        assert message.format(corpus=path) in err
+
+
 def test_exit_3_on_disconnected(capsys):
     code, _, err = run_cli(capsys, "analyze", "A?", "--alpha", "0")
     assert code == 3 and "connected" in err
@@ -150,6 +179,46 @@ def test_bounds_huge_tolerance_keeps_stderr_clean(capsys):
     assert code == 0 and err == ""
     for report in json.loads(out)["reports"]:
         assert all(b["holds"] for b in report["bounds"] if b["applicable"])
+
+
+def _undercut_thm24_upper(monkeypatch):
+    """Give the proven thm24_upper a bound one below the spread, so it is
+    violated wherever it applies."""
+    registry = tuple(
+        dataclasses.replace(e, formula=lambda c: (c.spread - 1.0, c.spread))
+        if e.id == "thm24_upper" else e for e in bounds_mod.REGISTRY)
+    monkeypatch.setattr(bounds_mod, "REGISTRY", registry)
+
+
+def test_bounds_violation_exits_4(capsys, monkeypatch):
+    argv = ("bounds", "Bw", "--alpha", "0.5")
+    (before,) = json.loads(run_cli(capsys, *argv)[1])["reports"]
+    _undercut_thm24_upper(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and err == ""
+    (after,) = json.loads(out)["reports"]
+    i = BOUND_IDS.index("thm24_upper")
+    entry = after["bounds"][i]
+    assert entry["applicable"] and entry["holds"] is False and entry["status"] == "proven"
+    assert "thm24_upper" not in [d["bound_id"] for d in after["discrepancies"]]
+    assert after["discrepancies"] == before["discrepancies"]
+    del after["bounds"][i], before["bounds"][i]
+    assert after["bounds"] == before["bounds"]  # the other 16 entries
+
+
+def test_sweep_violation_exits_4(capsys, monkeypatch):
+    _undercut_thm24_upper(monkeypatch)
+    code, out, _ = run_cli(capsys, "sweep", "--seed-random", "5,3,0.5", "--alphas", "0,0.5")
+    assert code == 4
+    doc = json.loads(out)
+    violations = doc["violations"]
+    # 3 graphs times 2 alphas, each pair once, in (graph6, alpha) order
+    assert [v["bound_id"] for v in violations] == ["thm24_upper"] * 6
+    keys = [(v["graph6"], v["alpha"]) for v in violations]
+    assert keys == sorted(set(keys)) and len(keys) == 6
+    assert all(abs(v["gap"] - 1.0) <= 1e-9 for v in violations)
+    tally = doc["bounds"]["thm24_upper"]
+    assert tally["applicable"] == 6 and tally["holds"] == 0
 
 
 def test_bounds_tsv(capsys):
@@ -462,3 +531,31 @@ def test_console_entry_point_subprocess():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["reports"][0]["spread"] == 0.0
+
+
+def test_console_script_target_runs(capsys, monkeypatch):
+    """The [project.scripts] target is a callable whose return value the
+    generated wrapper passes to sys.exit."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["dspread"]
+    module, _, name = target.partition(":")
+    script = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["dspread", "analyze", "Bw", "--alpha", "1"])
+    assert script() == 0
+    assert json.loads(capsys.readouterr().out)["reports"][0]["spread"] == 0.0
+
+
+def test_tsv_on_an_ascii_stdout():
+    """Every reason is ASCII, so a TSV table prints to a stdout that only
+    encodes ASCII."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "dspread.cli", "bounds", "path:45", "--alpha", "0.3",
+         "--format", "tsv"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONIOENCODING="ascii"),
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = {row[2]: row for row in (line.split("\t") for line in proc.stdout.splitlines())}
+    assert rows["thm38_bipartite_lower"][-1] == "alpha outside {0} and [1/2,1]"

@@ -104,6 +104,8 @@ def test_theorem36_ordering():
         assert check_theorem_36_ordering(6, alpha)
     assert check_theorem_36_ordering(4, 1.0)
     assert check_theorem_36_ordering(9, 0.25)
+    with pytest.raises(ValueError, match="n >= 4"):
+        check_theorem_36_ordering(3, 0.5)
 
 
 def test_random_graph_deterministic():

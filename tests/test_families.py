@@ -76,6 +76,11 @@ def test_parse_family_errors(text):
         parse_family(text)
 
 
+def test_family_spec_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown family kind"):
+        FamilySpec("nope", ())
+
+
 # --- closed-form spectra ---
 
 
