@@ -9,17 +9,24 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts
 command runs as ``python3 -m dspread.cli ...`` with PYTHONPATH set to one
 tree. File inputs are written once to a temporary directory, and the
 packaged n = 6 corpus is read from PARENT_SRC, so both trees see the same
-bytes. Exits 0 when every command agrees and 1 otherwise.
+bytes. After the fixed list come the jobs of every perfbench workload at
+seed 1, on inputs that perfbench/gen.py writes to the same temporary
+directory (imported without writing bytecode next to it). Exits 0 when
+every command agrees and 1 otherwise.
 """
 
 from __future__ import annotations
 
 import difflib
+import importlib.util
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+PERFBENCH_SEED = 1
 
 # the complement of a perfect matching on 40 vertices, in graph6: 2^20
 # maximum cliques, so the clique search runs out of its node budget, and
@@ -69,6 +76,8 @@ COMMANDS = [
     "analyze Bg --alpha -0",
     "bounds cycle:200 --alpha 0.5",
     "bounds {cocktail} --alpha 0.5",
+    "bounds {cocktail}",
+    "bounds star:7",
     "bounds kbip:3,5",
     "bounds path:30 --alpha 0.5",
     "bounds {colon} --alpha 0.5",
@@ -100,6 +109,17 @@ def run(src: Path, argv: list[str]) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def perfbench_jobs(directory: Path) -> list[list[str]]:
+    """The argv of every job of every perfbench workload at PERFBENCH_SEED,
+    with its inputs written under directory."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [job["argv"] for workload in gen.WORKLOADS
+            for job in gen.make_jobs(workload, PERFBENCH_SEED, directory / workload)["jobs"]]
+
+
 def main(parent: str, change: str) -> int:
     trees = [Path(parent).resolve(), Path(change).resolve()]
     for tree in trees:
@@ -117,8 +137,10 @@ def main(parent: str, change: str) -> int:
         files = {"n6": trees[0] / "dspread" / "data" / "bipartite_connected_n6.g6",
                  "late": late, "missing": Path(tmp) / "missing.g6", "cocktail": cocktail,
                  "colon": colon}
-        for command in COMMANDS:
-            argv = command.format(**files).split()
+        commands = [(command, command.format(**files).split()) for command in COMMANDS]
+        commands += [(" ".join(argv).replace(tmp, "{tmp}"), argv)
+                     for argv in perfbench_jobs(Path(tmp) / "perfbench")]
+        for command, argv in commands:
             (code_a, *streams_a), (code_b, *streams_b) = (run(tree, argv) for tree in trees)
             if code_a == code_b and streams_a == streams_b:
                 print(f"same  {command}")
@@ -132,7 +154,7 @@ def main(parent: str, change: str) -> int:
                                             f"change {stream}", n=0, lineterm="")
                 for line in diff:
                     print(f"  {line}")
-    print(f"{len(COMMANDS) - differing} of {len(COMMANDS)} commands identical")
+    print(f"{len(commands) - differing} of {len(commands)} commands identical")
     return 1 if differing else 0
 
 

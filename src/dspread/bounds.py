@@ -6,7 +6,9 @@ extreme eigenvalues of the generalized distance matrix. evaluate() maps
 per-graph columns (G, 1) and spectra (G, k) of a block to (17, G, k)
 arrays; the checks mask out inapplicable entries, which report a reason
 instead of failing, so corpus sweeps never abort. Evaluation.reports() and
-Evaluation.discrepancies() build the `bounds` JSON of one pair from them.
+Evaluation.discrepancies() give the `bounds` entries and discrepancies of one
+pair as dicts; `bounds --format json` renders the entries' text straight
+from the arrays.
 
 Entries carry a trust status. "proven" bounds are expected to hold on every
 connected graph; a violation of one of those is a genuine soundness failure.
@@ -392,6 +394,18 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleName
     return c
 
 
+def entry_report(e: Entry, applicable, failed, claimed, bound, actual, holds, gap,
+                 equality) -> dict:
+    """One `bounds` entry; where e does not apply, its values are null and
+    its reason is that of check `failed`."""
+    if not applicable:
+        bound = actual = holds = gap = equality = None
+    return {"bound_id": e.id, "direction": e.direction, "bound": bound, "actual": actual,
+            "holds": holds, "gap": gap, "equality": equality, "applicable": applicable,
+            "reason": None if applicable else e.checks[failed][1],
+            "status": CLAIMED if claimed else PROVEN}
+
+
 @dataclass
 class Evaluation:
     """The registry on a block of graphs and alphas.
@@ -427,15 +441,7 @@ class Evaluation:
         columns = (a[:, g, j].tolist() for a in (
             self.applicable, self.failed, self.claimed, self.bound, self.actual, self.holds,
             self.gap, self.equality))
-        out = []
-        for e, applicable, failed, claimed, *row in zip(REGISTRY, *columns):
-            bound, actual, holds, gap, equality = row if applicable else (None,) * 5
-            out.append({"bound_id": e.id, "direction": e.direction, "bound": bound,
-                        "actual": actual, "holds": holds, "gap": gap, "equality": equality,
-                        "applicable": applicable,
-                        "reason": None if applicable else e.checks[failed][1],
-                        "status": CLAIMED if claimed else PROVEN})
-        return out
+        return [entry_report(*row) for row in zip(REGISTRY, *columns)]
 
     def discrepancies(self, g: int, j: int) -> list[dict]:
         """The claimed formulas that missed on graph g at alpha j, in

@@ -9,25 +9,32 @@ Exit codes: 0 success, 2 input error (unparseable graph, bad family spec,
 unreadable corpus, NaN/infinite/negative tolerance, bad --seed-random
 values, --alpha with --alpha-grid), 3 precondition failure
 (disconnected graph, alpha out of range, no connected --seed-random
-sample), 4 at least one applicable proven bound violated.
+sample), 4 at least one applicable proven bound violated, 141 stdout
+closed before the output was written (128 + SIGPIPE, what a shell reports
+for a writer that a broken pipe ended).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import os
 import sys
 from importlib import resources
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import corpus as corpus_mod
 from .families import parse_family, generate
 from .graphs import Graph, GraphParseError, is_transmission_regular, parse_graph6
-from .jsonfmt import fmt_float, json_text
+from .jsonfmt import _NON_FINITE, Raw, fmt_float, json_text
 
 SCHEMA_VERSION = 1
+EXIT_BROKEN_PIPE = 141
 
 
 class _InputError(Exception):
@@ -174,6 +181,49 @@ def _cmd_analyze(args) -> int:
 # --- bounds -----------------------------------------------------------------
 
 
+# a `bounds` entry sits at depth 4 of the document: in the bounds list of a
+# report of the reports list
+_ENTRY_NL = "\n" + "  " * 4
+_SLOT = Raw("\0")  # json_text writes a NUL in any string as \u0000
+
+
+@functools.cache
+def _entry_template(e: bounds_mod.Entry, applicable: bool, failed: int, claimed: bool) -> str:
+    """The JSON text of a `bounds` entry: the same for every pair where e does
+    not apply, and a %-template of bound, actual, holds, gap and equality
+    where it does."""
+    text = json_text(bounds_mod.entry_report(e, applicable, failed, claimed, *(_SLOT,) * 5))
+    text = text.replace("\n", _ENTRY_NL)
+    return text.replace("%", "%%").replace("\0", "%s") if applicable else text
+
+
+def _bounds_texts(ev: bounds_mod.Evaluation) -> list[Raw]:
+    """The "bounds" list of each (graph, alpha) pair of ev, in that order, as
+    the text json_text gives for Evaluation.reports, built from the arrays."""
+    ok = ev.applicable
+    if not all(np.isfinite(a[ok]).all() for a in (ev.bound, ev.actual, ev.gap)):
+        raise ValueError(_NON_FINITE)
+
+    def flat(a):  # one pair's entries after another
+        return np.moveaxis(a, 0, -1).ravel().tolist()
+
+    registry = bounds_mod.REGISTRY
+    live = [[_entry_template(e, True, 0, c) for c in (False, True)] for e in registry]
+    dead = [[_entry_template(e, False, f, False) for f in range(len(e.checks))]
+            for e in registry]
+    bound, actual, gap = (map("%.12g".__mod__, flat(a)) for a in (ev.bound, ev.actual, ev.gap))
+    holds, equality = (map(("false", "true").__getitem__, flat(a))
+                       for a in (ev.holds, ev.equality))
+    entries = [live[i][c] % (b, a, h, g, q) if applicable else dead[i][f]
+               for i, applicable, f, c, b, a, h, g, q in zip(
+                   itertools.cycle(range(len(registry))), flat(ok), flat(ev.failed),
+                   flat(ev.claimed), bound, actual, holds, gap, equality)]
+    head, sep, tail = "[" + _ENTRY_NL, "," + _ENTRY_NL, _ENTRY_NL[:-2] + "]"
+    size = len(registry)
+    return [Raw(head + sep.join(entries[p:p + size]) + tail)
+            for p in range(0, len(entries), size)]
+
+
 def _cmd_bounds(args) -> int:
     inputs = _resolve_inputs(args.input)
     alphas = [args.alpha] if args.alpha is not None else list(corpus_mod.ALPHA_GRID)
@@ -181,6 +231,9 @@ def _cmd_bounds(args) -> int:
     tol = _tolerance(args.tol)
     ctxs = _contexts(inputs)
     ev = bounds_mod.evaluate(ctxs, alphas, tol=tol)
+    tsv = args.format == "tsv"
+    # TSV reads the entry dicts; JSON renders them from the arrays
+    texts = None if tsv else iter(_bounds_texts(ev))
     reports = []
     for g, ((desc, _), ctx) in enumerate(zip(inputs, ctxs)):
         for j, a in enumerate(alphas):
@@ -188,10 +241,10 @@ def _cmd_bounds(args) -> int:
             # null where the search ran out of its node budget
             base["clique_number"] = None if ctx.cliques is None else ctx.cliques[0]
             base["independence_number"] = ctx.independence
-            base["bounds"] = ev.reports(g, j)
+            base["bounds"] = ev.reports(g, j) if tsv else next(texts)
             base["discrepancies"] = ev.discrepancies(g, j)
             reports.append(base)
-    if args.format == "tsv":
+    if tsv:
         rows = [
             "input\talpha\tbound_id\tdirection\tstatus\tapplicable"
             "\tbound\tactual\tgap\tholds\tequality\treason"
@@ -323,7 +376,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader went away (`dspread ... | head`): point stdout at devnull
+        # so the flush at shutdown cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

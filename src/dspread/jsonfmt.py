@@ -5,7 +5,8 @@ rather than fixed-width; golden-file tests want the same bytes on every
 platform, so this small writer formats every float with "%.12g". Objects
 and arrays put one member per line, indented two spaces per level, in
 insertion order; strings are ASCII with JSON escapes; NaN and infinities
-raise ValueError.
+raise ValueError. A Raw leaf is text rendered elsewhere in this layout, and
+goes out as it is.
 """
 
 from __future__ import annotations
@@ -29,14 +30,22 @@ def fmt_float(x: float) -> str:
 # a text that ends in "n" or "f", which no finite float's does
 _FLOAT = "%.12g".__mod__
 
+
+class Raw(str):
+    """JSON text that json_text emits unchanged; its maker renders it for the
+    depth it sits at."""
+
+
 # renderers of the leaf types by exact type; subclasses go through _leaf
 _LEAF = {
+    Raw: str.__str__,
     str: _quote,
     float: _FLOAT,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
+_FLOATS = {float}
 
 
 def json_text(obj) -> str:
@@ -101,6 +110,13 @@ def _write(obj, emit, nl: str, prefixes: dict) -> None:
     else:
         if not obj:
             emit("[]")
+            return
+        if type(obj[0]) is float and set(map(type, obj)) == _FLOATS:
+            # a spectrum: one join; no finite float's text holds an "n"
+            text = ("," + inner).join(map(_FLOAT, obj))
+            if "n" in text:
+                raise ValueError(_NON_FINITE)
+            emit("[" + inner + text + nl + "]")
             return
         sep = "[" + inner
         for v in obj:

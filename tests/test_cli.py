@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import importlib
+import io
 import json
 import math
 import os
@@ -9,16 +11,21 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dspread import bounds as bounds_mod
+from dspread import cli as cli_mod
 from dspread import cliques as cliques_mod
+from dspread import corpus as corpus_mod
 from dspread.bounds import BOUND_IDS, EvalContext, evaluate, evaluate_all
 from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT
-from dspread.cli import main
+from dspread.cli import EXIT_BROKEN_PIPE, main
 from dspread.eigen import sym_eigen
-from dspread.families import generate, parse_family
-from dspread.graphs import bfs_distances, distance_profile, is_bipartite
+from dspread.families import FamilySpec, generate, parse_family
+from dspread.graphs import Graph, bfs_distances, distance_profile, encode_graph6, is_bipartite
 from dspread.jsonfmt import json_text
+
+from json_oracle import json_text as oracle_text
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +176,98 @@ def test_bounds_report_renders_the_registry_entries(capsys, spec, alpha, kind):
     assert report["bounds"] == json.loads(json_text(evaluate_all(g, alpha)))
     assert report["discrepancies"] == json.loads(json_text(discrepancies))
     assert [d["kind"] for d in report["discrepancies"]] == [kind]
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs of order 1-14: stars, complete, complete bipartite and
+    complete split graphs, or a random tree with random extra edges."""
+    n = draw(st.integers(1, 14))
+    kind = draw(st.sampled_from(("random", "star", "complete", "kbip", "split")))
+    if kind == "complete" or n == 1:
+        return generate(FamilySpec("complete", (n,)))
+    if kind == "star":
+        return generate(FamilySpec("star", (n,)))
+    if kind in ("kbip", "split"):
+        t = draw(st.integers(1, n - 1))
+        return generate(FamilySpec(kind, (t, n - t) if kind == "kbip" else (t, n)))
+    tree = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    return Graph.from_edges(n, sorted({(min(e), max(e)) for e in tree + extra if e[0] != e[1]}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs=st.lists(connected_graphs(), min_size=1, max_size=4),
+       alphas=st.lists(st.sampled_from(corpus_mod.ALPHA_GRID + (0.3,)), min_size=1,
+                       max_size=8, unique=True),
+       budget=st.sampled_from((None, 20)))
+def test_bounds_json_entries_match_the_report_dicts(tmp_path_factory, graphs, alphas, budget):
+    """The entries that `bounds` renders from the Evaluation arrays are the
+    text of Evaluation.reports through the reference writer."""
+    corpus = tmp_path_factory.getbasetemp() / "bounds_entries.g6"
+    corpus.write_text("".join(encode_graph6(g) + "\n" for g in graphs), encoding="ascii")
+    # one alpha through --alpha, several through the default grid
+    argv = ["bounds", str(corpus)] + (["--alpha", str(alphas[0])] if len(alphas) == 1 else [])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_mod, "ALPHA_GRID", tuple(alphas))
+        if budget is not None:
+            mp.setattr(cliques_mod, "SEARCH_BUDGET", budget)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        ctxs = [EvalContext(g) for g in graphs]
+        ev = evaluate(ctxs, alphas)
+    reports = [
+        dict(cli_mod._base_report(None, ctx, a),
+             clique_number=None if ctx.cliques is None else ctx.cliques[0],
+             independence_number=ctx.independence, bounds=ev.reports(g, j),
+             discrepancies=ev.discrepancies(g, j))
+        for g, ctx in enumerate(ctxs) for j, a in enumerate(alphas)]
+    doc = {"schema_version": 1, "command": "bounds", "reports": reports}
+    assert code == (4 if ev.violated.any() else 0)
+    assert out.getvalue() == oracle_text(doc) + "\n"
+
+
+def _replace_formula(monkeypatch, bound_id, formula):
+    registry = tuple(dataclasses.replace(e, formula=formula) if e.id == bound_id else e
+                     for e in bounds_mod.REGISTRY)
+    monkeypatch.setattr(bounds_mod, "REGISTRY", registry)
+
+
+@pytest.mark.parametrize("bound_id, bad", [("thm24_upper", math.nan),
+                                           ("thm25_lower", math.inf)])
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_non_finite_applicable_bound_exits_3(capsys, monkeypatch, bound_id, bad, fmt):
+    _replace_formula(monkeypatch, bound_id, lambda c: (0.0 * c.spread + bad, c.spread))
+    code, out, err = run_cli(capsys, "bounds", "Bw", "--alpha", "0.5", "--format", fmt)
+    assert (code, out, err) == (3, "", "error: non-finite float in report\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_non_finite_inapplicable_bound_renders_null(capsys, monkeypatch, fmt):
+    # halfrange_radius_upper needs alpha >= 1/2, so at 0.3 its NaN is never shown
+    argv = ("bounds", "Bw", "--alpha", "0.3", "--format", fmt)
+    expected = run_cli(capsys, *argv)
+    _replace_formula(monkeypatch, "halfrange_radius_upper",
+                     lambda c: (0.0 * c.spread + math.nan, c.spread))
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0 and expected[2] == ""
+
+
+@pytest.mark.parametrize("argv", [("bounds", "path:30"), ("analyze", "Bg")])
+def test_closed_stdout_exits_quietly(argv):
+    """`dspread ... | head`: a reader that has gone away ends the run with
+    EXIT_BROKEN_PIPE and nothing on stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "dspread.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""  # no traceback, no "Exception ignored"
 
 
 def test_bounds_huge_tolerance_keeps_stderr_clean(capsys):

@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dspread.jsonfmt import json_text
+from dspread.jsonfmt import Raw, json_text
 
 from json_oracle import json_text as oracle_text
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# -0, subnormals and the extremes of the double range
+edge_floats = st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308, 1e308,
+                               -1e308, 1.7976931348623157e308])
+# lists of exact floats take the writer's one-join path
+float_lists = st.lists(finite | edge_floats, min_size=1, max_size=12)
 leaves = (
-    st.none()
+    float_lists
+    | float_lists.map(tuple)
+    | st.none()
     | st.booleans()
     | st.integers()
     | finite
@@ -68,6 +75,24 @@ def test_non_finite_raises_at_every_depth(bad, depth):
         json_text(doc)
     with pytest.raises(ValueError, match="non-finite float"):
         oracle_text(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_lists, st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_non_finite_anywhere_in_a_float_list_raises(floats, bad, data):
+    i = data.draw(st.integers(0, len(floats)))
+    floats.insert(i, bad)
+    for doc in (floats, tuple(floats), {"spectrum": floats}, [[floats]]):
+        with pytest.raises(ValueError, match="non-finite float"):
+            json_text(doc)
+        with pytest.raises(ValueError, match="non-finite float"):
+            oracle_text(doc)
+
+
+def test_raw_text_goes_out_unchanged():
+    doc = {"a": Raw("[1, 2]"), "b": [Raw("x")]}
+    assert json_text(doc) == '{\n  "a": [1, 2],\n  "b": [\n    x\n  ]\n}'
+    assert json_text(Raw("nan")) == "nan"
 
 
 def test_strings_that_spell_non_finite_floats_render():
