@@ -8,8 +8,8 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts
 (for example a ``git archive`` of the parent commit and this tree). Each
 command runs as ``python3 -m dspread.cli ...`` with PYTHONPATH set to one
 tree. File inputs are written once to a temporary directory, and the
-packaged n = 6 corpus is read from PARENT_SRC, so both trees see the same
-bytes. After the fixed list come the jobs of every perfbench workload at
+packaged n = 4 and n = 6 corpora are read from PARENT_SRC, so both trees
+see the same bytes. After the fixed list come the jobs of every perfbench workload at
 seed 1, on inputs that perfbench/gen.py writes to the same temporary
 directory (imported without writing bytecode next to it). Exits 0 when
 every command agrees and 1 otherwise.
@@ -34,7 +34,7 @@ PERFBENCH_SEED = 1
 COCKTAIL_PARTY_40 = ("g]~v~z~~v~~}~~~~^~~~}~~~~~v~~~~~z~~~~~~v~~~~~~}~~~~~~~~^~~~~~~~}~~~~~"
                      "~~~~v~~~~~~~~~z~~~~~~~~~~v~~~~~~~~~~}~~~~~~~~~~~~^~~~~~~~~~~~}")
 
-# {n6}: the packaged n = 6 bipartite corpus; {late}: a corpus file whose last
+# {n4}, {n6}: the packaged n = 4 and n = 6 bipartite corpora; {late}: a corpus file whose last
 # graph is disconnected; {missing}: a path that does not exist; {cocktail}:
 # a corpus file holding COCKTAIL_PARTY_40; {colon}: a corpus file whose name
 # holds ":", so it also reads as a (bad) family spec
@@ -93,11 +93,21 @@ COMMANDS = [
     "sweep --seed-random 62,3,0.1",
     "sweep --corpus {n6} --alphas=-0,0.5",
     "sweep --seed-random 10,300,0.2",
+    "sweep --seed-random 5,1,0.5 --alphas=",
+    "sweep --corpus= --seed-random 4,1,0.9",
+    "sweep --seed-random= --corpus {n4}",
+    "sweep --seed-random 5,0,0.5",
     "conjecture --n 4 --alpha 0",
     "conjecture --n 5 --alpha 0.5",
     "conjecture --n 6 --alpha 0.5",
     "conjecture --n 6 --alpha 0",
     "conjecture --n 9 --alpha 0",
+    "conjecture --n 4 --alpha 0 --corpus=",
+    "-h",
+    "analyze -h",
+    "bounds -h",
+    "sweep -h",
+    "conjecture -h",
 ]
 
 
@@ -134,7 +144,9 @@ def main(parent: str, change: str) -> int:
         cocktail.write_text(COCKTAIL_PARTY_40 + "\n", encoding="ascii")
         colon = Path(tmp) / "graphs:v2.g6"
         colon.write_text("Bg\nBw\nC~\n", encoding="ascii")
-        files = {"n6": trees[0] / "dspread" / "data" / "bipartite_connected_n6.g6",
+        data = trees[0] / "dspread" / "data"
+        files = {"n4": data / "bipartite_connected_n4.g6",
+                 "n6": data / "bipartite_connected_n6.g6",
                  "late": late, "missing": Path(tmp) / "missing.g6", "cocktail": cocktail,
                  "colon": colon}
         commands = [(command, command.format(**files).split()) for command in COMMANDS]

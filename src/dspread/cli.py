@@ -7,7 +7,8 @@ build may move the last digits and noise-level gaps.
 
 Exit codes: 0 success, 2 input error (unparseable graph, bad family spec,
 unreadable corpus, NaN/infinite/negative tolerance, bad --seed-random
-values, --alpha with --alpha-grid), 3 precondition failure
+values, --alpha with --alpha-grid, an empty --alpha-grid, --alphas,
+--corpus or --seed-random value), 3 precondition failure
 (disconnected graph, alpha out of range, no connected --seed-random
 sample), 4 at least one applicable proven bound violated, 141 stdout
 closed before the output was written (128 + SIGPIPE, what a shell reports
@@ -81,7 +82,15 @@ def _parse_alpha_list(text: str) -> list[float]:
     return out
 
 
-def _check_alphas(alphas: Sequence[float]) -> list[float]:
+def _alphas(args) -> list[float]:
+    """The command's alphas: --alpha, else the comma-separated --alpha-grid
+    or --alphas list, else corpus.ALPHA_GRID; each must lie in [0, 1]."""
+    if getattr(args, "alpha", None) is not None:
+        alphas = [args.alpha]
+    elif getattr(args, "alphas", None) is not None:
+        alphas = _parse_alpha_list(args.alphas)
+    else:
+        alphas = corpus_mod.ALPHA_GRID
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {a:g}")
@@ -120,12 +129,6 @@ def _resolve_inputs(text: str) -> list[tuple[Optional[str], Graph]]:
         raise _InputError(str(exc)) from None
 
 
-def _contexts(inputs: list[tuple[Optional[str], Graph]]) -> list[bounds_mod.EvalContext]:
-    # built before any eigensolve: a disconnected graph anywhere in the input
-    # fails fast ("requires connected graph", exit 3)
-    return [bounds_mod.EvalContext(g) for _, g in inputs]
-
-
 def _base_report(desc: Optional[str], ctx: bounds_mod.EvalContext, alpha: float) -> dict:
     profile = ctx.profile
     return {
@@ -143,25 +146,15 @@ def _base_report(desc: Optional[str], ctx: bounds_mod.EvalContext, alpha: float)
     }
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 # --- analyze ----------------------------------------------------------------
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[str | dict, int]:
     inputs = _resolve_inputs(args.input)
-    if args.alpha is not None:
-        alphas = [args.alpha]
-    elif args.alpha_grid is not None:
-        alphas = _parse_alpha_list(args.alpha_grid)
-    else:
-        alphas = list(corpus_mod.ALPHA_GRID)
-    alphas = _check_alphas(alphas)
-    ctxs = _contexts(inputs)
+    alphas = _alphas(args)
+    # built before any eigensolve: a disconnected graph anywhere in the input
+    # fails fast ("requires connected graph", exit 3)
+    ctxs = [bounds_mod.EvalContext(g) for _, g in inputs]
     bounds_mod.solve_spectra(ctxs, alphas)
     reports = [_base_report(d, ctx, a) for (d, _), ctx in zip(inputs, ctxs) for a in alphas]
     if args.format == "tsv":
@@ -172,10 +165,8 @@ def _cmd_analyze(args) -> int:
                 f"{r['input']}\t{fmt_float(r['alpha'])}\t{r['n']}\t{r['wiener']}"
                 f"\t{r['diameter']}\t{fmt_float(r['spread'])}\t{spectrum}"
             )
-        _emit("\n".join(rows))
-    else:
-        _emit(json_text({"schema_version": SCHEMA_VERSION, "command": "analyze", "reports": reports}))
-    return 0
+        return "\n".join(rows), 0
+    return {"reports": reports}, 0
 
 
 # --- bounds -----------------------------------------------------------------
@@ -224,13 +215,13 @@ def _bounds_texts(ev: bounds_mod.Evaluation) -> list[Raw]:
             for p in range(0, len(entries), size)]
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[str | dict, int]:
     inputs = _resolve_inputs(args.input)
-    alphas = [args.alpha] if args.alpha is not None else list(corpus_mod.ALPHA_GRID)
-    alphas = _check_alphas(alphas)
+    alphas = _alphas(args)
     tol = _tolerance(args.tol)
-    ctxs = _contexts(inputs)
+    ctxs = [bounds_mod.EvalContext(g) for _, g in inputs]
     ev = bounds_mod.evaluate(ctxs, alphas, tol=tol)
+    code = 4 if ev.violated.any() else 0
     tsv = args.format == "tsv"
     # TSV reads the entry dicts; JSON renders them from the arrays
     texts = None if tsv else iter(_bounds_texts(ev))
@@ -255,10 +246,8 @@ def _cmd_bounds(args) -> int:
             for b in r["bounds"]:
                 cells = [r["input"], fmt_float(r["alpha"])] + [_cell(b[k]) for k in keys]
                 rows.append("\t".join(cells))
-        _emit("\n".join(rows))
-    else:
-        _emit(json_text({"schema_version": SCHEMA_VERSION, "command": "bounds", "reports": reports}))
-    return 4 if ev.violated.any() else 0
+        return "\n".join(rows), code
+    return {"reports": reports}, code
 
 
 # --- sweep ------------------------------------------------------------------
@@ -279,25 +268,22 @@ def _parse_seed_random(text: str) -> tuple[int, int, float]:
     return n, count, p
 
 
-def _cmd_sweep(args) -> int:
-    alphas = _parse_alpha_list(args.alphas) if args.alphas else list(corpus_mod.ALPHA_GRID)
-    alphas = _check_alphas(alphas)
+def _cmd_sweep(args) -> tuple[str | dict, int]:
+    alphas = _alphas(args)
     tol = _tolerance(args.tol)
     # parsed before any graph is read or drawn
-    seed_random = _parse_seed_random(args.seed_random) if args.seed_random else None
+    seed_random = None if args.seed_random is None else _parse_seed_random(args.seed_random)
     graphs: list[Graph] = []
-    if args.corpus:
+    if args.corpus is not None:
         graphs.extend(_load_corpus(args.corpus))
     if seed_random is not None:
         n, count, p = seed_random
         for i in range(count):
             graphs.append(corpus_mod.random_connected_graph(n, p, seed=args.seed + i))
-    if not graphs and not args.corpus:
+    if not graphs and args.corpus is None:
         raise _InputError("nothing to sweep: give --corpus and/or --seed-random")
-    doc = {"schema_version": SCHEMA_VERSION, "command": "sweep", "alphas": [float(a) for a in alphas]}
-    doc.update(corpus_mod.sweep(graphs, alphas=alphas, tol=tol))
-    _emit(json_text(doc))
-    return 4 if doc["violations"] else 0
+    doc = {"alphas": alphas, **corpus_mod.sweep(graphs, alphas=alphas, tol=tol)}
+    return doc, 4 if doc["violations"] else 0
 
 
 # --- conjecture -------------------------------------------------------------
@@ -314,17 +300,13 @@ def _packaged_corpus(n: int):
     return ref
 
 
-def _cmd_conjecture(args) -> int:
-    [alpha] = _check_alphas([args.alpha])
-    graphs = _load_corpus(args.corpus or _packaged_corpus(args.n))
+def _cmd_conjecture(args) -> tuple[str | dict, int]:
+    [alpha] = _alphas(args)
+    graphs = _load_corpus(_packaged_corpus(args.n) if args.corpus is None else args.corpus)
     try:
-        result = corpus_mod.check_problem_39(graphs, args.n, alpha)
+        return corpus_mod.check_problem_39(graphs, args.n, alpha), 0
     except ValueError as exc:
         raise _InputError(str(exc)) from None
-    doc = {"schema_version": SCHEMA_VERSION, "command": "conjecture"}
-    doc.update(result)
-    _emit(json_text(doc))
-    return 0
 
 
 # --- driver -----------------------------------------------------------------
@@ -344,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="graph6 string, corpus file, or family spec like kbip:2,3")
     alpha = p.add_mutually_exclusive_group()
     alpha.add_argument("--alpha", type=float, default=None)
-    alpha.add_argument("--alpha-grid", default=None, help="comma-separated alphas")
+    alpha.add_argument("--alpha-grid", dest="alphas", metavar="ALPHA_GRID", default=None,
+                       help="comma-separated alphas")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.set_defaults(fn=_cmd_analyze)
 
@@ -376,7 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = args.fn(args)
+        # each command returns a TSV table or the body of its JSON document
+        body, code = args.fn(args)
+        if isinstance(body, dict):
+            body = json_text({"schema_version": SCHEMA_VERSION, "command": args.command, **body})
+        sys.stdout.write(body + "\n")
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
         return code
     except BrokenPipeError:

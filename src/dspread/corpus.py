@@ -17,7 +17,6 @@ import numpy as np
 
 from .bounds import BLOCK_GRAPHS, BOUND_IDS, DEFAULT_TOL, EQ_TOL
 from .bounds import EvalContext, evaluate, solve_spectra
-from .families import FamilySpec, generate
 from .graphs import DisconnectedGraphError, Graph, is_connected, parse_graph6
 from .jsonfmt import fmt_float
 
@@ -145,20 +144,6 @@ def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> dict:
         "conjectured_graph_spread": conjectured_spread,
         "confirmed": conjectured_spread <= best[0] + EQ_TOL,
     }
-
-
-def check_theorem_36_ordering(n: int, alpha: float) -> bool:
-    """Spreads of complete bipartite graphs K_{a,n-a} computed numerically:
-    non-increasing, within DEFAULT_TOL, in a on 1..n//2, with the star the
-    strict maximum."""
-    if n < 4:
-        raise ValueError("need n >= 4")
-    ctxs = [EvalContext(generate(FamilySpec("kbip", (a, n - a)))) for a in range(1, n // 2 + 1)]
-    solve_spectra(ctxs, [alpha])
-    spreads = [ctx.spread(alpha) for ctx in ctxs]
-    ordered = all(spreads[i] >= spreads[i + 1] - DEFAULT_TOL for i in range(len(spreads) - 1))
-    star_max = all(spreads[0] >= s - DEFAULT_TOL for s in spreads[1:])
-    return ordered and star_max
 
 
 def random_connected_graph(

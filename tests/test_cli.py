@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,13 @@ def test_alpha_and_alpha_grid_exclude_each_other(capsys):
     (("analyze", "?"), None, ["order 0"]),
     (("analyze", ""), None, ["empty graph6 input"]),
     (("analyze", "\u00e9"), None, ["not ASCII"]),
+    # an empty option value is given, not missing
+    (("sweep", "--seed-random", "5,1,0.5", "--alphas="), None, ["empty alpha list"]),
+    (("conjecture", "--n", "4", "--alpha", "0", "--corpus="), None, ["cannot read corpus"]),
+    (("sweep", "--corpus=", "--seed-random", "4,1,0.9"), None, ["cannot read corpus"]),
+    (("sweep", "--seed-random=", "--corpus", "{corpus}"), "Ck\nCs\nC]\n",
+     ["expects n,count,p"]),
+    (("sweep", "--seed-random", "5,0,0.5"), None, ["nothing to sweep"]),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, corpus, messages):
     path = tmp_path / "corpus.g6"
@@ -328,6 +336,44 @@ def test_bounds_tsv(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("analyze", "Bg", "--alpha-grid", "0,1", "--format", "tsv"),
+     {0: "input\talpha\tn\twiener\tdiameter\tspread\tspectrum",
+      1: "Bg\t0\t3\t4\t2\t4.73205080757\t2.73205080757,-0.732050807569,-2",
+      2: "Bg\t1\t3\t4\t2\t1\t3,3,2"}),
+    (("bounds", "A_", "--alpha", "0.3", "--format", "tsv"),
+     {0: "input\talpha\tbound_id\tdirection\tstatus\tapplicable"
+         "\tbound\tactual\tgap\tholds\tequality\treason",
+      17: "A_\t0.3\tthm43_independence_lower\tlower\tproven\tfalse\t\t\t\t\t\t"
+          "requires n >= 3"}),
+])
+def test_tsv_golden_lines(capsys, argv, golden):
+    code, out, err = run_cli(capsys, *argv)
+    lines = out.split("\n")
+    # exactly one newline ends the table, so the split ends in one empty string
+    assert (code, err, lines[-1]) == (0, "", "") and len(lines) == max(golden) + 2
+    assert {i: lines[i] for i in golden} == golden
+
+
+def test_json_stdout_is_the_reference_text_of_the_library_document(capsys):
+    """stdout is the envelope and the body that the library builds, through
+    the reference writer, and one newline."""
+    alphas = [0.0, 0.25, 1.0]
+    ctx = EvalContext(generate(parse_family("kbip:2,3")))
+    graphs = [corpus_mod.random_connected_graph(6, 0.5, seed=1 + i) for i in range(3)]
+    n5 = corpus_mod.load_corpus(resources.files("dspread") / "data" / "bipartite_connected_n5.g6")
+    for argv, body in [
+        (("analyze", "kbip:2,3", "--alpha-grid", "0,0.25,1"),
+         {"reports": [cli_mod._base_report("kbip:2,3", ctx, a) for a in alphas]}),
+        (("sweep", "--seed-random", "6,3,0.5", "--alphas", "0,0.25,1"),
+         {"alphas": alphas, **corpus_mod.sweep(graphs, alphas)}),
+        (("conjecture", "--n", "5", "--alpha", "0.25"), corpus_mod.check_problem_39(n5, 5, 0.25)),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        doc = {"schema_version": 1, "command": argv[0], **body}
+        assert (code, err) == (0, "") and out == oracle_text(doc) + "\n", argv
+
+
 def test_clique_cap_degrades_to_inapplicable_entries(capsys, monkeypatch):
     # when both searches run out of budget only the two entries that need
     # them drop out; the other 15 are still evaluated
@@ -410,8 +456,6 @@ def test_long_form_graph6_reports(capsys):
 
 
 def test_sweep_shipped_corpus(capsys):
-    from importlib import resources
-
     ref = resources.files("dspread").joinpath("data/bipartite_connected_n4.g6")
     code, out, _ = run_cli(capsys, "sweep", "--corpus", str(ref), "--alphas", "0,0.5,1")
     assert code == 0

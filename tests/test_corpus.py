@@ -8,7 +8,6 @@ from dspread import corpus as corpus_mod
 from dspread.bounds import CLAIMED, PROVEN, evaluate_all
 from dspread.corpus import (
     check_problem_39,
-    check_theorem_36_ordering,
     iter_graph6_lines,
     load_corpus,
     random_connected_graph,
@@ -97,15 +96,6 @@ def test_problem39_reproducible():
     a = check_problem_39(graphs, 4, 0.25)
     b = check_problem_39(graphs, 4, 0.25)
     assert json_text(a) == json_text(b)
-
-
-def test_theorem36_ordering():
-    for alpha in (0.0, 0.5, 1.0):
-        assert check_theorem_36_ordering(6, alpha)
-    assert check_theorem_36_ordering(4, 1.0)
-    assert check_theorem_36_ordering(9, 0.25)
-    with pytest.raises(ValueError, match="n >= 4"):
-        check_theorem_36_ordering(3, 0.5)
 
 
 def test_random_graph_deterministic():
