@@ -20,6 +20,7 @@ from __future__ import annotations
 import difflib
 import importlib.util
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -37,7 +38,8 @@ COCKTAIL_PARTY_40 = ("g]~v~z~~v~~}~~~~^~~~}~~~~~v~~~~~z~~~~~~v~~~~~~}~~~~~~~~^~~
 # {n4}, {n6}: the packaged n = 4 and n = 6 bipartite corpora; {late}: a corpus file whose last
 # graph is disconnected; {missing}: a path that does not exist; {cocktail}:
 # a corpus file holding COCKTAIL_PARTY_40; {colon}: a corpus file whose name
-# holds ":", so it also reads as a (bad) family spec
+# holds ":", so it also reads as a (bad) family spec. Each command is split
+# with shlex, so a quoted argument may hold whitespace.
 COMMANDS = [
     "analyze Bg",
     "analyze kbip:2,3",
@@ -108,6 +110,9 @@ COMMANDS = [
     "bounds -h",
     "sweep -h",
     "conjecture -h",
+    "analyze 'kbip: 2,3'",
+    "analyze 'Bg\t' --format tsv",
+    "bounds 'path:4\t' --alpha 0.5 --format tsv",
 ]
 
 
@@ -149,7 +154,7 @@ def main(parent: str, change: str) -> int:
                  "n6": data / "bipartite_connected_n6.g6",
                  "late": late, "missing": Path(tmp) / "missing.g6", "cocktail": cocktail,
                  "colon": colon}
-        commands = [(command, command.format(**files).split()) for command in COMMANDS]
+        commands = [(command, shlex.split(command.format(**files))) for command in COMMANDS]
         commands += [(" ".join(argv).replace(tmp, "{tmp}"), argv)
                      for argv in perfbench_jobs(Path(tmp) / "perfbench")]
         for command, argv in commands:

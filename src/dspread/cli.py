@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import corpus as corpus_mod
-from .families import parse_family, generate
+from .families import parse_family
 from .graphs import Graph, GraphParseError, is_transmission_regular, parse_graph6
 from .jsonfmt import _NON_FINITE, Raw, fmt_float, json_text
 
@@ -114,17 +114,18 @@ def _resolve_inputs(text: str) -> list[tuple[Optional[str], Graph]]:
     """An input is a corpus file path, a family spec ("kbip:2,3") or a
     graph6 string, tried in that order; graph6 never holds ":". Files yield
     one graph per non-comment line, described (desc None) by its graph6
-    string."""
+    string. A graph6 string is echoed without the whitespace the parser
+    skips (a run after a ">>graph6<<" header becomes one space), so it
+    cannot break a TSV row."""
     if os.path.exists(text):
         return [(None, g) for g in _load_corpus(text)]
     if ":" in text:
         try:
-            spec = parse_family(text)
+            return [(text, parse_family(text))]
         except ValueError as exc:
             raise _InputError(str(exc)) from None
-        return [(text, generate(spec))]
     try:
-        return [(text, parse_graph6(text))]
+        return [(" ".join(text.split()), parse_graph6(text))]
     except GraphParseError as exc:
         raise _InputError(str(exc)) from None
 

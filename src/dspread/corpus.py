@@ -15,12 +15,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bounds import BLOCK_GRAPHS, BOUND_IDS, DEFAULT_TOL, EQ_TOL
+from . import bounds
+from .bounds import BOUND_IDS, DEFAULT_TOL, EQ_TOL
 from .bounds import EvalContext, evaluate, solve_spectra
 from .graphs import DisconnectedGraphError, Graph, is_connected, parse_graph6
 from .jsonfmt import fmt_float
 
 ALPHA_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+MAX_TRIES = 200
 
 
 def iter_graph6_lines(lines: Iterable[str]) -> Iterator[str]:
@@ -41,19 +43,20 @@ def sweep(
 ) -> dict:
     """Evaluate the whole bound registry on every (graph, alpha).
 
-    Graphs go through evaluate() BLOCK_GRAPHS at a time, folded in corpus
-    order. Disconnected graphs are counted and skipped. The document lists
-    every entry that applied somewhere, with its counts and the (graph,
-    alpha) key of its smallest margin to violation (gap for lower bounds,
-    -gap for upper), ties keeping the first. Violations list failed proven
-    bounds; claimed-formula mismatches land in discrepancies.
+    Graphs go through evaluate() bounds.BLOCK_GRAPHS at a time (read at
+    call time), folded in corpus order. Disconnected graphs are counted and
+    skipped. The document lists every entry that applied somewhere, with
+    its counts and the (graph, alpha) key of its smallest margin to
+    violation (gap for lower bounds, -gap for upper), ties keeping the
+    first. Violations list failed proven bounds; claimed-formula mismatches
+    land in discrepancies.
     """
     it, alphas = iter(graphs), list(alphas)
     seen = skipped = 0
     tallies: dict[str, dict] = {}
     worst_margin: dict[str, float] = {}
     violations, discrepancies = [], []
-    while block := list(islice(it, BLOCK_GRAPHS)):
+    while block := list(islice(it, bounds.BLOCK_GRAPHS)):
         ctxs = []
         for g in block:
             try:
@@ -146,10 +149,9 @@ def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> dict:
     }
 
 
-def random_connected_graph(
-    n: int, edge_prob: float, seed: int, max_tries: int = 200
-) -> Graph:
-    """Erdos-Renyi sample conditioned on connectivity.
+def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
+    """Erdos-Renyi sample conditioned on connectivity, from at most
+    MAX_TRIES draws.
 
     Uses the stdlib Mersenne Twister, which is stable across platforms and
     Python versions for a fixed seed, so corpora regenerate identically.
@@ -159,7 +161,7 @@ def random_connected_graph(
     if not 0.0 < edge_prob <= 1.0:
         raise ValueError("edge_prob must lie in (0, 1]")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         edges = [
             (u, v)
             for u in range(n)
@@ -170,5 +172,5 @@ def random_connected_graph(
         if is_connected(g):
             return g
     raise ValueError(
-        f"no connected sample in {max_tries} tries (n={n}, p={edge_prob})"
+        f"no connected sample in {MAX_TRIES} tries (n={n}, p={edge_prob})"
     )

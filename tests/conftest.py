@@ -2,12 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from dspread.families import FamilySpec, generate
+from dspread.families import family
 from dspread.graphs import Graph, is_connected
-
-
-def family(kind, *params):
-    return generate(FamilySpec(kind, tuple(params)))
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from dspread.bounds import (
 )
 from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT, SearchBudgetExceeded
 from dspread.eigen import sym_eigen
-from dspread.families import generate, parse_family
+from dspread.families import parse_family
 from dspread.graphs import Graph, distance_profile, is_connected, parse_graph6
 from dspread.matrices import generalized_distance_matrix, quotient_eigenvalues
 
@@ -136,8 +136,8 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 60)
     try:
-        omega, maxima = clique_number(generate(parse_family("complete:300")))
-        alpha = independence_number(generate(parse_family("star:300")))[0]
+        omega, maxima = clique_number(parse_family("complete:300"))
+        alpha = independence_number(parse_family("star:300"))[0]
     finally:
         sys.setrecursionlimit(limit)
     assert (omega, maxima, alpha) == (300, [tuple(range(300))], 299)
@@ -282,7 +282,7 @@ _SPECIAL = ("thm35_bipartite_lower", "thm38_bipartite_lower", "thm41_clique_lowe
 def test_reason_order(graph, alpha, expected, monkeypatch):
     # every other case finishes both searches well inside 20 nodes
     monkeypatch.setattr(cliques_mod, "SEARCH_BUDGET", 20)
-    g = generate(parse_family(graph)) if ":" in graph else parse_graph6(graph)
+    g = parse_family(graph) if ":" in graph else parse_graph6(graph)
     reports = evaluate_all(g, alpha)
     assert [(r["bound_id"], r["reason"]) for r in reports if not r["applicable"]] == expected
 

@@ -22,7 +22,7 @@ from dspread.bounds import BOUND_IDS, EvalContext, evaluate, evaluate_all
 from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT
 from dspread.cli import EXIT_BROKEN_PIPE, main
 from dspread.eigen import sym_eigen
-from dspread.families import FamilySpec, generate, parse_family
+from dspread.families import family, parse_family
 from dspread.graphs import Graph, bfs_distances, distance_profile, encode_graph6, is_bipartite
 from dspread.jsonfmt import json_text
 
@@ -123,6 +123,15 @@ def test_alpha_and_alpha_grid_exclude_each_other(capsys):
     (("sweep", "--seed-random=", "--corpus", "{corpus}"), "Ck\nCs\nC]\n",
      ["expects n,count,p"]),
     (("sweep", "--seed-random", "5,0,0.5"), None, ["nothing to sweep"]),
+    # family parameters are ASCII integers, an optional "-" and no whitespace
+    (("analyze", "path:3\n", "--alpha", "0"), None, ["non-integer parameter"]),
+    (("bounds", "path:3\n", "--alpha", "0", "--format", "tsv"), None, ["non-integer parameter"]),
+    (("analyze", "path:\t3"), None, ["non-integer parameter"]),
+    (("analyze", "kbip: 2,3"), None, ["non-integer parameter"]),
+    (("bounds", "path:3 "), None, ["non-integer parameter"]),
+    (("analyze", "path:+3"), None, ["non-integer parameter"]),
+    (("analyze", " path:3"), None, ["unknown family spec"]),
+    (("analyze", "path:-1"), None, ["path needs n >= 1"]),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, corpus, messages):
     path = tmp_path / "corpus.g6"
@@ -179,7 +188,7 @@ def test_bounds_report_renders_the_registry_entries(capsys, spec, alpha, kind):
     code, out, _ = run_cli(capsys, "bounds", spec, "--alpha", str(alpha))
     assert code == 0
     (report,) = json.loads(out)["reports"]
-    g = generate(parse_family(spec))
+    g = parse_family(spec)
     discrepancies = evaluate([EvalContext(g)], [alpha]).discrepancies(0, 0)
     assert report["bounds"] == json.loads(json_text(evaluate_all(g, alpha)))
     assert report["discrepancies"] == json.loads(json_text(discrepancies))
@@ -193,12 +202,12 @@ def connected_graphs(draw):
     n = draw(st.integers(1, 14))
     kind = draw(st.sampled_from(("random", "star", "complete", "kbip", "split")))
     if kind == "complete" or n == 1:
-        return generate(FamilySpec("complete", (n,)))
+        return family("complete", n)
     if kind == "star":
-        return generate(FamilySpec("star", (n,)))
+        return family("star", n)
     if kind in ("kbip", "split"):
         t = draw(st.integers(1, n - 1))
-        return generate(FamilySpec(kind, (t, n - t) if kind == "kbip" else (t, n)))
+        return family(kind, t, n - t if kind == "kbip" else n)
     tree = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=2 * n))
@@ -355,11 +364,28 @@ def test_tsv_golden_lines(capsys, argv, golden):
     assert {i: lines[i] for i in golden} == golden
 
 
+@pytest.mark.parametrize("command, rows_per_graph", [("analyze", 1), ("bounds", 17)])
+def test_tsv_rows_have_the_header_cell_count(capsys, tmp_path, command, rows_per_graph):
+    """Whitespace around a graph6 argument, which the parser skips, never
+    reaches the input cell, so every row has the header's cells."""
+    corpus = tmp_path / "padded.g6"
+    corpus.write_text(" Bg\t\n# a comment\nBw \n", encoding="ascii")
+    for text, inputs in (("Bg\t", ["Bg"]), (" Bg\n", ["Bg"]), ("\tBg\r\n", ["Bg"]),
+                         (">>graph6<<\tBg", [">>graph6<< Bg"]), ("kbip:2,3", ["kbip:2,3"]),
+                         ("split:3,7", ["split:3,7"]), (str(corpus), ["Bg", "Bw"])):
+        code, out, err = run_cli(capsys, command, text, "--alpha", "0.5", "--format", "tsv")
+        header, *rows, end = out.split("\n")
+        assert (code, err, end) == (0, "", ""), text
+        cells = [row.split("\t") for row in rows]
+        assert {len(c) for c in cells} == {len(header.split("\t"))}, text
+        assert [c[0] for c in cells] == [i for i in inputs for _ in range(rows_per_graph)], text
+
+
 def test_json_stdout_is_the_reference_text_of_the_library_document(capsys):
     """stdout is the envelope and the body that the library builds, through
     the reference writer, and one newline."""
     alphas = [0.0, 0.25, 1.0]
-    ctx = EvalContext(generate(parse_family("kbip:2,3")))
+    ctx = EvalContext(parse_family("kbip:2,3"))
     graphs = [corpus_mod.random_connected_graph(6, 0.5, seed=1 + i) for i in range(3)]
     n5 = corpus_mod.load_corpus(resources.files("dspread") / "data" / "bipartite_connected_n5.g6")
     for argv, body in [
@@ -624,7 +650,7 @@ def test_existing_file_wins_over_family_spec(capsys, monkeypatch, tmp_path):
 
 
 def test_family_input_builds_its_graph_once(capsys, monkeypatch):
-    builds = _count_calls(monkeypatch, generate)
+    builds = _count_calls(monkeypatch, family)
     code, _, _ = run_cli(capsys, "analyze", "complete:5")
     assert code == 0 and len(builds) == 1
 

@@ -13,7 +13,7 @@ from dspread.corpus import (
     random_connected_graph,
     sweep,
 )
-from dspread.families import FamilySpec, generate
+from dspread.families import family
 from dspread.graphs import Graph, encode_graph6, is_connected, parse_graph6
 from dspread.jsonfmt import fmt_float, json_text
 
@@ -56,7 +56,7 @@ def test_load_corpus(tmp_path):
 
 
 def test_problem39_n3():
-    result = check_problem_39([generate(FamilySpec("path", (3,)))], 3, 0.0)
+    result = check_problem_39([family("path", 3)], 3, 0.0)
     assert result["confirmed"]
     assert result["candidate_min_spread"] == pytest.approx(3 + math.sqrt(3), abs=1e-10)
     assert result["graphs_seen"] == 1
@@ -64,20 +64,20 @@ def test_problem39_n3():
 
 def test_problem39_n4_exhaustive():
     graphs = [
-        generate(FamilySpec("path", (4,))),
-        generate(FamilySpec("kbip", (1, 3))),
-        generate(FamilySpec("cycle", (4,))),
+        family("path", 4),
+        family("kbip", 1, 3),
+        family("cycle", 4),
     ]
     result = check_problem_39(graphs, 4, 0.0)
     assert result["confirmed"]
     assert result["candidate_min_spread"] == pytest.approx(6.0, abs=1e-10)
-    assert result["candidate_min_graph"] == encode_graph6(generate(FamilySpec("cycle", (4,))))
+    assert result["candidate_min_graph"] == encode_graph6(family("cycle", 4))
     again = check_problem_39(graphs, 4, 0.5)
     assert again["confirmed"]  # evaluated per alpha
 
 
 def test_problem39_missing_conjectured_graph():
-    graphs = [generate(FamilySpec("path", (4,))), generate(FamilySpec("kbip", (1, 3)))]
+    graphs = [family("path", 4), family("kbip", 1, 3)]
     with pytest.raises(ValueError, match="incomplete"):
         check_problem_39(graphs, 4, 0.0)
 
@@ -89,9 +89,9 @@ def test_problem39_rejects_wrong_order(zoo):
 
 def test_problem39_reproducible():
     graphs = [
-        generate(FamilySpec("cycle", (4,))),
-        generate(FamilySpec("path", (4,))),
-        generate(FamilySpec("kbip", (1, 3))),
+        family("cycle", 4),
+        family("path", 4),
+        family("kbip", 1, 3),
     ]
     a = check_problem_39(graphs, 4, 0.25)
     b = check_problem_39(graphs, 4, 0.25)
@@ -117,9 +117,10 @@ def test_random_graph_always_connected():
         assert is_connected(g) and g.edge_count >= 2
 
 
-def test_random_graph_retry_cap():
+def test_random_graph_retry_cap(monkeypatch):
+    monkeypatch.setattr(corpus_mod, "MAX_TRIES", 3)
     with pytest.raises(ValueError, match="tries"):
-        random_connected_graph(30, 1e-6, seed=1, max_tries=3)
+        random_connected_graph(30, 1e-6, seed=1)
 
 
 def test_random_graph_domain():
@@ -209,14 +210,12 @@ def test_sweep_equals_per_pair_tally(zoo, monkeypatch):
     # disconnected graph is a block with nothing to evaluate
     for size in (1, 2, 3):
         monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", size)
-        monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", size)
         assert json_text(sweep(graphs, alphas=alphas)) == text, size
 
 
 @pytest.mark.parametrize("block", [1, 2, 64])
 def test_sweep_exact_tie_keeps_first_pair(zoo, monkeypatch, block):
     monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
-    monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", block)
     alphas = (0.0, 0.5, 1.0)
     # thm26 is exactly tight on every complete graph at alpha = 1: a tie across blocks
     for k in ("K4", "K5"):

@@ -133,9 +133,9 @@ def test_spread_values(zoo):
     m = generalized_distance_matrix(distance_profile(zoo["P3"]), 0.0)
     assert _spread(m) == pytest.approx(3 + SQ3, abs=1e-10)
     for n, alpha in [(4, 0.5), (6, 0.25)]:
-        from dspread.families import FamilySpec, generate
+        from dspread.families import family
 
-        g = generate(FamilySpec("complete", (n,)))
+        g = family("complete", n)
         m = generalized_distance_matrix(distance_profile(g), alpha)
         assert _spread(m) == pytest.approx((1 - alpha) * n, abs=1e-10)
 
