@@ -12,7 +12,8 @@ packaged n = 4 and n = 6 corpora are read from PARENT_SRC, so both trees
 see the same bytes. After the fixed list come the jobs of every perfbench workload at
 seed 1, on inputs that perfbench/gen.py writes to the same temporary
 directory (imported without writing bytecode next to it). Exits 0 when
-every command agrees and 1 otherwise.
+every command agrees and 1 otherwise. scripts/unreached.py runs the same
+commands(), in process.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ COCKTAIL_PARTY_40 = ("g]~v~z~~v~~}~~~~^~~~}~~~~~v~~~~~z~~~~~~v~~~~~~}~~~~~~~~^~~
 # {n4}, {n6}: the packaged n = 4 and n = 6 bipartite corpora; {late}: a corpus file whose last
 # graph is disconnected; {missing}: a path that does not exist; {cocktail}:
 # a corpus file holding COCKTAIL_PARTY_40; {colon}: a corpus file whose name
-# holds ":", so it also reads as a (bad) family spec. Each command is split
+# holds ":", so it also reads as a (bad) family spec; {malformed}: a corpus
+# file whose second line has nonzero padding bits. Each command is split
 # with shlex, so a quoted argument may hold whitespace.
 COMMANDS = [
     "analyze Bg",
@@ -113,6 +115,18 @@ COMMANDS = [
     "analyze 'kbip: 2,3'",
     "analyze 'Bg\t' --format tsv",
     "bounds 'path:4\t' --alpha 0.5 --format tsv",
+    # one malformed graph6 input per parse error
+    "analyze Bgg",
+    "analyze Bh",
+    "analyze B",
+    "analyze '~'",
+    "analyze '~~'",
+    "analyze '~???'",
+    "analyze 'B!'",
+    "analyze 'Bé'",
+    "analyze '>>graph6<<'",
+    "bounds {malformed}",
+    "sweep --corpus {malformed}",
 ]
 
 
@@ -135,6 +149,26 @@ def perfbench_jobs(directory: Path) -> list[list[str]]:
             for job in gen.make_jobs(workload, PERFBENCH_SEED, directory / workload)["jobs"]]
 
 
+def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
+    """Every command as (label, argv): COMMANDS, then the perfbench jobs.
+
+    Writes the file inputs under the directory tmp and reads the packaged
+    corpora of the dspread tree src. A label shows tmp as "{tmp}".
+    """
+    files = {"missing": Path(tmp) / "missing.g6"}
+    for key, name, text in (("late", "late_disconnected.g6", "Bg\nBw\nC~\nA?\n"),
+                            ("cocktail", "cocktail_party_40.g6", COCKTAIL_PARTY_40 + "\n"),
+                            ("colon", "graphs:v2.g6", "Bg\nBw\nC~\n"),
+                            ("malformed", "malformed.g6", "Bg\nBh\n")):
+        files[key] = Path(tmp) / name
+        files[key].write_text(text, encoding="ascii")
+    data = src / "dspread" / "data"
+    files.update(n4=data / "bipartite_connected_n4.g6", n6=data / "bipartite_connected_n6.g6")
+    out = [(command, shlex.split(command.format(**files))) for command in COMMANDS]
+    return out + [(" ".join(argv).replace(tmp, "{tmp}"), argv)
+                  for argv in perfbench_jobs(Path(tmp) / "perfbench")]
+
+
 def main(parent: str, change: str) -> int:
     trees = [Path(parent).resolve(), Path(change).resolve()]
     for tree in trees:
@@ -143,21 +177,8 @@ def main(parent: str, change: str) -> int:
             return 2
     differing = 0
     with tempfile.TemporaryDirectory() as tmp:
-        late = Path(tmp) / "late_disconnected.g6"
-        late.write_text("Bg\nBw\nC~\nA?\n", encoding="ascii")
-        cocktail = Path(tmp) / "cocktail_party_40.g6"
-        cocktail.write_text(COCKTAIL_PARTY_40 + "\n", encoding="ascii")
-        colon = Path(tmp) / "graphs:v2.g6"
-        colon.write_text("Bg\nBw\nC~\n", encoding="ascii")
-        data = trees[0] / "dspread" / "data"
-        files = {"n4": data / "bipartite_connected_n4.g6",
-                 "n6": data / "bipartite_connected_n6.g6",
-                 "late": late, "missing": Path(tmp) / "missing.g6", "cocktail": cocktail,
-                 "colon": colon}
-        commands = [(command, shlex.split(command.format(**files))) for command in COMMANDS]
-        commands += [(" ".join(argv).replace(tmp, "{tmp}"), argv)
-                     for argv in perfbench_jobs(Path(tmp) / "perfbench")]
-        for command, argv in commands:
+        todo = commands(tmp, trees[0])
+        for command, argv in todo:
             (code_a, *streams_a), (code_b, *streams_b) = (run(tree, argv) for tree in trees)
             if code_a == code_b and streams_a == streams_b:
                 print(f"same  {command}")
@@ -171,7 +192,7 @@ def main(parent: str, change: str) -> int:
                                             f"change {stream}", n=0, lineterm="")
                 for line in diff:
                     print(f"  {line}")
-    print(f"{len(commands) - differing} of {len(commands)} commands identical")
+    print(f"{len(todo) - differing} of {len(todo)} commands identical")
     return 1 if differing else 0
 
 

@@ -46,14 +46,7 @@ from .cliques import (
     independence_number,
 )
 from .eigen import sym_eigen
-from .graphs import (
-    DisconnectedGraphError,
-    Graph,
-    distance_profile,
-    encode_graph6,
-    is_bipartite,
-    remove_edge,
-)
+from .graphs import Graph, distance_profile, encode_graph6, is_bipartite
 from .matrices import generalized_distance_matrix
 
 PROVEN = "proven"
@@ -64,38 +57,6 @@ EQ_TOL = 1e-6
 # graphs per eigensolve stack and per sweep block, so a stack holds at most
 # BLOCK_GRAPHS * k matrices however large the corpus
 BLOCK_GRAPHS = 64
-
-
-# --- structural checks ------------------------------------------------------
-
-
-def check_interlacing(parent_values: np.ndarray, child_values: np.ndarray) -> bool:
-    """a_i >= b_i >= a_{n-r+i} within DEFAULT_TOL for descending eigenvalue vectors;
-    applies equally to quotient-matrix and principal-submatrix children."""
-    a = np.sort(np.asarray(parent_values, dtype=float))[::-1]
-    b = np.sort(np.asarray(child_values, dtype=float))[::-1]
-    n, r = len(a), len(b)
-    if r > n:
-        raise ValueError("child order exceeds parent order")
-    return bool(np.all(b <= a[:r] + DEFAULT_TOL) and np.all(b >= a[n - r:] - DEFAULT_TOL))
-
-
-def check_edge_deletion_monotonicity(g: Graph, edge: tuple[int, int], alpha: float) -> bool:
-    """True when every eigenvalue weakly increases, within DEFAULT_TOL, after
-    deleting the edge.
-
-    Only meaningful for 1/2 <= alpha <= 1 and when the deletion keeps the
-    graph connected; out-of-range alpha or a bridge raises ValueError.
-    """
-    if not 0.5 <= alpha <= 1.0:
-        raise ValueError("monotonicity check requires alpha in [1/2, 1]")
-    try:
-        smaller = EvalContext(remove_edge(g, edge))
-    except DisconnectedGraphError:
-        raise ValueError("edge deletion disconnects the graph") from None
-    before = EvalContext(g)
-    solve_spectra([before, smaller], [alpha])
-    return bool(np.all(smaller.values(alpha) >= before.values(alpha) - DEFAULT_TOL))
 
 
 # --- evaluation context and batched spectra ---------------------------------
@@ -502,13 +463,4 @@ def evaluate_all(g: Graph, alpha: float, ctx: Optional[EvalContext] = None) -> l
     one-graph, one-alpha view of evaluate()."""
     ctx = EvalContext(g) if ctx is None else ctx
     return evaluate([ctx], [alpha]).reports(0, 0)
-
-
-def evaluate_bound(
-    bound_id: str, g: Graph, alpha: float, ctx: Optional[EvalContext] = None
-) -> dict:
-    """The `bounds` entry of a single registry entry on (g, alpha)."""
-    if bound_id not in BOUND_IDS:
-        raise KeyError(f"unknown bound_id {bound_id!r}")
-    return evaluate_all(g, alpha, ctx)[BOUND_IDS.index(bound_id)]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -81,11 +81,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
 
 
 @dataclass(eq=False)
@@ -238,26 +233,6 @@ def is_bipartite(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     part0 = tuple(v for v in range(g.n) if color[v] == 0)
     part1 = tuple(v for v in range(g.n) if color[v] == 1)
     return part0, part1
-
-
-def remove_edge(g: Graph, edge: tuple[int, int]) -> Graph:
-    u, v = edge
-    if u > v:
-        u, v = v, u
-    if (u, v) not in g.edges:
-        raise ValueError(f"edge ({u}, {v}) not present")
-    return Graph(n=g.n, edges=g.edges - {(u, v)})
-
-
-def induced_paths(g: Graph) -> Iterator[tuple[int, int, int]]:
-    """Yield every induced 3-vertex path (u, v, w): uv, vw edges, uw a non-edge."""
-    for v in range(g.n):
-        nbrs = g.adjacency[v]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                u, w = nbrs[i], nbrs[j]
-                if not g.has_edge(u, w):
-                    yield u, v, w
 
 
 # --- text formats ---------------------------------------------------------

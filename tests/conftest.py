@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from dspread.bounds import BOUND_IDS, evaluate_all
 from dspread.families import family
 from dspread.graphs import Graph, is_connected
 
@@ -26,6 +27,11 @@ def zoo():
         "CS25": family("split", 2, 5),
         "CS22": family("split", 2, 4),  # the diamond
     }
+
+
+def evaluate_bound(bound_id: str, g: Graph, alpha: float, ctx=None) -> dict:
+    """The `bounds` entry of one registry entry on (g, alpha)."""
+    return evaluate_all(g, alpha, ctx)[BOUND_IDS.index(bound_id)]
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:

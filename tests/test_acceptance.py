@@ -11,13 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dspread.bounds import (
-    EvalContext,
-    check_edge_deletion_monotonicity,
-    check_interlacing,
-    clique_number,
-    evaluate_bound,
-)
+from dspread.bounds import EvalContext, clique_number
 from dspread.corpus import (
     check_problem_39,
     iter_graph6_lines,
@@ -31,14 +25,18 @@ from dspread.families import (
     spectrum_complete_bipartite,
     spectrum_complete_split,
 )
-from dspread.graphs import (
-    distance_profile,
-    induced_paths,
-    is_bipartite,
-    parse_graph6,
-)
+from dspread.graphs import distance_profile, is_bipartite, is_connected, parse_graph6
 from dspread.jsonfmt import json_text
-from dspread.matrices import generalized_distance_matrix, quotient_eigenvalues
+from dspread.matrices import generalized_distance_matrix
+
+from conftest import evaluate_bound
+from structure_oracle import (
+    check_edge_deletion_monotonicity,
+    check_interlacing,
+    induced_paths,
+    quotient_eigenvalues,
+    remove_edge,
+)
 
 GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 TOL = 1e-8
@@ -224,8 +222,6 @@ def test_criterion_08_edge_deletion_monotonicity():
         p = (0.4, 0.6, 0.85)[seed % 3]
         g = random_connected_graph(n, p, seed=seed)
         seed += 1
-        from dspread.graphs import is_connected, remove_edge
-
         edge = next(
             (e for e in sorted(g.edges) if is_connected(remove_edge(g, e))), None
         )

@@ -43,7 +43,7 @@ def test_generate_split():
     g = family("split", 2, 5)
     assert g.n == 5 and g.edge_count == 7  # t(n-t) + t(t-1)/2
     # clique vertices first: 0 and 1 adjacent, independent part not
-    assert g.has_edge(0, 1) and not g.has_edge(2, 3)
+    assert (0, 1) in g.edges and (2, 3) not in g.edges
 
 
 def test_generate_path_cycle_star():

@@ -11,15 +11,14 @@ from dspread.graphs import (
     GraphParseError,
     distance_profile,
     encode_graph6,
-    induced_paths,
     is_bipartite,
     is_connected,
     is_transmission_regular,
     parse_graph6,
-    remove_edge,
 )
 
 from conftest import graph_from_mask
+from structure_oracle import induced_paths, remove_edge
 
 
 # --- construction ---
@@ -38,7 +37,7 @@ def test_from_edges_normalizes():
     g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 2)])
     assert sorted(g.edges) == [(0, 2), (1, 2)]
     assert g.adjacency == ((2,), (2,), (0, 1))
-    assert len(g.adjacency[2]) == 2 and g.has_edge(2, 0)
+    assert len(g.adjacency[2]) == 2 and (0, 2) in g.edges
 
 
 # --- graph6 ---

@@ -4,9 +4,10 @@ from hypothesis import given, strategies as st
 
 from dspread.eigen import sym_eigen
 from dspread.graphs import distance_profile, is_connected
-from dspread.matrices import generalized_distance_matrix, quotient_eigenvalues
+from dspread.matrices import generalized_distance_matrix
 
 from conftest import graph_from_mask
+from structure_oracle import quotient_eigenvalues
 
 
 def test_dalpha_p3_alpha0(zoo):
