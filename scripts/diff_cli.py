@@ -36,12 +36,20 @@ PERFBENCH_SEED = 1
 COCKTAIL_PARTY_40 = ("g]~v~z~~v~~}~~~~^~~~}~~~~~v~~~~~z~~~~~~v~~~~~~}~~~~~~~~^~~~~~~~}~~~~~"
                      "~~~~v~~~~~~~~~z~~~~~~~~~~v~~~~~~~~~~}~~~~~~~~~~~~^~~~~~~~~~~~}")
 
+# encode_graph6(family("cycle", 63)): the smallest order in the long form
+CYCLE_63 = ("~??~hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@????C????"
+            "G????G????C????@?????G?????_????@?????@??????_?????G?????@??????C??????G????"
+            "??G??????C??????@???????G???????_??????@???????@????????_???????G???????@???"
+            "?????C????????G????????G????????C????????@?????????G?????????_????????@?????"
+            "????@??????????o?????????G")
+
 # {n4}, {n6}: the packaged n = 4 and n = 6 bipartite corpora; {late}: a corpus file whose last
 # graph is disconnected; {missing}: a path that does not exist; {cocktail}:
 # a corpus file holding COCKTAIL_PARTY_40; {colon}: a corpus file whose name
 # holds ":", so it also reads as a (bad) family spec; {malformed}: a corpus
-# file whose second line has nonzero padding bits. Each command is split
-# with shlex, so a quoted argument may hold whitespace.
+# file whose second line has nonzero padding bits; {long}: a corpus file
+# holding CYCLE_63, a long-form graph6 line. Each command is split with
+# shlex, so a quoted argument may hold whitespace.
 COMMANDS = [
     "analyze Bg",
     "analyze kbip:2,3",
@@ -122,11 +130,14 @@ COMMANDS = [
     "analyze '~'",
     "analyze '~~'",
     "analyze '~???'",
+    "analyze '?'",
     "analyze 'B!'",
     "analyze 'Bé'",
     "analyze '>>graph6<<'",
     "bounds {malformed}",
     "sweep --corpus {malformed}",
+    "analyze {long} --alpha 0",
+    "bounds {long} --alpha 0.5",
 ]
 
 
@@ -159,7 +170,8 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
     for key, name, text in (("late", "late_disconnected.g6", "Bg\nBw\nC~\nA?\n"),
                             ("cocktail", "cocktail_party_40.g6", COCKTAIL_PARTY_40 + "\n"),
                             ("colon", "graphs:v2.g6", "Bg\nBw\nC~\n"),
-                            ("malformed", "malformed.g6", "Bg\nBh\n")):
+                            ("malformed", "malformed.g6", "Bg\nBh\n"),
+                            ("long", "cycle_63.g6", CYCLE_63 + "\n")):
         files[key] = Path(tmp) / name
         files[key].write_text(text, encoding="ascii")
     data = src / "dspread" / "data"

@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dspread.graphs import Graph, encode_graph6, is_bipartite, is_connected
+from dspread.graphs import Graph, distance_profile, encode_graph6, is_bipartite, is_connected
 
 EXPECTED = {3: 1, 4: 3, 5: 5, 6: 17}
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "dspread" / "data"
@@ -52,7 +52,7 @@ def generate_order(n: int) -> list[str]:
     reps: list[tuple[int, str]] = []
     for mask in range(1 << len(pairs)):
         g = mask_to_graph(n, mask, pairs)
-        if not is_connected(g) or is_bipartite(g) is None:
+        if not is_connected(g) or is_bipartite(g, distance_profile(g)) is None:
             continue
         canon = canonical_mask(n, mask, pairs, index)
         if canon in seen:

@@ -41,7 +41,6 @@ import numpy as np
 from .cliques import (
     CLIQUE_BUDGET_SPENT,
     INDEPENDENCE_BUDGET_SPENT,
-    SearchBudgetExceeded,
     clique_number,
     independence_number,
 )
@@ -64,10 +63,10 @@ BLOCK_GRAPHS = 64
 
 class EvalContext:
     """Per-graph data the registry reads: the distance profile, and on first
-    use bipartiteness, cliques and independence number (each None when its
-    search runs out of cliques.SEARCH_BUDGET nodes; search_nodes holds the
-    nodes of each search run) and the spectra of D_alpha as solve_spectra()
-    caches them.
+    use bipartiteness (off the profile's BFS levels), cliques and
+    independence number (each None when its search runs out of
+    cliques.SEARCH_BUDGET nodes; search_nodes holds the nodes of each
+    search run) and the spectra of D_alpha as solve_spectra() caches them.
 
     A disconnected graph raises DisconnectedGraphError from the one BFS
     pass of its distance profile.
@@ -82,7 +81,7 @@ class EvalContext:
 
     @cached_property
     def bipartite(self) -> bool:
-        return is_bipartite(self.graph) is not None
+        return is_bipartite(self.graph, self.profile) is not None
 
     @cached_property
     def graph6(self) -> str:
@@ -100,17 +99,12 @@ class EvalContext:
 
     @cached_property
     def cliques(self) -> Optional[tuple[int, list[tuple[int, ...]]]]:
-        try:
-            return clique_number(self.graph, self.search_nodes)
-        except SearchBudgetExceeded:
-            return None
+        return clique_number(self.graph, self.search_nodes)
 
     @cached_property
     def independence(self) -> Optional[int]:
-        try:
-            return independence_number(self.graph, self.search_nodes)[0]
-        except SearchBudgetExceeded:
-            return None
+        found = independence_number(self.graph, self.search_nodes)
+        return None if found is None else found[0]
 
 
 def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> None:

@@ -2,8 +2,8 @@
 
 One branch and bound serves both: clique_number searches the graph and
 independence_number its complement. Each search is limited to
-SEARCH_BUDGET branch-and-bound nodes and raises SearchBudgetExceeded when it
-needs more, so a search gives up on every machine at the same point.
+SEARCH_BUDGET branch-and-bound nodes and returns None when it needs more,
+so a search gives up on every machine at the same point.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ SMALL_CANDIDATES = 12
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """An exact search visited SEARCH_BUDGET nodes without finishing."""
+    """Unwinds _maximum_cliques once it has visited SEARCH_BUDGET nodes."""
 
 
 def _maximum_cliques(masks: Sequence[int], every: bool) -> tuple[Optional[list[int]], int]:
@@ -114,28 +114,26 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
 
 def clique_number(
     g: Graph, nodes: Optional[dict[str, int]] = None
-) -> tuple[int, list[tuple[int, ...]]]:
+) -> Optional[tuple[int, list[tuple[int, ...]]]]:
     """Exact clique number together with every maximum clique, in
-    lexicographic order.
+    lexicographic order; None when the search runs out of its budget.
 
-    nodes, when given, gets the search's node count under "clique". Raises
-    SearchBudgetExceeded when the search runs out of its budget.
+    nodes, when given, gets the search's node count under "clique".
     """
     cliques, spent = _maximum_cliques(g.masks, True)
     if nodes is not None:
         nodes["clique"] = spent
     if cliques is None:
-        raise SearchBudgetExceeded(CLIQUE_BUDGET_SPENT)
+        return None
     return cliques[0].bit_count(), sorted(map(_mask_to_tuple, cliques))
 
 
 def independence_number(
     g: Graph, nodes: Optional[dict[str, int]] = None
-) -> tuple[int, tuple[int, ...]]:
+) -> Optional[tuple[int, tuple[int, ...]]]:
     """Exact independence number with the first maximum independent set the
-    search finds: a maximum clique of the complement.
-
-    nodes as for clique_number, the count under "independence".
+    search finds (a maximum clique of the complement), or None as for
+    clique_number; nodes likewise, the count under "independence".
     """
     full = (1 << g.n) - 1
     non_adjacent = [full & ~(m | 1 << v) for v, m in enumerate(g.masks)]
@@ -143,5 +141,5 @@ def independence_number(
     if nodes is not None:
         nodes["independence"] = spent
     if sets is None:
-        raise SearchBudgetExceeded(INDEPENDENCE_BUDGET_SPENT)
+        return None
     return sets[0].bit_count(), _mask_to_tuple(sets[0])

@@ -54,12 +54,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from unordered endpoint pairs (normalized, deduplicated)."""
-        norm = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            norm.add((u, v) if u < v else (v, u))
-        return cls(n=n, edges=frozenset(norm))
+        return cls(n=n, edges=frozenset((u, v) if u < v else (v, u) for u, v in pairs))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -213,26 +208,16 @@ def is_transmission_regular(profile: DistanceProfile) -> Optional[int]:
     return None
 
 
-def is_bipartite(g: Graph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """2-color via BFS; return the two parts (vertex 0 in the first) or None."""
-    color = [-1] * g.n
-    adj = g.adjacency
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    part0 = tuple(v for v in range(g.n) if color[v] == 0)
-    part1 = tuple(v for v in range(g.n) if color[v] == 1)
-    return part0, part1
+def is_bipartite(g: Graph,
+                 profile: DistanceProfile) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The even and the odd BFS levels from vertex 0 (profile.dist[0]) of a
+    connected graph, or None if an edge joins two vertices of one level,
+    which is exactly when the graph is not bipartite."""
+    level = profile.dist[0].tolist()
+    if any(level[u] == level[v] for u, v in g.edges):
+        return None
+    return (tuple(v for v in range(g.n) if level[v] % 2 == 0),
+            tuple(v for v in range(g.n) if level[v] % 2))
 
 
 # --- text formats ---------------------------------------------------------
@@ -272,6 +257,8 @@ def _g6_order(data: bytes) -> tuple[int, int]:
     if len(data) < 4:
         raise GraphParseError("truncated long-form graph6 header", offset=len(data))
     n = (_g6_char(data, 1) << 12) | (_g6_char(data, 2) << 6) | _g6_char(data, 3)
+    if n == 0:
+        raise GraphParseError("graph of order 0 is not supported", offset=1)
     if n <= 62:
         raise GraphParseError(f"long-form graph6 header for n = {n}, which needs the short form",
                               offset=1)

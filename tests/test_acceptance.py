@@ -240,7 +240,7 @@ def test_criterion_09_interlacing(zoo):
     quotient_checks = principal_checks = 0
     for g in corpus:
         p = distance_profile(g)
-        parts = is_bipartite(g)
+        parts = is_bipartite(g, p)
         omega, maxima = clique_number(g)
         triples = list(induced_paths(g))
         for alpha in GRID:

@@ -18,6 +18,7 @@ from dspread import bounds as bounds_mod
 from dspread import cli as cli_mod
 from dspread import cliques as cliques_mod
 from dspread import corpus as corpus_mod
+from dspread import graphs as graphs_mod
 from dspread.bounds import BOUND_IDS, EvalContext, evaluate, evaluate_all
 from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT
 from dspread.cli import EXIT_BROKEN_PIPE, main
@@ -611,10 +612,12 @@ def test_one_profile_and_one_eigensolve_per_pair(capsys, monkeypatch, tmp_path):
 def test_one_bfs_pass_per_graph(capsys, monkeypatch, tmp_path):
     # each graph gets one distance profile, which runs one BFS (from vertex
     # 0) and then, for these small graphs, matrix products; only the
-    # registry reads bipartiteness, once per graph
+    # registry reads bipartiteness, once per graph, off that BFS: every
+    # queue dspread.graphs builds is counted
     profiles = _count_calls(monkeypatch, distance_profile)
     bfs = _count_calls(monkeypatch, bfs_distances)
     bipartite = _count_calls(monkeypatch, is_bipartite)
+    queues = _count_calls(monkeypatch, graphs_mod.deque)
     corpus = tmp_path / "three.g6"
     corpus.write_text("Bg\nBw\nC~\n", encoding="ascii")
     for argv, graphs, checks in ((("analyze", "Bg"), 1, 0), (("analyze", str(corpus)), 3, 0),
@@ -623,10 +626,11 @@ def test_one_bfs_pass_per_graph(capsys, monkeypatch, tmp_path):
         profiles.clear()
         bfs.clear()
         bipartite.clear()
+        queues.clear()
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         assert len(profiles) == graphs and [args[1] for args in bfs] == [0] * graphs, argv
-        assert len(bipartite) == checks, argv
+        assert len(bipartite) == checks and len(queues) == graphs, argv
     # a disconnected graph costs one BFS and still counts as skipped
     corpus.write_text("A?\n", encoding="ascii")
     bfs.clear()

@@ -41,9 +41,8 @@ def test_k4_half_spectrum(zoo):
     assert np.allclose(sym_eigen(m), [3.0, 1.0, 1.0, 1.0], atol=1e-10)
 
 
-def test_requires_symmetric():
-    with pytest.raises(ValueError, match="symmetric"):
-        sym_eigen(np.array([[0.0, 1.0], [0.5, 0.0]]))
+def test_requires_square():
+    # LAPACK's LinAlgError is a ValueError
     with pytest.raises(ValueError, match="square"):
         sym_eigen(np.zeros((2, 3)))
 
@@ -58,10 +57,6 @@ def test_stack_matches_each_matrix(zoo):
         for j, a in enumerate(alphas):
             m = generalized_distance_matrix(p, a)
             assert np.array_equal(batched[i, j], sym_eigen(m))
-    # the symmetry check covers every matrix of the stack
-    stack[2, 1, 0, 1] += 1.0
-    with pytest.raises(ValueError, match="symmetric"):
-        sym_eigen(stack)
     with pytest.raises(ValueError, match="square"):
         sym_eigen(np.zeros((2, 3, 4)))
 

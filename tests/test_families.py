@@ -35,7 +35,7 @@ def test_generate_complete():
 def test_generate_bipartite():
     g = family("kbip", 2, 3)
     assert g.n == 5 and g.edge_count == 6
-    parts = is_bipartite(g)
+    parts = is_bipartite(g, distance_profile(g))
     assert sorted(map(len, parts)) == [2, 3]
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import dspread.graphs
 from dspread.families import parse_family
 from dspread.graphs import (
+    DisconnectedGraphError,
     Graph,
     GraphParseError,
     distance_profile,
@@ -89,7 +91,7 @@ def test_parse_graph6_long_form_unsupported():
     with pytest.raises(GraphParseError, match=r"8-byte long-form .*\(byte offset 1\)"):
         parse_graph6("~~??????")
     # a long-form header must hold n >= 63
-    for text, n in (("~???", 0), ("~??}", 62)):
+    for text, n in (("~??@", 1), ("~??}", 62)):
         with pytest.raises(GraphParseError,
                            match=rf"header for n = {n}, .*short form \(byte offset 1\)"):
             parse_graph6(text)
@@ -97,6 +99,14 @@ def test_parse_graph6_long_form_unsupported():
         parse_graph6("~??")
     with pytest.raises(GraphParseError, match=r"outside graph6 range \(byte offset 2\)"):
         parse_graph6("~?" + chr(20) + "?")
+
+
+def test_parse_graph6_order_zero():
+    # neither header form of order 0 is read, so neither points to the other
+    for text, offset in (("?", 0), ("~???", 1)):
+        with pytest.raises(GraphParseError,
+                           match=rf"^graph of order 0 is not supported \(byte offset {offset}\)$"):
+            parse_graph6(text)
 
 
 def test_graph6_long_form_header():
@@ -142,10 +152,37 @@ def test_is_connected(zoo):
 
 
 def test_is_bipartite(zoo):
-    assert is_bipartite(zoo["P3"]) == ((0, 2), (1,))
-    assert is_bipartite(zoo["K3"]) is None
-    parts = is_bipartite(zoo["K23"])
-    assert sorted(map(len, parts)) == [2, 3]
+    def parts(g):
+        return is_bipartite(g, distance_profile(g))
+
+    assert parts(zoo["P3"]) == ((0, 2), (1,))
+    assert parts(zoo["K3"]) is None
+    assert sorted(map(len, parts(zoo["K23"]))) == [2, 3]
+
+
+def test_is_bipartite_against_every_two_colouring():
+    # every connected labelled graph with n <= 6: the parts are the one
+    # proper 2-colouring that puts vertex 0 first, and None means none exists
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        # colouring c (bit v set: v in the second part, vertex 0 never) ->
+        # the pairs it colours alike, as a mask over pairs
+        alike = {c: sum(1 << i for i, (u, v) in enumerate(pairs) if (c >> u ^ c >> v) & 1 == 0)
+                 for c in range(0, 1 << n, 2)}
+        for mask in range(1 << len(pairs)):
+            g = graph_from_mask(n, mask)
+            try:
+                profile = distance_profile(g)
+            except DisconnectedGraphError:
+                continue
+            proper = [c for c, same in alike.items() if mask & same == 0]
+            parts = is_bipartite(g, profile)
+            if not proper:
+                assert parts is None, (n, mask)
+                continue
+            (c,) = proper  # a connected graph has at most one
+            assert parts == (tuple(v for v in range(n) if not c >> v & 1),
+                             tuple(v for v in range(n) if c >> v & 1)), (n, mask)
 
 
 # --- distance profile ---

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dspread import graphs as graphs_mod
+from dspread.corpus import ALPHA_GRID, random_connected_graph
 from dspread.eigen import sym_eigen
+from dspread.families import family
 from dspread.graphs import distance_profile, is_connected
 from dspread.matrices import generalized_distance_matrix
 
@@ -44,6 +47,25 @@ def test_dalpha_alpha_sequence_is_a_stack(zoo):
         assert np.array_equal(m, generalized_distance_matrix(p, a))
     with pytest.raises(ValueError, match="got 1.5"):
         generalized_distance_matrix(p, (0.5, 1.5))
+
+
+def test_dalpha_equals_its_transpose(monkeypatch):
+    # sym_eigen does not check symmetry, so D_alpha must be exactly
+    # symmetric at every grid alpha, whichever way its distances were found:
+    # matrix products for the random graphs, per-vertex BFS for the others
+    products = []
+    reach = graphs_mod._reach_distances
+    monkeypatch.setattr(graphs_mod, "_reach_distances",
+                        lambda *args: products.append(args) or reach(*args))
+    graphs = [random_connected_graph(n, 0.5, seed=n) for n in range(2, 41)]
+    graphs += [family("cycle", 200), family("path", 62)]
+    used_products = []
+    for g in graphs:
+        products.clear()
+        m = generalized_distance_matrix(distance_profile(g), ALPHA_GRID)
+        assert np.array_equal(m, np.swapaxes(m, -1, -2)), g.n
+        used_products.append(bool(products))
+    assert used_products == [True] * 39 + [False, False]
 
 
 def test_laplacians_p3(zoo):
