@@ -45,7 +45,7 @@ from .cliques import (
     independence_number,
 )
 from .eigen import sym_eigen
-from .graphs import Graph, distance_profile, encode_graph6, is_bipartite
+from .graphs import DistanceProfile, Graph, distance_profile, encode_graph6, is_bipartite
 from .matrices import generalized_distance_matrix
 
 PROVEN = "proven"
@@ -68,13 +68,14 @@ class EvalContext:
     cliques.SEARCH_BUDGET nodes; search_nodes holds the nodes of each
     search run) and the spectra of D_alpha as solve_spectra() caches them.
 
-    A disconnected graph raises DisconnectedGraphError from the one BFS
-    pass of its distance profile.
+    The profile is computed here unless given (distance_profiles() gives
+    those of a block at once); computing it raises DisconnectedGraphError
+    for a disconnected graph.
     """
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, profile: Optional[DistanceProfile] = None):
         self.graph = graph
-        self.profile = distance_profile(graph)
+        self.profile = distance_profile(graph) if profile is None else profile
         # alpha -> (descending eigenvalues, [top, bottom, |D|_F^2, trace])
         self._solved: dict[float, tuple[np.ndarray, list[float]]] = {}
         self.search_nodes: dict[str, int] = {}
@@ -110,9 +111,11 @@ class EvalContext:
 def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> None:
     """Cache the spectrum of D_alpha for every context and alpha.
 
-    D_alpha is affine in alpha, so a graph's alphas form one (k, n, n)
-    stack, and graphs of one order share one eigvalsh call on their
-    (G*k, n, n) stack, BLOCK_GRAPHS graphs at a time. The stack also gives
+    D_alpha is affine in alpha, so the graphs of one order, BLOCK_GRAPHS
+    at a time, get their (G*k, n, n) stack from one
+    generalized_distance_matrix call on their stacked distances and
+    transmissions, and share one eigvalsh call on it. Every entry is the
+    same elementwise product as in a one-graph call. The stack also gives
     the squared Frobenius norm and the trace that mirsky_upper reads.
     """
     groups: dict[tuple, list[EvalContext]] = {}
@@ -123,8 +126,11 @@ def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> None:
     for (n, todo), group in groups.items():
         for start in range(0, len(group), BLOCK_GRAPHS):
             chunk = group[start:start + BLOCK_GRAPHS]
-            stack = np.stack([generalized_distance_matrix(c.profile, todo) for c in chunk])
-            stack = stack.reshape(-1, n, n)  # (G*k, n, n)
+            # (G, 1, n, n) distances and (G, 1, n) transmissions give (G, k, n, n);
+            # the stacked distances are freed before the eigensolve
+            stack = generalized_distance_matrix(SimpleNamespace(
+                dist=np.stack([c.profile.dist for c in chunk])[:, None],
+                tr=np.stack([c.profile.tr for c in chunk])[:, None]), todo).reshape(-1, n, n)
             values = sym_eigen(stack)
             stats = np.stack([values[:, 0], values[:, -1], (stack ** 2).sum(axis=(1, 2)),
                               np.trace(stack, axis1=1, axis2=2)], axis=1)
@@ -325,7 +331,7 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleName
     c.bipartite = np.array([ctx.bipartite for ctx in ctxs])[:, None]
     c.wiener = col([ctx.profile.wiener for ctx in ctxs])
     # per-vertex columns: degree, mean neighbour transmission, transmission
-    c.degree = _padded([[len(nbrs) for nbrs in ctx.graph.adjacency] for ctx in ctxs])
+    c.degree = _padded([ctx.profile.degree for ctx in ctxs])
     c.avg_dist_deg = _padded([ctx.profile.avg_dist_deg for ctx in ctxs])
     c.tr = _padded([ctx.profile.tr for ctx in ctxs])
     c.delta = np.nanmax(c.degree, axis=-1)

@@ -5,10 +5,10 @@ table) and exits. Floats are rendered with 12 significant digits, so repeated
 invocations with the same numpy/LAPACK build are byte-identical; another
 build may move the last digits and noise-level gaps.
 
-Exit codes: 0 success, 2 input error (unparseable graph, bad family spec,
-unreadable corpus, NaN/infinite/negative tolerance, bad --seed-random
-values, --alpha with --alpha-grid, an empty --alpha-grid, --alphas,
---corpus or --seed-random value), 3 precondition failure
+Exit codes: 0 success, 2 input error (unparseable graph, bad family spec
+or one over the family size cap, unreadable corpus, NaN/infinite/negative
+tolerance, bad --seed-random values, --alpha with --alpha-grid, an empty
+--alpha-grid, --alphas, --corpus or --seed-random value), 3 precondition failure
 (disconnected graph, alpha out of range, no connected --seed-random
 sample), 4 at least one applicable proven bound violated, 141 stdout
 closed before the output was written (128 + SIGPIPE, what a shell reports

@@ -10,7 +10,7 @@ a tie keeps the first (graph, alpha) of the corpus.
 from __future__ import annotations
 
 import random
-from itertools import islice
+from itertools import islice, takewhile
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds
 from .bounds import BOUND_IDS, DEFAULT_TOL, EQ_TOL
 from .bounds import EvalContext, evaluate, solve_spectra
-from .graphs import DisconnectedGraphError, Graph, is_connected, parse_graph6
+from .graphs import Graph, distance_profiles, is_connected, parse_graph6
 from .jsonfmt import fmt_float
 
 ALPHA_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
@@ -57,12 +57,9 @@ def sweep(
     worst_margin: dict[str, float] = {}
     violations, discrepancies = [], []
     while block := list(islice(it, bounds.BLOCK_GRAPHS)):
-        ctxs = []
-        for g in block:
-            try:
-                ctxs.append(EvalContext(g))
-            except DisconnectedGraphError:
-                skipped += 1
+        ctxs = [EvalContext(g, p) for g, p in zip(block, distance_profiles(block))
+                if p is not None]
+        skipped += len(block) - len(ctxs)
         seen += len(ctxs)
         ev = evaluate(ctxs, alphas, tol=tol)
         keys = [ctx.graph6 for ctx in ctxs]
@@ -114,17 +111,16 @@ def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> dict:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    ctxs = []
-    for g in graphs:
-        if g.n != n:
-            raise ValueError(f"corpus graph of order {g.n} in an order-{n} scan")
-        try:
-            ctx = EvalContext(g)
-        except DisconnectedGraphError:
-            ctx = None
-        if ctx is None or not ctx.bipartite:
-            raise ValueError("corpus contains a non-(connected bipartite) graph")
-        ctxs.append(ctx)
+    ctxs, it = [], iter(graphs)
+    while block := list(islice(it, bounds.BLOCK_GRAPHS)):
+        # the graphs before the first of another order are checked first
+        fit = list(takewhile(lambda g: g.n == n, block))
+        for g, profile in zip(fit, distance_profiles(fit)):
+            if profile is None or not (ctx := EvalContext(g, profile)).bipartite:
+                raise ValueError("corpus contains a non-(connected bipartite) graph")
+            ctxs.append(ctx)
+        if len(fit) < len(block):
+            raise ValueError(f"corpus graph of order {block[len(fit)].n} in an order-{n} scan")
     if not ctxs:
         raise ValueError("empty corpus")
     solve_spectra(ctxs, [alpha])

@@ -1,11 +1,12 @@
 """Structured graph families and their analytic generalized-distance spectra.
 
 family("kbip", 2, 3) builds a graph, and parse_family("kbip:2,3") builds
-the same graph from the CLI's spec syntax. The graphs use a canonical
-labeling (clique / first part at the low indices) so positional partitions
-line up with the block structure the closed forms assume. Each closed form
-returns its descending eigenvalue array and is meant to be cross-checked
-against the numeric solver, whose spectrum is the ground truth.
+the same graph from the CLI's spec syntax; one of more than MAX_FAMILY_ORDER
+vertices or MAX_FAMILY_EDGES edges is refused unbuilt. The graphs use a
+canonical labeling (clique / first part at the low indices) so positional
+partitions line up with the block structure the closed forms assume. Each
+closed form returns its descending eigenvalue array and is meant to be
+cross-checked against the numeric solver, whose spectrum is the ground truth.
 """
 
 from __future__ import annotations
@@ -17,37 +18,51 @@ import numpy as np
 from .graphs import Graph
 
 
+# The largest family graph built: `analyze cycle:2000` (729 MB peak) and
+# `complete:1000` (499,500 edges) still run, while `complete:2000` would hold
+# 476 MB of edge tuples before anything else ran.
+MAX_FAMILY_ORDER = 2000
+MAX_FAMILY_EDGES = 500_000
+
 # kind -> (arity, parameter range check, message when the check fails,
-# builder of the (order, edges) of the graph)
+# the (order, edge count) of the graph, builder of its edges)
 _FAMILIES = {
     "complete": (1, lambda n: n >= 1, "complete graph needs n >= 1",
-                 lambda n: (n, [(u, v) for u in range(n) for v in range(u + 1, n)])),
+                 lambda n: (n, n * (n - 1) // 2),
+                 lambda n: [(u, v) for u in range(n) for v in range(u + 1, n)]),
     "kbip": (2, lambda r, s: r >= 1 and s >= 1, "complete bipartite graph needs r, s >= 1",
-             lambda r, s: (r + s, [(u, r + v) for u in range(r) for v in range(s)])),
+             lambda r, s: (r + s, r * s),
+             lambda r, s: [(u, r + v) for u in range(r) for v in range(s)]),
     "split": (2, lambda t, n: 1 <= t <= n - 1, "complete split graph needs 1 <= t <= n-1",
+              lambda t, n: (n, t * (t - 1) // 2 + t * (n - t)),
               # a clique on 0..t-1, joined to every later vertex
-              lambda t, n: (n, [(u, v) for u in range(t) for v in range(u + 1, n)])),
+              lambda t, n: [(u, v) for u in range(t) for v in range(u + 1, n)]),
     "path": (1, lambda n: n >= 1, "path needs n >= 1",
-             lambda n: (n, [(i, i + 1) for i in range(n - 1)])),
+             lambda n: (n, n - 1), lambda n: [(i, i + 1) for i in range(n - 1)]),
     "cycle": (1, lambda n: n >= 3, "cycle needs n >= 3",
-              lambda n: (n, [(i, (i + 1) % n) for i in range(n)])),
+              lambda n: (n, n), lambda n: [(i, (i + 1) % n) for i in range(n)]),
     "star": (1, lambda n: n >= 2, "star needs n >= 2",
-             lambda n: (n, [(0, v) for v in range(1, n)])),
+             lambda n: (n, n - 1), lambda n: [(0, v) for v in range(1, n)]),
 }
 
 
 def family(kind: str, *params: int) -> Graph:
     """The named graph, e.g. family("kbip", 2, 3), with canonical vertex
-    labeling; an unknown kind, a wrong parameter count or an out-of-range
-    parameter raises ValueError."""
+    labeling; an unknown kind, a wrong parameter count, an out-of-range
+    parameter or a graph of more than MAX_FAMILY_ORDER vertices or
+    MAX_FAMILY_EDGES edges raises ValueError before anything is built."""
     if kind not in _FAMILIES:
         raise ValueError(f"unknown family kind {kind!r}")
-    arity, in_range, need, build = _FAMILIES[kind]
+    arity, in_range, need, size, build = _FAMILIES[kind]
     if len(params) != arity:
         raise ValueError(f"family {kind!r} takes {arity} parameter(s), got {len(params)}")
     if not in_range(*params):
         raise ValueError(need)
-    return Graph.from_edges(*build(*params))
+    n, m = size(*params)
+    if n > MAX_FAMILY_ORDER or m > MAX_FAMILY_EDGES:
+        raise ValueError(f"family graph with {n} vertices and {m} edges exceeds the cap of "
+                         f"{MAX_FAMILY_ORDER} vertices and {MAX_FAMILY_EDGES} edges")
+    return Graph.from_edges(n, build(*params))
 
 
 def parse_family(text: str) -> Graph:

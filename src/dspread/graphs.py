@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -83,8 +84,8 @@ class DistanceProfile:
     """All shortest-path distances of a connected graph plus derived scalars.
 
     dist[i, j] is the BFS distance, tr the transmissions (row sums), wiener
-    the sum of distances over unordered pairs, and avg_dist_deg[i] the mean
-    transmission over the neighbors of vertex i.
+    the sum of distances over unordered pairs, avg_dist_deg[i] the mean
+    transmission over the neighbors of vertex i and degree[i] its degree.
     """
 
     dist: np.ndarray
@@ -92,10 +93,7 @@ class DistanceProfile:
     wiener: int
     diameter: int
     avg_dist_deg: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.tr)
+    degree: np.ndarray
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -118,82 +116,131 @@ def is_connected(g: Graph) -> bool:
     return all(d >= 0 for d in bfs_distances(g, 0))
 
 
-# Distances come from matrix products when (2*ecc(0) + 1) * n**3 multiply-adds
+# Distances come from matrix products when (levels + 1) * n**3 multiply-adds
 # are at most this many times the n * (n + 2m) steps of per-vertex BFS.
 _MULADDS_PER_BFS_STEP = 2000
 
 
 def distance_profile(g: Graph) -> DistanceProfile:
-    """All shortest-path distances and the statistics derived from them.
+    """distance_profiles([g]) of a connected graph; a disconnected one raises
+    DisconnectedGraphError (a ValueError), so callers need not check."""
+    [profile] = distance_profiles([g])
+    if profile is None:
+        raise DisconnectedGraphError("requires connected graph")
+    return profile
 
-    One BFS from vertex 0 comes first. A disconnected graph raises
-    DisconnectedGraphError (a ValueError) after it, so callers need no
-    separate connectivity check. It also gives ecc(0), and the diameter,
-    which is the number of BFS levels, is at most 2*ecc(0). The distance
-    matrix then comes from whichever of two methods costs less:
 
-    - matrix products (_reach_distances): every source advances one level
-      per product of an n x n float32 matrix, at most (2*ecc(0) + 1) * n**3
-      multiply-adds in BLAS;
-    - per-vertex BFS: one Python BFS from each further vertex, about
-      n * (n + 2m) interpreter steps, written row by row.
+def distance_profiles(graphs: Sequence[Graph]) -> list[Optional[DistanceProfile]]:
+    """The distance profile of each graph, None for a disconnected one.
+
+    Each distance matrix comes from whichever of two methods costs less:
+
+    - matrix products (_reach_distances): every source advances one BFS
+      level per float32 product in BLAS, about (levels + 1) * n**3
+      multiply-adds. The graphs of one order that take them share one loop
+      of batched products on their (G, n, n) stack, which also finds the
+      disconnected ones;
+    - per-vertex BFS: one Python BFS from each vertex, about n * (n + 2m)
+      interpreter steps, written row by row.
 
     Products are chosen when their multiply-adds are at most
-    _MULADDS_PER_BFS_STEP = 2000 times the BFS steps. That is where the two
-    methods crossed over when timed on paths, cycles, grids, a path joined
-    to a clique and G(n, p), n = 20..500, with OpenBLAS on 2 cores: from
-    about 1,300 (cycles) to 2,500 (grids). Dense and small graphs take the
-    products, long paths and cycles (`path:62`, `cycle:200`) the BFS.
+    _MULADDS_PER_BFS_STEP = 2000 times the BFS steps: where the two methods
+    crossed over when timed on paths, cycles, grids, a path joined to a
+    clique and G(n, p), n = 20..500, with OpenBLAS on 2 cores (from 1,300 on
+    cycles to 2,500 on grids). The level estimate is at most 2 * ecc(0) <=
+    2n - 2, so a graph with (2n - 1) * n**2 <= 2000 * (n + 2m), such as any
+    connected graph of order <= 54, takes the products without any BFS.
+    Any other graph runs a BFS from vertex 0, which finds it disconnected or
+    gives ecc(0), and a second one from a vertex at distance ecc(0) (a
+    double sweep), whose eccentricity is the level estimate: at most the
+    diameter, and equal to it on paths, cycles and grids. So `cycle:100`
+    and the 5 x 32 grid take the products, `path:100` and `cycle:200`
+    per-vertex BFS, which reuses both rows.
 
-    Distances, transmissions and the Wiener index are exact integers.
-    avg_dist_deg[i] is the sum of the transmissions of the neighbours of i
-    over the degree of i. The sums are integers below 2**53, so they are
-    exact in float64 and every quotient is correctly rounded.
+    Distances, transmissions, degrees and the Wiener index are exact
+    integers. avg_dist_deg[i] is the sum of the transmissions of the
+    neighbours of i, an integer below 2**53 and so exact in float64, over
+    the degree of i: every quotient is correctly rounded.
     """
-    n = g.n
-    row0 = bfs_distances(g, 0)
-    if min(row0) < 0:
-        raise DisconnectedGraphError("requires connected graph")
-    ends = np.array(tuple(g.edges), dtype=np.intp).reshape(-1, 2)
-    # every edge in both directions: vertex src[k] is adjacent to dst[k]
+    profiles: list[Optional[DistanceProfile]] = [None] * len(graphs)
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        n, steps = g.n, _MULADDS_PER_BFS_STEP * (g.n + 2 * len(g.edges))
+        if (2 * n - 1) * n * n > steps:
+            row0 = bfs_distances(g, 0)
+            if min(row0) < 0:
+                continue
+            far = row0.index(max(row0))
+            row = bfs_distances(g, far)
+            if (max(row) + 1) * n * n > steps:
+                dist = np.empty((1, n, n), dtype=np.int64)
+                for v in range(n):
+                    dist[0, v] = row0 if v == 0 else row if v == far else bfs_distances(g, v)
+                profiles[i] = _profiles([g], dist)[0]
+                continue
+        by_order.setdefault(n, []).append(i)
+    for idx in by_order.values():
+        for i, profile in zip(idx, _profiles([graphs[i] for i in idx], None)):
+            profiles[i] = profile
+    return profiles
+
+
+def _profiles(group: list[Graph], dist: Optional[np.ndarray]) -> list[Optional[DistanceProfile]]:
+    """The profiles of a group of graphs of one order n from their (G, n, n)
+    distance stack, or, where dist is None, from matrix products."""
+    count, n = len(group), group[0].n
+    # every edge in both directions, vertex v of graph k numbered k * n + v:
+    # vertex src[e] is adjacent to dst[e]
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in group)),
+                       dtype=np.intp).reshape(-1, 2)
+    ends += np.repeat(np.arange(count) * n, [len(g.edges) for g in group])[:, None]
     src, dst = ends.ravel(), ends[:, ::-1].ravel()
-    if (2 * max(row0) + 1) * n * n <= _MULADDS_PER_BFS_STEP * (n + len(src)):
-        dist = _reach_distances(n, src, dst)
-    else:
-        dist = np.empty((n, n), dtype=np.int64)
-        dist[0] = row0
-        for v in range(1, n):
-            dist[v] = bfs_distances(g, v)
-    tr = dist.sum(axis=1)
-    nbr_tr = np.bincount(src, weights=tr[dst], minlength=n)
-    avg = nbr_tr / np.maximum(np.bincount(src, minlength=n), 1)
-    return DistanceProfile(
-        dist=dist,
-        tr=tr,
-        wiener=int(tr.sum()) // 2,
-        diameter=int(dist.max()),
-        avg_dist_deg=avg,
-    )
+    # outputs before stacks and no allocation in the product loop: the freed
+    # stacks then leave no holes under live arrays in the C heap (20 MB at n = 200)
+    degree = np.bincount(src, minlength=count * n)
+    tr, avg = np.empty((count, n), dtype=np.int64), np.empty(count * n)
+    connected = np.ones(count, dtype=bool)
+    if dist is None:
+        dist, connected = _reach_distances(count, n, src, dst)
+    dist.sum(axis=2, out=tr)
+    nbr_tr = np.bincount(src, weights=tr.ravel()[dst], minlength=count * n)
+    np.divide(nbr_tr, np.maximum(degree, 1), out=avg)
+    degree, avg = degree.reshape(count, n), avg.reshape(count, n)
+    wiener, diameter = (tr.sum(axis=1) // 2).tolist(), dist.max(axis=(1, 2)).tolist()
+    return [DistanceProfile(dist=dist[k], tr=tr[k], wiener=wiener[k], diameter=diameter[k],
+                            avg_dist_deg=avg[k], degree=degree[k]) if connected[k] else None
+            for k in range(count)]
 
 
-def _reach_distances(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Distance matrix of a connected graph by BFS from all sources at once.
+def _reach_distances(count: int, n: int, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, n, n) distance stack of count graphs of order n by BFS
+    from all sources of all graphs at once, and which graphs are connected.
 
-    reach[s, v] is 1 once v lies within the current level of s. One product
-    with the adjacency plus the identity advances every source one level
-    (its float32 counts, at most n, are exact), and dist[s, v] counts the
-    levels at which v was still unreached from s.
+    reach[k, s, v] is 1 once v lies within the current level of s in graph
+    k. One batched product with the adjacency plus the identity advances
+    every source one level (its float32 counts, at most n, are exact), and
+    dist[k, s, v] counts the levels at which v was still unreached from s;
+    it means nothing in a disconnected graph. The loop stops once every
+    vertex is reached (after the largest diameter less one products) or,
+    with a disconnected graph in the stack, once a product reaches no new
+    vertex (after as many products as the largest finite distance), so it
+    runs at most n - 1 products.
     """
-    step = np.eye(n, dtype=np.float32)
-    step[src, dst] = 1
-    reach = np.eye(n, dtype=np.float32)
-    reached = np.zeros((n, n), dtype=np.float32)
-    levels = 0
-    while not reach.all():
+    step = np.zeros((count, n, n), dtype=np.float32)
+    step.reshape(count * n, n)[src, dst % n] = 1
+    idx = np.arange(n)
+    step[:, idx, idx] = 1
+    # level 0 is the identity, level 1 the step itself
+    reached = np.broadcast_to(np.eye(n, dtype=np.float32), step.shape).copy()
+    reach, spare, levels = step.copy(), np.empty_like(step), 1
+    before, now = count * n, np.count_nonzero(step)
+    while before < now < count * n * n:
         reached += reach
-        reach = np.sign(reach @ step)
+        np.matmul(reach, step, out=spare)
+        reach, spare = np.minimum(spare, 1, out=spare), reach
         levels += 1
-    return (levels - reached).astype(np.int64)
+        before, now = now, np.count_nonzero(reach)
+    return np.subtract(levels, reached, out=reached).astype(np.int64), reach[:, 0].all(axis=1)
 
 
 def is_transmission_regular(profile: DistanceProfile) -> Optional[int]:

@@ -24,7 +24,8 @@ from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT
 from dspread.cli import EXIT_BROKEN_PIPE, main
 from dspread.eigen import sym_eigen
 from dspread.families import family, parse_family
-from dspread.graphs import Graph, bfs_distances, distance_profile, encode_graph6, is_bipartite
+from dspread.graphs import (DistanceProfile, Graph, bfs_distances, distance_profile,
+                            encode_graph6, is_bipartite)
 from dspread.jsonfmt import json_text
 
 from json_oracle import json_text as oracle_text
@@ -609,12 +610,12 @@ def test_one_profile_and_one_eigensolve_per_pair(capsys, monkeypatch, tmp_path):
         assert solves == []
 
 
-def test_one_bfs_pass_per_graph(capsys, monkeypatch, tmp_path):
-    # each graph gets one distance profile, which runs one BFS (from vertex
-    # 0) and then, for these small graphs, matrix products; only the
-    # registry reads bipartiteness, once per graph, off that BFS: every
-    # queue dspread.graphs builds is counted
-    profiles = _count_calls(monkeypatch, distance_profile)
+def test_one_profile_and_no_bfs_per_small_graph(capsys, monkeypatch, tmp_path):
+    # each graph gets one distance profile; at these orders the matrix
+    # products need no BFS, so no command runs one or builds any queue in
+    # dspread.graphs; only the registry reads bipartiteness, once per graph,
+    # off the profile
+    built = _count_calls(monkeypatch, DistanceProfile)
     bfs = _count_calls(monkeypatch, bfs_distances)
     bipartite = _count_calls(monkeypatch, is_bipartite)
     queues = _count_calls(monkeypatch, graphs_mod.deque)
@@ -623,20 +624,19 @@ def test_one_bfs_pass_per_graph(capsys, monkeypatch, tmp_path):
     for argv, graphs, checks in ((("analyze", "Bg"), 1, 0), (("analyze", str(corpus)), 3, 0),
                                  (("bounds", "Bg"), 1, 1), (("bounds", str(corpus)), 3, 3),
                                  (("sweep", "--corpus", str(corpus)), 3, 3)):
-        profiles.clear()
-        bfs.clear()
+        built.clear()
         bipartite.clear()
-        queues.clear()
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0, argv
-        assert len(profiles) == graphs and [args[1] for args in bfs] == [0] * graphs, argv
-        assert len(bipartite) == checks and len(queues) == graphs, argv
-    # a disconnected graph costs one BFS and still counts as skipped
+        assert len(built) == graphs and len(bipartite) == checks, argv
+    assert bfs == [] and queues == []
+    # a disconnected graph, found by the products alone, still counts as
+    # skipped and gets no profile
     corpus.write_text("A?\n", encoding="ascii")
-    bfs.clear()
+    built.clear()
     code, out, _ = run_cli(capsys, "sweep", "--corpus", str(corpus))
-    assert code == 0 and len(bfs) == 1
-    assert json.loads(out)["skipped_disconnected"] == 1
+    assert code == 0 and json.loads(out)["skipped_disconnected"] == 1
+    assert built == [] and bfs == [] and queues == []
 
 
 def test_existing_file_wins_over_family_spec(capsys, monkeypatch, tmp_path):

@@ -139,7 +139,7 @@ def test_rayleigh_lower_bound(zoo):
     # 2W/n, the all-ones Rayleigh quotient, bounds the top eigenvalue from
     # below, with equality on transmission-regular graphs
     def rayleigh(p):
-        return 2.0 * p.wiener / p.n
+        return 2.0 * p.wiener / len(p.tr)
 
     p4 = distance_profile(zoo["K4"])
     assert rayleigh(p4) == pytest.approx(3.0)

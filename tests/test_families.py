@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dspread import families as families_mod
+from dspread.cli import main
 from dspread.eigen import sym_eigen
 from dspread.families import (
     family,
@@ -99,6 +101,33 @@ def test_family_spec_rejects_unknown_kind():
         family("nope")
     with pytest.raises(ValueError, match="takes 1 parameter"):
         family("path", 2, 3)
+
+
+@pytest.mark.parametrize("kind, params", [("complete", (5,)), ("kbip", (2, 3)), ("split", (2, 5)),
+                                          ("path", (4,)), ("cycle", (5,)), ("star", (4,))])
+def test_family_size_cap(monkeypatch, kind, params):
+    # the order and edge count are known from the parameters: a graph at
+    # both caps is built, one over either cap is refused before building
+    g = family(kind, *params)
+    monkeypatch.setattr(families_mod, "MAX_FAMILY_ORDER", g.n)
+    monkeypatch.setattr(families_mod, "MAX_FAMILY_EDGES", g.edge_count)
+    assert family(kind, *params) == g
+    for order, edges in ((g.n - 1, g.edge_count), (g.n, g.edge_count - 1)):
+        monkeypatch.setattr(families_mod, "MAX_FAMILY_ORDER", order)
+        monkeypatch.setattr(families_mod, "MAX_FAMILY_EDGES", edges)
+        with pytest.raises(ValueError, match=f"exceeds the cap of {order} vertices and {edges} "
+                                             f"edges"):
+            family(kind, *params)
+
+
+def test_family_over_the_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(families_mod, "MAX_FAMILY_ORDER", 10)
+    assert main(["analyze", "cycle:10", "--alpha", "0"]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "cycle:11", "--alpha", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: family graph with 11 vertices and 11 edges exceeds the "
+                                 "cap of 10 vertices and 500000 edges\n")
 
 
 # --- closed-form spectra ---

@@ -248,8 +248,9 @@ def test_profile_invariants(n, mask):
 
 
 
-def _oracle_profile(g):
-    """dist, tr, wiener, diameter and avg_dist_deg from one BFS per source."""
+def _oracle_rows(g):
+    """The neighbour lists and the BFS distances from each source, None
+    where unreachable."""
     nbrs = [[] for _ in range(g.n)]
     for u, v in g.edges:
         nbrs[u].append(v)
@@ -267,19 +268,26 @@ def _oracle_profile(g):
                         nxt.append(w)
             frontier = nxt
         dist.append(row)
+    return nbrs, dist
+
+
+def _oracle_profile(g):
+    """dist, tr, wiener, diameter, avg_dist_deg and degree from one BFS per source."""
+    nbrs, dist = _oracle_rows(g)
     tr = [sum(row) for row in dist]
     avg = [float(sum(tr[w] for w in nb)) / len(nb) if nb else 0.0 for nb in nbrs]
-    return dist, tr, sum(tr) // 2, max(map(max, dist)), avg
+    return dist, tr, sum(tr) // 2, max(map(max, dist)), avg, list(map(len, nbrs))
 
 
-def _assert_matches_oracle(g):
-    p = distance_profile(g)
-    dist, tr, wiener, diameter, avg = _oracle_profile(g)
+def _assert_matches_oracle(g, p=None):
+    p = distance_profile(g) if p is None else p
+    dist, tr, wiener, diameter, avg, degree = _oracle_profile(g)
     assert p.dist.dtype == np.int64 and p.dist.tolist() == dist
     assert p.tr.tolist() == tr
     assert p.wiener == wiener and p.diameter == diameter
     # integer neighbour sums are exact, so the quotients agree bit for bit
     assert p.avg_dist_deg.tolist() == avg
+    assert p.degree.tolist() == degree
 
 
 @st.composite
@@ -302,23 +310,115 @@ def test_profile_matches_bfs_oracle(g):
     _assert_matches_oracle(g)
 
 
+@st.composite
+def _connected_edges(draw, n):
+    """The edges of a connected graph on 0..n-1: a random tree plus extra edges."""
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    return [(u, v) for u, v in tree + extra if u != v]
+
+
+@st.composite
+def mixed_blocks(draw):
+    """Graphs of order 1..15 in mixed order, one of them disconnected among
+    connected graphs of its own order; returns (graphs, its index)."""
+    n = draw(st.integers(2, 15))
+    k = draw(st.integers(1, n - 1))
+    parts = draw(_connected_edges(k)) + [(k + u, k + v) for u, v in draw(_connected_edges(n - k))]
+    label = draw(st.permutations(range(n)))
+    apart = Graph.from_edges(n, [(label[u], label[v]) for u, v in parts])
+    graphs = [Graph.from_edges(n, draw(_connected_edges(n)))
+              for _ in range(draw(st.integers(1, 3)))]
+    for m in draw(st.lists(st.integers(1, 15), max_size=6)):
+        graphs.append(Graph.from_edges(m, draw(_connected_edges(m))))
+    graphs = draw(st.permutations(graphs))
+    at = draw(st.integers(0, len(graphs)))
+    return graphs[:at] + [apart] + graphs[at:], at
+
+
+class _MatmulCounted:
+    """numpy as dspread.graphs sees it, counting np.matmul calls: one per
+    batched product of the reach loop."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.calls += 1
+        return np.matmul(*args, **kwargs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=mixed_blocks(), data=st.data())
+def test_distance_profiles_of_a_mixed_block(block, data):
+    graphs, at = block
+    apart = graphs[at]
+    n = apart.n
+    profiles = dspread.graphs.distance_profiles(graphs)
+    assert profiles[at] is None
+    for g, p in zip(graphs, profiles):
+        if g is not apart:
+            _assert_matches_oracle(g, p)
+    with pytest.raises(DisconnectedGraphError, match="requires connected graph"):
+        distance_profile(apart)
+    # alone with the connected graphs of its order, the disconnected graph
+    # keeps the loop running until a product reaches no new vertex: as many
+    # products as the largest finite distance, at most n - 1
+    group = [g for g in graphs if g.n == n]
+    largest = max(d for g in group for row in _oracle_rows(g)[1] for d in row if d is not None)
+    counted = _MatmulCounted()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dspread.graphs, "np", counted)
+        assert [p is None for p in dspread.graphs.distance_profiles(group)] == \
+            [g is apart for g in group]
+    assert counted.calls == largest <= n - 1
+    # relabeling the vertices permutes every profile the same way
+    labels = [data.draw(st.permutations(range(g.n))) for g in graphs]
+    moved = dspread.graphs.distance_profiles(
+        [Graph.from_edges(g.n, [(lab[u], lab[v]) for u, v in g.edges])
+         for g, lab in zip(graphs, labels)])
+    assert moved[at] is None
+    for p, q, lab in zip(profiles, moved, labels):
+        if p is not None:
+            lab = np.array(lab)
+            assert np.array_equal(q.dist[np.ix_(lab, lab)], p.dist)
+            for field in ("tr", "avg_dist_deg", "degree"):
+                assert np.array_equal(getattr(q, field)[lab], getattr(p, field))
+            assert (q.wiener, q.diameter) == (p.wiener, p.diameter)
+
+
 def _dense_62():
     rng = random.Random(62)
     return Graph.from_edges(62, [(u, v) for v in range(1, 62) for u in range(v)
                                  if rng.random() < 0.2])
 
 
+def _grid(rows, cols):
+    return Graph.from_edges(rows * cols, [(r * cols + c, r * cols + c + 1)
+                                          for r in range(rows) for c in range(cols - 1)]
+                            + [(r * cols + c, (r + 1) * cols + c)
+                               for r in range(rows - 1) for c in range(cols)])
+
+
 @pytest.mark.parametrize("graph, bfs_calls", [
-    (parse_family("path:62"), 62),
+    (parse_family("path:62"), 2),
     (parse_family("cycle:200"), 200),
-    (parse_family("complete:60"), 1),
-    (_dense_62(), 1),
-    (Graph(n=1, edges=frozenset()), 1),
-    (parse_family("path:2"), 1),
-], ids=["path62", "cycle200", "complete60", "gnp62", "n1", "n2"])
+    (parse_family("complete:60"), 0),
+    (_dense_62(), 0),
+    (Graph(n=1, edges=frozenset()), 0),
+    (parse_family("path:2"), 0),
+    (parse_family("cycle:100"), 2),
+    (_grid(5, 32), 2),
+], ids=["path62", "cycle200", "complete60", "gnp62", "n1", "n2", "cycle100", "grid5x32"])
 def test_profile_branches_match_bfs_oracle(monkeypatch, graph, bfs_calls):
-    # long paths and cycles run a BFS from every vertex; the others run one
-    # BFS from vertex 0 and then matrix products
+    # where (2n - 1) n^2 <= 2000 (n + 2m) the products run without any BFS;
+    # other graphs run a BFS from vertex 0 and one from a vertex at distance
+    # ecc(0), then the products (2 BFS calls) or, for long cycles, a BFS
+    # from every further vertex (n calls)
     calls = []
     bfs = dspread.graphs.bfs_distances
 

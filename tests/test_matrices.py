@@ -58,7 +58,7 @@ def test_dalpha_equals_its_transpose(monkeypatch):
     monkeypatch.setattr(graphs_mod, "_reach_distances",
                         lambda *args: products.append(args) or reach(*args))
     graphs = [random_connected_graph(n, 0.5, seed=n) for n in range(2, 41)]
-    graphs += [family("cycle", 200), family("path", 62)]
+    graphs += [family("cycle", 200), family("path", 100)]
     used_products = []
     for g in graphs:
         products.clear()
