@@ -21,6 +21,7 @@ from __future__ import annotations
 import difflib
 import importlib.util
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -48,8 +49,9 @@ CYCLE_63 = ("~??~hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@
 # a corpus file holding COCKTAIL_PARTY_40; {colon}: a corpus file whose name
 # holds ":", so it also reads as a (bad) family spec; {malformed}: a corpus
 # file whose second line has nonzero padding bits; {long}: a corpus file
-# holding CYCLE_63, a long-form graph6 line. Each command is split with
-# shlex, so a quoted argument may hold whitespace.
+# holding CYCLE_63, a long-form graph6 line; {mixed} and {apart}: the two
+# corpus files of mixed_orders(). Each command is split with shlex, so a
+# quoted argument may hold whitespace.
 COMMANDS = [
     "analyze Bg",
     "analyze kbip:2,3",
@@ -138,7 +140,54 @@ COMMANDS = [
     "sweep --corpus {malformed}",
     "analyze {long} --alpha 0",
     "bounds {long} --alpha 0.5",
+    # graphs of orders 1..70 in mixed order, disconnected ones among them
+    "sweep --corpus {mixed}",
+    "bounds {mixed} --alpha 0.5",
+    "analyze {mixed} --alpha 0.5",
+    "sweep --corpus {apart}",
+    "bounds {apart}",
+    "analyze {apart}",
 ]
+
+
+def graph6(n: int, edges) -> str:
+    """The graph6 line of a graph on 0..n-1: the short form up to n = 62,
+    the long form above."""
+    bits = [0] * (n * (n - 1) // 2)
+    for u, v in edges:
+        u, v = min(u, v), max(u, v)
+        bits[v * (v - 1) // 2 + u] = 1
+    bits += [0] * (-len(bits) % 6)
+    head = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
+    body = [int("".join(map(str, bits[i:i + 6])), 2) for i in range(0, len(bits), 6)]
+    return "".join(chr(63 + x) for x in head + body)
+
+
+def mixed_orders() -> tuple[str, str]:
+    """Two seeded corpus texts. The first holds a connected graph of each
+    order 1..70 and a disconnected graph in each order band of
+    graphs.distance_profiles ((n - 1).bit_length() = 1..7; order 1 cannot be
+    disconnected), shuffled, so each 64-graph sweep block mixes orders. The
+    second holds the disconnected graphs alone: a block with no connected
+    graph."""
+    rng = random.Random(19)
+
+    def tree(lo: int, hi: int) -> list[tuple[int, int]]:
+        return [(rng.randrange(lo, v), v) for v in range(lo + 1, hi)]
+
+    lines = []
+    for n in range(1, 71):
+        p = rng.choice((0.02, 0.1, 0.4))
+        lines.append(graph6(n, tree(0, n) + [(u, v) for v in range(n) for u in range(v)
+                                             if rng.random() < p]))
+    apart = []
+    for band in range(1, 8):
+        n = rng.randint(2 ** (band - 1) + 1, min(2 ** band, 70))
+        k = rng.randint(1, n - 1)
+        apart.append(graph6(n, tree(0, k) + tree(k, n)))
+    lines += apart
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n", "\n".join(apart) + "\n"
 
 
 def run(src: Path, argv: list[str]) -> tuple[int, str, str]:
@@ -167,11 +216,14 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
     corpora of the dspread tree src. A label shows tmp as "{tmp}".
     """
     files = {"missing": Path(tmp) / "missing.g6"}
+    mixed, apart = mixed_orders()
     for key, name, text in (("late", "late_disconnected.g6", "Bg\nBw\nC~\nA?\n"),
                             ("cocktail", "cocktail_party_40.g6", COCKTAIL_PARTY_40 + "\n"),
                             ("colon", "graphs:v2.g6", "Bg\nBw\nC~\n"),
                             ("malformed", "malformed.g6", "Bg\nBh\n"),
-                            ("long", "cycle_63.g6", CYCLE_63 + "\n")):
+                            ("long", "cycle_63.g6", CYCLE_63 + "\n"),
+                            ("mixed", "mixed_orders.g6", mixed),
+                            ("apart", "all_disconnected.g6", apart)):
         files[key] = Path(tmp) / name
         files[key].write_text(text, encoding="ascii")
     data = src / "dspread" / "data"

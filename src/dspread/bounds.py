@@ -45,7 +45,7 @@ from .cliques import (
     independence_number,
 )
 from .eigen import sym_eigen
-from .graphs import DistanceProfile, Graph, distance_profile, encode_graph6, is_bipartite
+from .graphs import DistanceProfile, Graph, distance_profile, is_bipartite
 from .matrices import generalized_distance_matrix
 
 PROVEN = "proven"
@@ -66,7 +66,8 @@ class EvalContext:
     use bipartiteness (off the profile's BFS levels), cliques and
     independence number (each None when its search runs out of
     cliques.SEARCH_BUDGET nodes; search_nodes holds the nodes of each
-    search run) and the spectra of D_alpha as solve_spectra() caches them.
+    search run) and the spectra solve_spectra() caches: per solved group, its
+    alphas with their (k, n) eigenvalues and (k, 4) record rows.
 
     The profile is computed here unless given (distance_profiles() gives
     those of a block at once); computing it raises DisconnectedGraphError
@@ -76,23 +77,20 @@ class EvalContext:
     def __init__(self, graph: Graph, profile: Optional[DistanceProfile] = None):
         self.graph = graph
         self.profile = distance_profile(graph) if profile is None else profile
-        # alpha -> (descending eigenvalues, [top, bottom, |D|_F^2, trace])
-        self._solved: dict[float, tuple[np.ndarray, list[float]]] = {}
+        self._solved: list[tuple[tuple[float, ...], np.ndarray, np.ndarray]] = []
         self.search_nodes: dict[str, int] = {}
 
     @cached_property
     def bipartite(self) -> bool:
         return is_bipartite(self.graph, self.profile) is not None
 
-    @cached_property
-    def graph6(self) -> str:
-        return encode_graph6(self.graph)
-
     def values(self, alpha: float) -> np.ndarray:
         """Eigenvalues of D_alpha, descending."""
-        if alpha not in self._solved:
-            solve_spectra([self], [alpha])
-        return self._solved[alpha][0]
+        for done, values, _ in self._solved:
+            if alpha in done:
+                return values[done.index(alpha)]
+        solve_spectra([self], [alpha])
+        return self._solved[-1][1][0]
 
     def spread(self, alpha: float) -> float:
         v = self.values(alpha)
@@ -108,36 +106,46 @@ class EvalContext:
         return None if found is None else found[0]
 
 
-def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> None:
-    """Cache the spectrum of D_alpha for every context and alpha.
+def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> np.ndarray:
+    """The (G, k, 4) record [top, bottom, |D_alpha|_F^2, trace] of every
+    context and alpha, in context and alpha order (a repeated alpha repeats
+    its rows), solving and caching what no context has cached yet.
 
-    D_alpha is affine in alpha, so the graphs of one order, BLOCK_GRAPHS
-    at a time, get their (G*k, n, n) stack from one
-    generalized_distance_matrix call on their stacked distances and
+    D_alpha is affine in alpha, so the graphs of one order that lack the
+    same alphas, BLOCK_GRAPHS at a time, get their (G*k, n, n) stack from
+    one generalized_distance_matrix call on their stacked distances and
     transmissions, and share one eigvalsh call on it. Every entry is the
     same elementwise product as in a one-graph call. The stack also gives
     the squared Frobenius norm and the trace that mirsky_upper reads.
     """
-    groups: dict[tuple, list[EvalContext]] = {}
-    for ctx in ctxs:
-        todo = tuple(a for a in dict.fromkeys(alphas) if a not in ctx._solved)
+    want = tuple(dict.fromkeys(alphas))
+    record = np.empty((len(ctxs), len(want), 4))
+    groups: dict[tuple, list[int]] = {}
+    for g, ctx in enumerate(ctxs):
+        todo = want
+        for done, _, rows in ctx._solved:
+            for a in todo:
+                if a in done:
+                    record[g, want.index(a)] = rows[done.index(a)]
+            todo = tuple(a for a in todo if a not in done)
         if todo:
-            groups.setdefault((ctx.graph.n, todo), []).append(ctx)
-    for (n, todo), group in groups.items():
-        for start in range(0, len(group), BLOCK_GRAPHS):
-            chunk = group[start:start + BLOCK_GRAPHS]
+            groups.setdefault((ctx.graph.n, todo), []).append(g)
+    for (n, todo), members in groups.items():
+        cols = [want.index(a) for a in todo]
+        for start in range(0, len(members), BLOCK_GRAPHS):
+            chunk = members[start:start + BLOCK_GRAPHS]
             # (G, 1, n, n) distances and (G, 1, n) transmissions give (G, k, n, n);
             # the stacked distances are freed before the eigensolve
             stack = generalized_distance_matrix(SimpleNamespace(
-                dist=np.stack([c.profile.dist for c in chunk])[:, None],
-                tr=np.stack([c.profile.tr for c in chunk])[:, None]), todo).reshape(-1, n, n)
+                dist=np.stack([ctxs[g].profile.dist for g in chunk])[:, None],
+                tr=np.stack([ctxs[g].profile.tr for g in chunk])[:, None]), todo).reshape(-1, n, n)
             values = sym_eigen(stack)
-            stats = np.stack([values[:, 0], values[:, -1], (stack ** 2).sum(axis=(1, 2)),
-                              np.trace(stack, axis1=1, axis2=2)], axis=1)
-            k = len(todo)
-            for i, ctx in enumerate(chunk):
-                rows = slice(i * k, (i + 1) * k)
-                ctx._solved.update(zip(todo, zip(values[rows], stats[rows].tolist())))
+            rows = np.stack([values[:, 0], values[:, -1], (stack ** 2).sum(axis=(1, 2)),
+                             np.trace(stack, axis1=1, axis2=2)], axis=1).reshape(len(chunk), -1, 4)
+            record[np.array(chunk)[:, None], cols] = rows
+            for g, v, r in zip(chunk, values.reshape(len(chunk), -1, n), rows):
+                ctxs[g]._solved.append((todo, v, r))
+    return record[:, [want.index(a) for a in alphas]]
 
 
 # --- registry ---------------------------------------------------------------
@@ -314,10 +322,11 @@ def _clique_sums(ctx: EvalContext) -> list[float]:
     return list({float(sum(tr[v] for v in cl)) for cl in ctx.cliques[1]})
 
 
-def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleNamespace:
+def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float],
+             record: np.ndarray) -> SimpleNamespace:
     """What the formulas read: the alpha row (1, k), per-graph columns
-    (G, 1), spectral arrays (G, k), and per-vertex and per-clique arrays
-    (G, 1, width), NaN-padded."""
+    (G, 1), spectral arrays (G, k) from the record of alphas and then 0,
+    and per-vertex and per-clique arrays (G, 1, width), NaN-padded."""
 
     def col(xs):
         return np.array(xs, dtype=float)[:, None]
@@ -342,15 +351,12 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleName
     # thm41 reads the transmission sum of each maximum clique
     c.clique_tr = _padded([_clique_sums(ctx) for ctx in ctxs])
     c.indep = col([np.nan if ctx.independence is None else ctx.independence for ctx in ctxs])
-    stats = np.array([[ctx._solved[a][1] for a in alphas] for ctx in ctxs])
-    stats = stats.reshape(len(ctxs), len(alphas), 4)
-    c.top, c.bottom, c.fro_sq, c.trace = np.moveaxis(stats, -1, 0)
+    c.top, c.bottom, c.fro_sq, c.trace = np.moveaxis(record[:, :-1], -1, 0)
     c.spread = c.top - c.bottom
-    zero = np.array([ctx._solved[0.0][1] for ctx in ctxs])
-    c.top0, c.bottom0 = col(zero[:, 0]), col(zero[:, 1])
+    c.top0, c.bottom0 = record[:, -1, 0:1], record[:, -1, 1:2]
     c.spread0 = c.top0 - c.bottom0
     # sum of squared eigenvalues: (1-a)^2 sum_{i,j} d^2 + a^2 sum Tr^2
-    c.power_sum = (one_minus_a_sq * col([(ctx.profile.dist ** 2).sum() for ctx in ctxs])
+    c.power_sum = (one_minus_a_sq * col([ctx.profile.dist_sq_sum for ctx in ctxs])
                    + c.a * c.a * np.nansum(c.tr * c.tr, axis=-1))
     return c
 
@@ -419,9 +425,9 @@ def evaluate(
 ) -> Evaluation:
     """Every registry entry on every (context, alpha) pair, as arrays.
 
-    The spectra come from one solve_spectra() call. Those at alpha = 0,
-    which thm24 and ineq24/25 read at every alpha, join the same batch when
-    0 is not among the alphas.
+    The spectra come from one solve_spectra() call, whose record the
+    columns read. Those at alpha = 0, which thm24 and ineq24/25 read at
+    every alpha, join the same batch when 0 is not among the alphas.
     """
     shape = (len(REGISTRY), len(ctxs), len(alphas))
     bound, actual = np.zeros(shape), np.zeros(shape)
@@ -429,8 +435,7 @@ def evaluate(
     failed = np.zeros(shape, dtype=np.int8)
     if not ctxs:
         return Evaluation(bound, actual, bound, applicable, failed, *(applicable,) * 6)
-    solve_spectra(ctxs, [*alphas, 0.0])
-    c = _columns(ctxs, alphas)
+    c = _columns(ctxs, alphas, solve_spectra(ctxs, [*alphas, 0.0]))
     # masked-out entries (n = 1, a star in the general branch, ...) may divide
     # by zero; their values are never read. A huge tol may overflow the
     # cushion to inf, where every bound holds, as it should

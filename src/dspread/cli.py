@@ -5,10 +5,11 @@ table) and exits. Floats are rendered with 12 significant digits, so repeated
 invocations with the same numpy/LAPACK build are byte-identical; another
 build may move the last digits and noise-level gaps.
 
-Exit codes: 0 success, 2 input error (unparseable graph, bad family spec
-or one over the family size cap, unreadable corpus, NaN/infinite/negative
-tolerance, bad --seed-random values, --alpha with --alpha-grid, an empty
---alpha-grid, --alphas, --corpus or --seed-random value), 3 precondition failure
+Exit codes: 0 success, 2 input error (unparseable graph, bad family spec,
+a graph6 line, family spec or --seed-random order over the size cap,
+unreadable corpus, NaN/infinite/negative tolerance, bad --seed-random values,
+--alpha with --alpha-grid, an empty --alpha-grid, --alphas, --corpus or
+--seed-random value), 3 precondition failure
 (disconnected graph, alpha out of range, no connected --seed-random
 sample), 4 at least one applicable proven bound violated, 141 stdout
 closed before the output was written (128 + SIGPIPE, what a shell reports
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import corpus as corpus_mod
+from . import graphs as graphs_mod
 from .families import parse_family
 from .graphs import Graph, GraphParseError, is_transmission_regular, parse_graph6
 from .jsonfmt import _NON_FINITE, Raw, fmt_float, json_text
@@ -133,8 +135,8 @@ def _resolve_inputs(text: str) -> list[tuple[Optional[str], Graph]]:
 def _base_report(desc: Optional[str], ctx: bounds_mod.EvalContext, alpha: float) -> dict:
     profile = ctx.profile
     return {
-        "input": desc or ctx.graph6,
-        "graph6": ctx.graph6,
+        "input": desc or ctx.graph.graph6,
+        "graph6": ctx.graph.graph6,
         "n": ctx.graph.n,
         "alpha": float(alpha),
         "wiener": profile.wiener,
@@ -162,10 +164,8 @@ def _cmd_analyze(args) -> tuple[str | dict, int]:
         rows = ["input\talpha\tn\twiener\tdiameter\tspread\tspectrum"]
         for r in reports:
             spectrum = ",".join(fmt_float(v) for v in r["spectrum"])
-            rows.append(
-                f"{r['input']}\t{fmt_float(r['alpha'])}\t{r['n']}\t{r['wiener']}"
-                f"\t{r['diameter']}\t{fmt_float(r['spread'])}\t{spectrum}"
-            )
+            rows.append(f"{r['input']}\t{fmt_float(r['alpha'])}\t{r['n']}\t{r['wiener']}"
+                        f"\t{r['diameter']}\t{fmt_float(r['spread'])}\t{spectrum}")
         return "\n".join(rows), 0
     return {"reports": reports}, 0
 
@@ -237,10 +237,8 @@ def _cmd_bounds(args) -> tuple[str | dict, int]:
             base["discrepancies"] = ev.discrepancies(g, j)
             reports.append(base)
     if tsv:
-        rows = [
-            "input\talpha\tbound_id\tdirection\tstatus\tapplicable"
-            "\tbound\tactual\tgap\tholds\tequality\treason"
-        ]
+        rows = ["input\talpha\tbound_id\tdirection\tstatus\tapplicable"
+                "\tbound\tactual\tgap\tholds\tequality\treason"]
         keys = ("bound_id", "direction", "status", "applicable", "bound", "actual", "gap",
                 "holds", "equality", "reason")
         for r in reports:
@@ -266,6 +264,9 @@ def _parse_seed_random(text: str) -> tuple[int, int, float]:
         raise _InputError(f"--seed-random needs n >= 1 and count >= 0, got {text!r}")
     if not 0.0 < p <= 1.0:  # NaN fails too
         raise _InputError(f"--seed-random edge probability must lie in (0, 1], got {text!r}")
+    if n > graphs_mod.MAX_FAMILY_ORDER:
+        raise _InputError(f"--seed-random order {n} exceeds the cap of "
+                          f"{graphs_mod.MAX_FAMILY_ORDER} vertices")
     return n, count, p
 
 
@@ -294,10 +295,8 @@ def _packaged_corpus(n: int):
     name = f"bipartite_connected_n{n}.g6"
     ref = resources.files("dspread").joinpath("data").joinpath(name)
     if not ref.is_file():
-        raise _InputError(
-            f"no packaged corpus for n={n}; supply --corpus with an exhaustive "
-            f"connected-bipartite graph6 file"
-        )
+        raise _InputError(f"no packaged corpus for n={n}; supply --corpus with an exhaustive "
+                          f"connected-bipartite graph6 file")
     return ref
 
 
@@ -316,11 +315,8 @@ def _cmd_conjecture(args) -> tuple[str | dict, int]:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dspread",
-        description=(
-            "Spectra and spectral spread of generalized distance matrices of "
-            "connected graphs, with bound verification."
-        ),
-    )
+        description=("Spectra and spectral spread of generalized distance matrices of "
+                     "connected graphs, with bound verification."))
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="spectrum, spread, and distance statistics")

@@ -27,7 +27,8 @@ def sym_eigen(m: np.ndarray) -> np.ndarray:
     """
     a = np.array(m, dtype=float)
     norm = np.sqrt(np.einsum("...ij,...ij->...", a, a))
-    a[np.abs(a) <= np.finfo(float).eps * norm[..., None, None]] = 0.0
+    t = np.finfo(float).eps * norm[..., None, None]
+    a[(a <= t) & (a >= -t)] = 0.0
     # LAPACK sorts ascending; a stable sort of the negation keeps tied
     # values (such as 0.0 and -0.0) in their ascending order
     return -np.sort(-np.linalg.eigvalsh(a), axis=-1, kind="stable")

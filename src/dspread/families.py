@@ -1,12 +1,13 @@
 """Structured graph families and their analytic generalized-distance spectra.
 
 family("kbip", 2, 3) builds a graph, and parse_family("kbip:2,3") builds
-the same graph from the CLI's spec syntax; one of more than MAX_FAMILY_ORDER
-vertices or MAX_FAMILY_EDGES edges is refused unbuilt. The graphs use a
-canonical labeling (clique / first part at the low indices) so positional
-partitions line up with the block structure the closed forms assume. Each
-closed form returns its descending eigenvalue array and is meant to be
-cross-checked against the numeric solver, whose spectrum is the ground truth.
+the same graph from the CLI's spec syntax; one of more than
+graphs.MAX_FAMILY_ORDER vertices or MAX_FAMILY_EDGES edges is refused
+unbuilt. The graphs use a canonical labeling (clique / first part at the
+low indices) so positional partitions line up with the block structure the
+closed forms assume. Each closed form returns its descending eigenvalue
+array and is meant to be cross-checked against the numeric solver, whose
+spectrum is the ground truth.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import math
 
 import numpy as np
 
+from . import graphs
 from .graphs import Graph
 
 
-# The largest family graph built: `analyze cycle:2000` (729 MB peak) and
-# `complete:1000` (499,500 edges) still run, while `complete:2000` would hold
-# 476 MB of edge tuples before anything else ran.
-MAX_FAMILY_ORDER = 2000
+# the most edges of a family graph, beside graphs.MAX_FAMILY_ORDER:
+# `complete:1000` (499,500 edges) runs, `complete:2000` would hold 476 MB
 MAX_FAMILY_EDGES = 500_000
 
 # kind -> (arity, parameter range check, message when the check fails,
@@ -49,7 +49,7 @@ _FAMILIES = {
 def family(kind: str, *params: int) -> Graph:
     """The named graph, e.g. family("kbip", 2, 3), with canonical vertex
     labeling; an unknown kind, a wrong parameter count, an out-of-range
-    parameter or a graph of more than MAX_FAMILY_ORDER vertices or
+    parameter or a graph of more than graphs.MAX_FAMILY_ORDER vertices or
     MAX_FAMILY_EDGES edges raises ValueError before anything is built."""
     if kind not in _FAMILIES:
         raise ValueError(f"unknown family kind {kind!r}")
@@ -59,9 +59,9 @@ def family(kind: str, *params: int) -> Graph:
     if not in_range(*params):
         raise ValueError(need)
     n, m = size(*params)
-    if n > MAX_FAMILY_ORDER or m > MAX_FAMILY_EDGES:
+    if n > graphs.MAX_FAMILY_ORDER or m > MAX_FAMILY_EDGES:
         raise ValueError(f"family graph with {n} vertices and {m} edges exceeds the cap of "
-                         f"{MAX_FAMILY_ORDER} vertices and {MAX_FAMILY_EDGES} edges")
+                         f"{graphs.MAX_FAMILY_ORDER} vertices and {MAX_FAMILY_EDGES} edges")
     return Graph.from_edges(n, build(*params))
 
 

@@ -78,6 +78,11 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def graph6(self) -> str:
+        """encode_graph6(self); parse_graph6 sets it to the line it read, the same text."""
+        return encode_graph6(self)
+
 
 @dataclass(eq=False)
 class DistanceProfile:
@@ -85,7 +90,8 @@ class DistanceProfile:
 
     dist[i, j] is the BFS distance, tr the transmissions (row sums), wiener
     the sum of distances over unordered pairs, avg_dist_deg[i] the mean
-    transmission over the neighbors of vertex i and degree[i] its degree.
+    transmission over the neighbors of vertex i, degree[i] its degree and
+    dist_sq_sum the sum of all dist[i, j]**2.
     """
 
     dist: np.ndarray
@@ -94,6 +100,7 @@ class DistanceProfile:
     diameter: int
     avg_dist_deg: np.ndarray
     degree: np.ndarray
+    dist_sq_sum: int
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -137,9 +144,11 @@ def distance_profiles(graphs: Sequence[Graph]) -> list[Optional[DistanceProfile]
 
     - matrix products (_reach_distances): every source advances one BFS
       level per float32 product in BLAS, about (levels + 1) * n**3
-      multiply-adds. The graphs of one order that take them share one loop
-      of batched products on their (G, n, n) stack, which also finds the
-      disconnected ones;
+      multiply-adds. The graphs that take them share one loop of batched
+      products per order band, the orders n with one (n - 1).bit_length()
+      (1, 2, 3-4, 5-8, 9-16, ...): their (G, N, N) stack is padded to the
+      band's largest order N with isolated vertices, which no profile
+      reads. The loop also finds the disconnected graphs;
     - per-vertex BFS: one Python BFS from each vertex, about n * (n + 2m)
       interpreter steps, written row by row.
 
@@ -163,7 +172,7 @@ def distance_profiles(graphs: Sequence[Graph]) -> list[Optional[DistanceProfile]
     the degree of i: every quotient is correctly rounded.
     """
     profiles: list[Optional[DistanceProfile]] = [None] * len(graphs)
-    by_order: dict[int, list[int]] = {}
+    bands: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         n, steps = g.n, _MULADDS_PER_BFS_STEP * (g.n + 2 * len(g.edges))
         if (2 * n - 1) * n * n > steps:
@@ -178,17 +187,19 @@ def distance_profiles(graphs: Sequence[Graph]) -> list[Optional[DistanceProfile]
                     dist[0, v] = row0 if v == 0 else row if v == far else bfs_distances(g, v)
                 profiles[i] = _profiles([g], dist)[0]
                 continue
-        by_order.setdefault(n, []).append(i)
-    for idx in by_order.values():
+        bands.setdefault((n - 1).bit_length(), []).append(i)
+    for idx in bands.values():
         for i, profile in zip(idx, _profiles([graphs[i] for i in idx], None)):
             profiles[i] = profile
     return profiles
 
 
 def _profiles(group: list[Graph], dist: Optional[np.ndarray]) -> list[Optional[DistanceProfile]]:
-    """The profiles of a group of graphs of one order n from their (G, n, n)
-    distance stack, or, where dist is None, from matrix products."""
-    count, n = len(group), group[0].n
+    """The profiles of a group of graphs from their (G, n, n) distance stack,
+    n the largest order, or, where dist is None, from matrix products; the
+    zero padding past a graph's order is in no sum and no profile."""
+    count, orders = len(group), [g.n for g in group]
+    n = max(orders)
     # every edge in both directions, vertex v of graph k numbered k * n + v:
     # vertex src[e] is adjacent to dst[e]
     ends = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in group)),
@@ -201,58 +212,59 @@ def _profiles(group: list[Graph], dist: Optional[np.ndarray]) -> list[Optional[D
     tr, avg = np.empty((count, n), dtype=np.int64), np.empty(count * n)
     connected = np.ones(count, dtype=bool)
     if dist is None:
-        dist, connected = _reach_distances(count, n, src, dst)
+        dist, connected = _reach_distances(np.array(orders), src, dst)
     dist.sum(axis=2, out=tr)
+    sq = np.einsum("kij,kij->k", dist, dist).tolist()
     nbr_tr = np.bincount(src, weights=tr.ravel()[dst], minlength=count * n)
     np.divide(nbr_tr, np.maximum(degree, 1), out=avg)
     degree, avg = degree.reshape(count, n), avg.reshape(count, n)
     wiener, diameter = (tr.sum(axis=1) // 2).tolist(), dist.max(axis=(1, 2)).tolist()
-    return [DistanceProfile(dist=dist[k], tr=tr[k], wiener=wiener[k], diameter=diameter[k],
-                            avg_dist_deg=avg[k], degree=degree[k]) if connected[k] else None
-            for k in range(count)]
+    return [DistanceProfile(dist=dist[k, :m, :m], tr=tr[k, :m], wiener=wiener[k],
+                            diameter=diameter[k], avg_dist_deg=avg[k, :m], degree=degree[k, :m],
+                            dist_sq_sum=sq[k]) if connected[k] else None
+            for k, m in enumerate(orders)]
 
 
-def _reach_distances(count: int, n: int, src, dst) -> tuple[np.ndarray, np.ndarray]:
-    """The (count, n, n) distance stack of count graphs of order n by BFS
-    from all sources of all graphs at once, and which graphs are connected.
+def _reach_distances(orders: np.ndarray, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, n, n) distance stack of graphs of the given orders, n the
+    largest, by BFS from all sources of all graphs at once, and which graphs
+    are connected. Vertices past a graph's order are isolated padding with
+    no identity entry: nothing reaches them, their distances are 0, and the
+    counts below read real vertices only.
 
     reach[k, s, v] is 1 once v lies within the current level of s in graph
     k. One batched product with the adjacency plus the identity advances
     every source one level (its float32 counts, at most n, are exact), and
     dist[k, s, v] counts the levels at which v was still unreached from s;
     it means nothing in a disconnected graph. The loop stops once every
-    vertex is reached (after the largest diameter less one products) or,
-    with a disconnected graph in the stack, once a product reaches no new
-    vertex (after as many products as the largest finite distance), so it
-    runs at most n - 1 products.
+    vertex is reached or once a product reaches no new vertex, so it runs
+    at most n - 1 products.
     """
+    count, n = len(orders), int(orders.max())
+    real = np.arange(n) < orders[:, None]
     step = np.zeros((count, n, n), dtype=np.float32)
     step.reshape(count * n, n)[src, dst % n] = 1
     idx = np.arange(n)
-    step[:, idx, idx] = 1
+    step[:, idx, idx] = real
     # level 0 is the identity, level 1 the step itself
-    reached = np.broadcast_to(np.eye(n, dtype=np.float32), step.shape).copy()
+    reached = step * np.eye(n, dtype=np.float32)
     reach, spare, levels = step.copy(), np.empty_like(step), 1
-    before, now = count * n, np.count_nonzero(step)
-    while before < now < count * n * n:
+    before, now, full = int(orders.sum()), np.count_nonzero(step), int(orders @ orders)
+    while before < now < full:
         reached += reach
         np.matmul(reach, step, out=spare)
         reach, spare = np.minimum(spare, 1, out=spare), reach
         levels += 1
         before, now = now, np.count_nonzero(reach)
-    return np.subtract(levels, reached, out=reached).astype(np.int64), reach[:, 0].all(axis=1)
+    np.subtract(levels, reached, out=reached, where=real[:, :, None] & real[:, None, :])
+    return reached.astype(np.int64), np.count_nonzero(reach[:, 0], axis=1) == orders
 
 
 def is_transmission_regular(profile: DistanceProfile) -> Optional[int]:
-    """Return the common transmission k if all vertices share it, else None.
-
-    Transmissions are integers, so the comparison is exact.
-    """
-    tr = profile.tr
-    k = int(tr[0])
-    if np.all(tr == k):
-        return k
-    return None
+    """The common transmission k if all vertices share it, else None (exact:
+    transmissions are integers)."""
+    k = int(profile.tr[0])
+    return k if np.all(profile.tr == k) else None
 
 
 def is_bipartite(g: Graph,
@@ -274,6 +286,9 @@ _G6_HEADER = ">>graph6<<"
 
 # largest order of the 4-byte long-form header; the 8-byte form is not read
 _G6_MAX_ORDER = 258047
+# the largest order of any input graph (graph6, family spec, --seed-random),
+# refused before any O(n^2) work; `analyze cycle:2000` takes 729 MB
+MAX_FAMILY_ORDER = 2000
 # the offsets within a graph6 byte (0 = most significant of its 6 bits) of
 # the bits set in each value 0..63
 _SET_BITS = tuple(tuple(i for i in range(6) if (val >> (5 - i)) & 1) for val in range(64))
@@ -313,13 +328,14 @@ def _g6_order(data: bytes) -> tuple[int, int]:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 line (short form n <= 62, long form n <= 258047).
+    """Decode a graph6 line (short form n <= 62, long form up to
+    MAX_FAMILY_ORDER vertices).
 
     The format is McKay's printable encoding: the order n in a one-byte
     (63 + n) or a four-byte ('~' and 18 bits) header, then the upper
     triangle in column-major order packed 6 bits per byte (most significant
     bit first), padded with zero bits. Byte offsets in errors refer to the
-    stripped line.
+    stripped line, which the graph keeps as its graph6.
     """
     s = text.strip()
     if s.startswith(_G6_HEADER):
@@ -334,12 +350,12 @@ def parse_graph6(text: str) -> Graph:
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) < start + nbytes:
-        raise GraphParseError(
-            f"truncated bit string: need {nbytes} data bytes, found {len(data) - start}",
-            offset=len(data),
-        )
+        raise GraphParseError(f"truncated bit string: need {nbytes} data bytes, found "
+                              f"{len(data) - start}", offset=len(data))
     if len(data) > start + nbytes:
         raise GraphParseError("trailing characters after bit string", offset=start + nbytes)
+    if n > MAX_FAMILY_ORDER:
+        raise GraphParseError(f"graph of order {n} exceeds the cap of {MAX_FAMILY_ORDER} vertices")
     edges = []
     u, v = 0, 1  # the pair of the first bit of byte i
     for i in range(start, start + nbytes):
@@ -357,7 +373,9 @@ def parse_graph6(text: str) -> Graph:
     # padding bits of the last byte must be zero
     if nbits % 6 and (data[-1] - 63) & ((1 << (6 - nbits % 6)) - 1):
         raise GraphParseError("nonzero padding bits", offset=len(data) - 1)
-    return Graph.from_edges(n, edges)
+    g = Graph.from_edges(n, edges)
+    g.__dict__["graph6"] = s  # the graph6 cached_property, as encode_graph6 would give it
+    return g
 
 
 def encode_graph6(g: Graph) -> str:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dspread import bounds as bounds_mod
 from dspread import cliques as cliques_mod
 from dspread.bounds import (
     BOUND_IDS,
@@ -17,6 +18,7 @@ from dspread.bounds import (
     evaluate,
     evaluate_all,
     independence_number,
+    solve_spectra,
 )
 from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT
 from dspread.eigen import sym_eigen
@@ -427,6 +429,41 @@ def test_mirsky_generic_symmetric(raw):
     spread = vals[0] - vals[-1]
     bound = math.sqrt(max(2 * (m**2).sum() - 2 / 5 * np.trace(m) ** 2, 0.0))
     assert spread <= bound + 1e-8
+
+
+def _record_row(g: Graph, alpha: float) -> list[float]:
+    """[top, bottom, |D_alpha|_F^2, trace] of one graph and alpha, alone."""
+    m = generalized_distance_matrix(distance_profile(g), alpha)
+    v = sym_eigen(m)
+    return [v[0], v[-1], (m ** 2).sum(), np.trace(m)]
+
+
+def test_solve_spectra_record_matches_one_graph_at_a_time(monkeypatch):
+    # mixed orders, contexts with some alphas solved before, a repeated alpha
+    # and 0 appended, as evaluate() asks: every row is the one-graph value,
+    # bit for bit, and the cached alphas are not solved again
+    graphs = [parse_family(spec) for spec in ("path:4", "cycle:5", "kbip:2,3", "complete:3",
+                                              "star:6", "split:2,5", "path:4")]
+    ctxs = [EvalContext(g) for g in graphs]
+    ctxs[1].values(0.5)
+    solve_spectra(ctxs[2:4], [0.25, 0.9])
+    ctxs[4].values(0.0)
+    alphas = [0.25, 0.5, 0.25, 1.0, 0.0]
+    solved = []
+    monkeypatch.setattr(bounds_mod, "sym_eigen", lambda m: solved.append(m.shape) or sym_eigen(m))
+    record = solve_spectra(ctxs, alphas)
+    assert record.shape == (len(ctxs), len(alphas), 4)
+    for g, row in zip(graphs, record.tolist()):
+        assert row == [_record_row(g, a) for a in alphas]
+    for ctx in ctxs:
+        for a in alphas:
+            assert np.array_equal(ctx.values(a), sym_eigen(
+                generalized_distance_matrix(ctx.profile, a)))
+    # one stack per (order, missing alphas) group; a second call solves nothing
+    assert sorted(solved) == sorted([(2 * 4, 4, 4), (3, 5, 5), (3, 5, 5), (3, 3, 3), (3, 6, 6),
+                                     (4, 5, 5)])
+    solved.clear()
+    assert np.array_equal(solve_spectra(ctxs, alphas), record) and solved == []
 
 
 # --- quotient-derived bounds against explicit quotients ---

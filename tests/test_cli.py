@@ -639,6 +639,57 @@ def test_one_profile_and_no_bfs_per_small_graph(capsys, monkeypatch, tmp_path):
     assert built == [] and bfs == [] and queues == []
 
 
+def test_sweep_reuses_the_parsed_graph6_text(capsys, monkeypatch, tmp_path):
+    # corpus graphs keep the line they were parsed from, so a sweep encodes
+    # none; a family graph encodes itself once for both report fields
+    encoded = _count_calls(monkeypatch, encode_graph6)
+    corpus = tmp_path / "mixed.g6"
+    corpus.write_text("Bg\n>>graph6<<Bw\nC~\nA?\nDhc\n", encoding="ascii")
+    code, out, _ = run_cli(capsys, "sweep", "--corpus", str(corpus))
+    assert code == 0 and encoded == []
+    assert json.loads(out)["bounds"]["thm24_lower"]["worst_key"].split("@")[0] in (
+        "Bg", "Bw", "C~", "Dhc")
+    code, _, _ = run_cli(capsys, "analyze", "kbip:2,3", "--alpha", "0")
+    assert code == 0 and len(encoded) == 1
+
+
+def _graph6_file(path, *graphs):
+    path.write_text("".join(encode_graph6(g) + "\n" for g in graphs), encoding="ascii")
+    return str(path)
+
+
+def test_every_input_is_held_to_the_order_cap(capsys, monkeypatch, tmp_path):
+    # a graph6 string, a corpus line and a --seed-random order over the cap
+    # exit 2 and name it, before any graph is built
+    at, over = parse_family("cycle:5"), parse_family("cycle:6")
+    monkeypatch.setattr(graphs_mod, "MAX_FAMILY_ORDER", 5)
+    built = _count_calls(monkeypatch, corpus_mod.random_connected_graph)
+    for argv in (("analyze", encode_graph6(at), "--alpha", "0"),
+                 ("bounds", _graph6_file(tmp_path / "at.g6", at), "--alpha", "0.5"),
+                 ("sweep", "--corpus", _graph6_file(tmp_path / "at2.g6", at, at)),
+                 ("sweep", "--seed-random", "5,1,0.5")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+    assert len(built) == 1
+    built.clear()
+    from_edges, build = [], graphs_mod.Graph.from_edges
+    monkeypatch.setattr(graphs_mod.Graph, "from_edges",
+                        staticmethod(lambda n, pairs: from_edges.append(n) or build(n, pairs)))
+    cap = "exceeds the cap of 5 vertices\n"
+    over_file = _graph6_file(tmp_path / "over.g6", at, over)
+    for argv, message in (
+            (("analyze", encode_graph6(over), "--alpha", "0"), "error: graph of order 6 " + cap),
+            (("bounds", over_file, "--alpha", "0.5"), f"error: {over_file}: graph of order 6 " + cap),
+            (("sweep", "--corpus", over_file), f"error: {over_file}: graph of order 6 " + cap),
+            (("sweep", "--seed-random", "6,1,0.5"), "error: --seed-random order 6 " + cap)):
+        from_edges.clear()
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", message), argv
+        # only the graph at the cap, the file's first line, was built
+        assert len(from_edges) == (1 if over_file in argv else 0), argv
+    assert built == []
+
+
 def test_existing_file_wins_over_family_spec(capsys, monkeypatch, tmp_path):
     # graph6 never holds ":", so a name with one is a file or a family spec
     monkeypatch.chdir(tmp_path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -59,6 +61,22 @@ def test_stack_matches_each_matrix(zoo):
             assert np.array_equal(batched[i, j], sym_eigen(m))
     with pytest.raises(ValueError, match="square"):
         sym_eigen(np.zeros((2, 3, 4)))
+
+
+def test_tiny_entry_mask_allocates_no_float_copy():
+    # the entries below eps * |m|_F are found with boolean masks, so the
+    # solve's peak is its private copy plus masks, not a second float copy
+    rng = np.random.default_rng(0)
+    stack = rng.standard_normal((64, 100, 100))
+    stack = stack + stack.transpose(0, 2, 1)
+    sym_eigen(stack)  # warm-up: numpy and LAPACK set up their buffers
+    tracemalloc.start()
+    try:
+        sym_eigen(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * stack.nbytes
 
 
 def test_zero_and_single():

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dspread import families as families_mod
+from dspread import graphs as graphs_mod
 from dspread.cli import main
 from dspread.eigen import sym_eigen
 from dspread.families import (
@@ -109,11 +110,11 @@ def test_family_size_cap(monkeypatch, kind, params):
     # the order and edge count are known from the parameters: a graph at
     # both caps is built, one over either cap is refused before building
     g = family(kind, *params)
-    monkeypatch.setattr(families_mod, "MAX_FAMILY_ORDER", g.n)
+    monkeypatch.setattr(graphs_mod, "MAX_FAMILY_ORDER", g.n)
     monkeypatch.setattr(families_mod, "MAX_FAMILY_EDGES", g.edge_count)
     assert family(kind, *params) == g
     for order, edges in ((g.n - 1, g.edge_count), (g.n, g.edge_count - 1)):
-        monkeypatch.setattr(families_mod, "MAX_FAMILY_ORDER", order)
+        monkeypatch.setattr(graphs_mod, "MAX_FAMILY_ORDER", order)
         monkeypatch.setattr(families_mod, "MAX_FAMILY_EDGES", edges)
         with pytest.raises(ValueError, match=f"exceeds the cap of {order} vertices and {edges} "
                                              f"edges"):
@@ -121,7 +122,7 @@ def test_family_size_cap(monkeypatch, kind, params):
 
 
 def test_family_over_the_cap_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(families_mod, "MAX_FAMILY_ORDER", 10)
+    monkeypatch.setattr(graphs_mod, "MAX_FAMILY_ORDER", 10)
     assert main(["analyze", "cycle:10", "--alpha", "0"]) == 0
     capsys.readouterr()
     assert main(["analyze", "cycle:11", "--alpha", "0"]) == 2

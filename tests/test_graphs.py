@@ -129,6 +129,9 @@ def test_encode_graph6_known():
 def test_graph6_round_trip(n, mask):
     g = graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
     assert parse_graph6(encode_graph6(g)).edges == g.edges
+    # the parsed graph keeps the text it was read from as its graph6
+    h = parse_graph6(encode_graph6(g))
+    assert h.graph6 == encode_graph6(h)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,6 +143,16 @@ def test_graph6_round_trip_across_the_form_switch(n, data):
     assert text.startswith("~") == (n > 62)
     h = parse_graph6(text)
     assert (h.n, h.edges) == (n, g.edges)
+    assert h.graph6 == encode_graph6(h)
+
+
+def test_graph6_keeps_the_stripped_payload():
+    # a header and surrounding whitespace are not part of the graph6 text
+    for line in (">>graph6<<Bg", "  >>graph6<<  Bg \n", "\tBg\r\n"):
+        g = parse_graph6(line)
+        assert g.graph6 == "Bg" == encode_graph6(g)
+    # a graph that was not parsed encodes itself once, on first use
+    assert Graph.from_edges(3, [(0, 1), (1, 2)]).graph6 == "Bg"
 
 
 # --- connectivity / bipartiteness ---
@@ -288,6 +301,7 @@ def _assert_matches_oracle(g, p=None):
     # integer neighbour sums are exact, so the quotients agree bit for bit
     assert p.avg_dist_deg.tolist() == avg
     assert p.degree.tolist() == degree
+    assert p.dist_sq_sum == sum(d * d for row in dist for d in row)
 
 
 @st.composite
@@ -358,7 +372,25 @@ def test_distance_profiles_of_a_mixed_block(block, data):
     graphs, at = block
     apart = graphs[at]
     n = apart.n
-    profiles = dspread.graphs.distance_profiles(graphs)
+    loops, reach, counted = [], dspread.graphs._reach_distances, _MatmulCounted()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dspread.graphs, "_reach_distances",
+                   lambda orders, *edges: loops.append(orders.tolist()) or reach(orders, *edges))
+        mp.setattr(dspread.graphs, "np", counted)
+        profiles = dspread.graphs.distance_profiles(graphs)
+    # one padded product loop per order band, the orders with one (n - 1).bit_length()
+    bands = {}
+    for g in graphs:
+        bands.setdefault((g.n - 1).bit_length(), []).append(g)
+    assert sorted(sorted(orders) for orders in loops) == \
+        sorted(sorted(g.n for g in band) for band in bands.values())
+    # padding reaches nothing: a band's loop stops after its largest
+    # diameter less one products, or, with the disconnected graph in it,
+    # after as many as its largest finite distance
+    far = {b: max(d for g in band for row in _oracle_rows(g)[1] for d in row if d is not None)
+           for b, band in bands.items()}
+    disconnected = (apart.n - 1).bit_length()
+    assert counted.calls == sum(d if b == disconnected else max(d - 1, 0) for b, d in far.items())
     assert profiles[at] is None
     for g, p in zip(graphs, profiles):
         if g is not apart:
