@@ -219,10 +219,10 @@ def _profiles(group: list[Graph], dist: Optional[np.ndarray]) -> list[Optional[D
     np.divide(nbr_tr, np.maximum(degree, 1), out=avg)
     degree, avg = degree.reshape(count, n), avg.reshape(count, n)
     wiener, diameter = (tr.sum(axis=1) // 2).tolist(), dist.max(axis=(1, 2)).tolist()
-    return [DistanceProfile(dist=dist[k, :m, :m], tr=tr[k, :m], wiener=wiener[k],
-                            diameter=diameter[k], avg_dist_deg=avg[k, :m], degree=degree[k, :m],
-                            dist_sq_sum=sq[k]) if connected[k] else None
-            for k, m in enumerate(orders)]
+    # one view per order of the group, so each profile takes plain rows
+    cut = {m: (dist[:, :m, :m], tr[:, :m], avg[:, :m], degree[:, :m]) for m in set(orders)}
+    return [DistanceProfile(d[k], t[k], wiener[k], diameter[k], a[k], g[k], sq[k])
+            if connected[k] else None for k, (d, t, a, g) in enumerate(map(cut.get, orders))]
 
 
 def _reach_distances(orders: np.ndarray, src, dst) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +256,8 @@ def _reach_distances(orders: np.ndarray, src, dst) -> tuple[np.ndarray, np.ndarr
         reach, spare = np.minimum(spare, 1, out=spare), reach
         levels += 1
         before, now = now, np.count_nonzero(reach)
-    np.subtract(levels, reached, out=reached, where=real[:, :, None] & real[:, None, :])
+    pairs = True if orders.min() == n else real[:, :, None] & real[:, None, :]
+    np.subtract(levels, reached, out=reached, where=pairs)
     return reached.astype(np.int64), np.count_nonzero(reach[:, 0], axis=1) == orders
 
 
