@@ -31,8 +31,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import corpus as corpus_mod
-from . import graphs as graphs_mod
 from .families import parse_family
+from . import graphs as graphs_mod
 from .graphs import Graph, GraphParseError, is_transmission_regular, parse_graph6
 from .jsonfmt import _NON_FINITE, Raw, fmt_float, json_text
 
@@ -164,8 +164,10 @@ def _cmd_analyze(args) -> tuple[str | dict, int]:
         rows = ["input\talpha\tn\twiener\tdiameter\tspread\tspectrum"]
         for r in reports:
             spectrum = ",".join(fmt_float(v) for v in r["spectrum"])
-            rows.append(f"{r['input']}\t{fmt_float(r['alpha'])}\t{r['n']}\t{r['wiener']}"
-                        f"\t{r['diameter']}\t{fmt_float(r['spread'])}\t{spectrum}")
+            rows.append(
+                f"{r['input']}\t{fmt_float(r['alpha'])}\t{r['n']}\t{r['wiener']}"
+                f"\t{r['diameter']}\t{fmt_float(r['spread'])}\t{spectrum}"
+            )
         return "\n".join(rows), 0
     return {"reports": reports}, 0
 
@@ -237,8 +239,10 @@ def _cmd_bounds(args) -> tuple[str | dict, int]:
             base["discrepancies"] = ev.discrepancies(g, j)
             reports.append(base)
     if tsv:
-        rows = ["input\talpha\tbound_id\tdirection\tstatus\tapplicable"
-                "\tbound\tactual\tgap\tholds\tequality\treason"]
+        rows = [
+            "input\talpha\tbound_id\tdirection\tstatus\tapplicable"
+            "\tbound\tactual\tgap\tholds\tequality\treason"
+        ]
         keys = ("bound_id", "direction", "status", "applicable", "bound", "actual", "gap",
                 "holds", "equality", "reason")
         for r in reports:
@@ -295,8 +299,10 @@ def _packaged_corpus(n: int):
     name = f"bipartite_connected_n{n}.g6"
     ref = resources.files("dspread").joinpath("data").joinpath(name)
     if not ref.is_file():
-        raise _InputError(f"no packaged corpus for n={n}; supply --corpus with an exhaustive "
-                          f"connected-bipartite graph6 file")
+        raise _InputError(
+            f"no packaged corpus for n={n}; supply --corpus with an exhaustive "
+            f"connected-bipartite graph6 file"
+        )
     return ref
 
 
@@ -315,8 +321,11 @@ def _cmd_conjecture(args) -> tuple[str | dict, int]:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dspread",
-        description=("Spectra and spectral spread of generalized distance matrices of "
-                     "connected graphs, with bound verification."))
+        description=(
+            "Spectra and spectral spread of generalized distance matrices of "
+            "connected graphs, with bound verification."
+        ),
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="spectrum, spread, and distance statistics")

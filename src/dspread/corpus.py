@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from itertools import islice, takewhile
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -69,33 +68,45 @@ def sweep(
         counts = np.stack([ev.applicable, ev.holds, ev.equality]).sum(axis=(2, 3)).T.tolist()
         # each entry's first minimum over its flattened (G * k) margins: in
         # (graph, alpha) order, as a sequential scan finds it
-        margin, gap = (a.reshape(len(BOUND_IDS), -1) for a in (ev.margin(), ev.gap))
+        margin, flat_gap = (a.reshape(len(BOUND_IDS), -1) for a in (ev.margin(), ev.gap))
         first = margin.argmin(axis=1)
-        least, least_gap = (a[np.arange(len(BOUND_IDS)), first].tolist() for a in (margin, gap))
+        pick = np.arange(len(BOUND_IDS)), first
+        least, least_gap = margin[pick].tolist(), flat_gap[pick].tolist()
         for bid, count, m, m_gap, at in zip(BOUND_IDS, counts, least, least_gap, first.tolist()):
             if not count[0]:
                 continue
             t = tallies.setdefault(bid, {"applicable": 0, "holds": 0, "equalities": 0,
                                          "worst_gap": None, "worst_key": None})
-            for name, c in zip(("applicable", "holds", "equalities"), count):
-                t[name] += c
+            t["applicable"] += count[0]
+            t["holds"] += count[1]
+            t["equalities"] += count[2]
             if bid not in worst_margin or m < worst_margin[bid]:
                 g, j = divmod(at, len(alphas))
                 worst_margin[bid], t["worst_gap"] = m, m_gap
                 t["worst_key"] = f"{keys[g]}@{fmt_float(alphas[j])}"
-        for found, mask, values in ((violations, ev.violated, {"gap": ev.gap}),
-                                    (discrepancies, ev.claimed_miss,
-                                     {"claimed": ev.bound, "actual": ev.actual, "gap": ev.gap})):
-            where = np.nonzero(mask)
-            for i, g, j, *row in zip(*(x.tolist() for x in where),
-                                     *(a[where].tolist() for a in values.values())):
-                found.append({"graph6": keys[g], "bound_id": BOUND_IDS[i], "alpha": alphas[j],
-                              **dict(zip(values, row))})
+        where = np.nonzero(ev.violated)
+        for i, g, j, gap in zip(*(x.tolist() for x in where), ev.gap[where].tolist()):
+            violations.append({"graph6": keys[g], "bound_id": BOUND_IDS[i],
+                               "alpha": alphas[j], "gap": gap})
+        where = np.nonzero(ev.claimed_miss)
+        for i, g, j, claimed, actual, gap in zip(*(x.tolist() for x in where),
+                                                 ev.bound[where].tolist(),
+                                                 ev.actual[where].tolist(),
+                                                 ev.gap[where].tolist()):
+            discrepancies.append({"graph6": keys[g], "bound_id": BOUND_IDS[i],
+                                  "alpha": alphas[j], "claimed": claimed,
+                                  "actual": actual, "gap": gap})
 
-    order = itemgetter("graph6", "bound_id", "alpha")
-    return {"graphs_seen": seen, "skipped_disconnected": skipped,
-            "bounds": dict(sorted(tallies.items())), "violations": sorted(violations, key=order),
-            "discrepancies": sorted(discrepancies, key=order)}
+    def order(entry: dict) -> tuple:
+        return entry["graph6"], entry["bound_id"], entry["alpha"]
+
+    return {
+        "graphs_seen": seen,
+        "skipped_disconnected": skipped,
+        "bounds": dict(sorted(tallies.items())),
+        "violations": sorted(violations, key=order),
+        "discrepancies": sorted(discrepancies, key=order),
+    }
 
 
 def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> dict:
@@ -128,10 +139,19 @@ def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> dict:
     edges = n // 2 * (n - n // 2)
     balanced = [s for s, ctx in zip(spreads, ctxs) if ctx.graph.edge_count == edges]
     if not balanced:
-        raise ValueError("incomplete corpus: balanced complete bipartite graph not present")
-    return {"n": n, "alpha": alpha, "graphs_seen": len(ctxs), "candidate_min_graph": best[1],
-            "candidate_min_spread": best[0], "conjectured_graph_spread": balanced[-1],
-            "confirmed": balanced[-1] <= best[0] + EQ_TOL}
+        raise ValueError(
+            "incomplete corpus: balanced complete bipartite graph not present"
+        )
+    conjectured_spread = balanced[-1]
+    return {
+        "n": n,
+        "alpha": alpha,
+        "graphs_seen": len(ctxs),
+        "candidate_min_graph": best[1],
+        "candidate_min_spread": best[0],
+        "conjectured_graph_spread": conjectured_spread,
+        "confirmed": conjectured_spread <= best[0] + EQ_TOL,
+    }
 
 
 def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
@@ -147,8 +167,15 @@ def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
         raise ValueError("edge_prob must lie in (0, 1]")
     rng = random.Random(seed)
     for _ in range(MAX_TRIES):
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob]
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < edge_prob
+        ]
         g = Graph.from_edges(n, edges)
         if is_connected(g):
             return g
-    raise ValueError(f"no connected sample in {MAX_TRIES} tries (n={n}, p={edge_prob})")
+    raise ValueError(
+        f"no connected sample in {MAX_TRIES} tries (n={n}, p={edge_prob})"
+    )

@@ -1,13 +1,12 @@
 """Structured graph families and their analytic generalized-distance spectra.
 
 family("kbip", 2, 3) builds a graph, and parse_family("kbip:2,3") builds
-the same graph from the CLI's spec syntax; one of more than
-graphs.MAX_FAMILY_ORDER vertices or MAX_FAMILY_EDGES edges is refused
-unbuilt. The graphs use a canonical labeling (clique / first part at the
-low indices) so positional partitions line up with the block structure the
-closed forms assume. Each closed form returns its descending eigenvalue
-array and is meant to be cross-checked against the numeric solver, whose
-spectrum is the ground truth.
+the same graph from the CLI's spec syntax; one of more than MAX_FAMILY_ORDER
+vertices or MAX_FAMILY_EDGES edges is refused unbuilt. The graphs use a
+canonical labeling (clique / first part at the low indices) so positional
+partitions line up with the block structure the closed forms assume. Each
+closed form returns its descending eigenvalue array and is meant to be
+cross-checked against the numeric solver, whose spectrum is the ground truth.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ _FAMILIES = {
 def family(kind: str, *params: int) -> Graph:
     """The named graph, e.g. family("kbip", 2, 3), with canonical vertex
     labeling; an unknown kind, a wrong parameter count, an out-of-range
-    parameter or a graph of more than graphs.MAX_FAMILY_ORDER vertices or
+    parameter or a graph of more than MAX_FAMILY_ORDER vertices or
     MAX_FAMILY_EDGES edges raises ValueError before anything is built."""
     if kind not in _FAMILIES:
         raise ValueError(f"unknown family kind {kind!r}")

@@ -126,6 +126,11 @@ def is_connected(g: Graph) -> bool:
 # Distances come from matrix products when (levels + 1) * n**3 multiply-adds
 # are at most this many times the n * (n + 2m) steps of per-vertex BFS.
 _MULADDS_PER_BFS_STEP = 2000
+# An order shares the padded product loop of a larger one when its padding
+# costs at most this many multiply-adds a level, about what a loop of its own
+# costs: timed on G(n, p) blocks of two orders, n = 3..64, the shared loop
+# won below 25,000, was even up to 100,000 and lost from 140,000.
+_MULADDS_PER_LOOP = 50_000
 
 
 def distance_profile(g: Graph) -> DistanceProfile:
@@ -144,11 +149,14 @@ def distance_profiles(graphs: Sequence[Graph]) -> list[Optional[DistanceProfile]
 
     - matrix products (_reach_distances): every source advances one BFS
       level per float32 product in BLAS, about (levels + 1) * n**3
-      multiply-adds. The graphs that take them share one loop of batched
-      products per order band, the orders n with one (n - 1).bit_length()
-      (1, 2, 3-4, 5-8, 9-16, ...): their (G, N, N) stack is padded to the
-      band's largest order N with isolated vertices, which no profile
-      reads. The loop also finds the disconnected graphs;
+      multiply-adds. The graphs of one order that take them share one loop
+      of batched products on their (G, n, n) stack, which also finds the
+      disconnected ones. An order n joins the loop of the largest order N
+      of its band, the orders with one (n - 1).bit_length() (1, 2, 3-4,
+      5-8, 9-16, ...), when padding its count graphs to order N,
+      count * (N**3 - n**3) multiply-adds a level, costs at most
+      _MULADDS_PER_LOOP = 50,000; the padding is isolated vertices, which
+      no profile reads;
     - per-vertex BFS: one Python BFS from each vertex, about n * (n + 2m)
       interpreter steps, written row by row.
 
@@ -172,7 +180,7 @@ def distance_profiles(graphs: Sequence[Graph]) -> list[Optional[DistanceProfile]
     the degree of i: every quotient is correctly rounded.
     """
     profiles: list[Optional[DistanceProfile]] = [None] * len(graphs)
-    bands: dict[int, list[int]] = {}
+    by_order: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         n, steps = g.n, _MULADDS_PER_BFS_STEP * (g.n + 2 * len(g.edges))
         if (2 * n - 1) * n * n > steps:
@@ -187,8 +195,14 @@ def distance_profiles(graphs: Sequence[Graph]) -> list[Optional[DistanceProfile]
                     dist[0, v] = row0 if v == 0 else row if v == far else bfs_distances(g, v)
                 profiles[i] = _profiles([g], dist)[0]
                 continue
-        bands.setdefault((n - 1).bit_length(), []).append(i)
-    for idx in bands.values():
+        by_order.setdefault(n, []).append(i)
+    top = {(n - 1).bit_length(): n for n in sorted(by_order)}
+    loops: dict[int, list[int]] = {}
+    for n, idx in by_order.items():
+        big = top[(n - 1).bit_length()]
+        loops.setdefault(big if len(idx) * (big ** 3 - n ** 3) <= _MULADDS_PER_LOOP else n,
+                         []).extend(idx)
+    for idx in loops.values():
         for i, profile in zip(idx, _profiles([graphs[i] for i in idx], None)):
             profiles[i] = profile
     return profiles
@@ -212,7 +226,7 @@ def _profiles(group: list[Graph], dist: Optional[np.ndarray]) -> list[Optional[D
     tr, avg = np.empty((count, n), dtype=np.int64), np.empty(count * n)
     connected = np.ones(count, dtype=bool)
     if dist is None:
-        dist, connected = _reach_distances(np.array(orders), src, dst)
+        dist, connected = _reach_distances(orders, src, dst)
     dist.sum(axis=2, out=tr)
     sq = np.einsum("kij,kij->k", dist, dist).tolist()
     nbr_tr = np.bincount(src, weights=tr.ravel()[dst], minlength=count * n)
@@ -225,7 +239,7 @@ def _profiles(group: list[Graph], dist: Optional[np.ndarray]) -> list[Optional[D
             if connected[k] else None for k, (d, t, a, g) in enumerate(map(cut.get, orders))]
 
 
-def _reach_distances(orders: np.ndarray, src, dst) -> tuple[np.ndarray, np.ndarray]:
+def _reach_distances(orders: list[int], src, dst) -> tuple[np.ndarray, np.ndarray]:
     """The (count, n, n) distance stack of graphs of the given orders, n the
     largest, by BFS from all sources of all graphs at once, and which graphs
     are connected. Vertices past a graph's order are isolated padding with
@@ -240,32 +254,38 @@ def _reach_distances(orders: np.ndarray, src, dst) -> tuple[np.ndarray, np.ndarr
     vertex is reached or once a product reaches no new vertex, so it runs
     at most n - 1 products.
     """
-    count, n = len(orders), int(orders.max())
-    real = np.arange(n) < orders[:, None]
+    count, n, padded = len(orders), max(orders), min(orders) < max(orders)
+    real = np.arange(n) < np.array(orders)[:, None] if padded else True
     step = np.zeros((count, n, n), dtype=np.float32)
     step.reshape(count * n, n)[src, dst % n] = 1
     idx = np.arange(n)
     step[:, idx, idx] = real
     # level 0 is the identity, level 1 the step itself
-    reached = step * np.eye(n, dtype=np.float32)
+    reached = np.broadcast_to(np.eye(n, dtype=np.float32), step.shape).copy()
     reach, spare, levels = step.copy(), np.empty_like(step), 1
-    before, now, full = int(orders.sum()), np.count_nonzero(step), int(orders @ orders)
+    before, now, full = sum(orders), np.count_nonzero(step), sum(m * m for m in orders)
     while before < now < full:
         reached += reach
         np.matmul(reach, step, out=spare)
         reach, spare = np.minimum(spare, 1, out=spare), reach
         levels += 1
         before, now = now, np.count_nonzero(reach)
-    pairs = True if orders.min() == n else real[:, :, None] & real[:, None, :]
-    np.subtract(levels, reached, out=reached, where=pairs)
-    return reached.astype(np.int64), np.count_nonzero(reach[:, 0], axis=1) == orders
+    dist = np.subtract(levels, reached, out=reached).astype(np.int64)
+    if padded:  # distance 0 at every pair with a padding vertex
+        dist *= real[:, :, None] & real[:, None, :]
+    return dist, (reach[:, 0] >= real).all(axis=1)
 
 
 def is_transmission_regular(profile: DistanceProfile) -> Optional[int]:
-    """The common transmission k if all vertices share it, else None (exact:
-    transmissions are integers)."""
-    k = int(profile.tr[0])
-    return k if np.all(profile.tr == k) else None
+    """Return the common transmission k if all vertices share it, else None.
+
+    Transmissions are integers, so the comparison is exact.
+    """
+    tr = profile.tr
+    k = int(tr[0])
+    if np.all(tr == k):
+        return k
+    return None
 
 
 def is_bipartite(g: Graph,
@@ -351,8 +371,10 @@ def parse_graph6(text: str) -> Graph:
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) < start + nbytes:
-        raise GraphParseError(f"truncated bit string: need {nbytes} data bytes, found "
-                              f"{len(data) - start}", offset=len(data))
+        raise GraphParseError(
+            f"truncated bit string: need {nbytes} data bytes, found {len(data) - start}",
+            offset=len(data),
+        )
     if len(data) > start + nbytes:
         raise GraphParseError("trailing characters after bit string", offset=start + nbytes)
     if n > MAX_FAMILY_ORDER:

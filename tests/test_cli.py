@@ -675,13 +675,14 @@ def test_every_input_is_held_to_the_order_cap(capsys, monkeypatch, tmp_path):
     from_edges, build = [], graphs_mod.Graph.from_edges
     monkeypatch.setattr(graphs_mod.Graph, "from_edges",
                         staticmethod(lambda n, pairs: from_edges.append(n) or build(n, pairs)))
-    cap = "exceeds the cap of 5 vertices\n"
+    cap = "graph of order 6 exceeds the cap of 5 vertices\n"
     over_file = _graph6_file(tmp_path / "over.g6", at, over)
     for argv, message in (
-            (("analyze", encode_graph6(over), "--alpha", "0"), "error: graph of order 6 " + cap),
-            (("bounds", over_file, "--alpha", "0.5"), f"error: {over_file}: graph of order 6 " + cap),
-            (("sweep", "--corpus", over_file), f"error: {over_file}: graph of order 6 " + cap),
-            (("sweep", "--seed-random", "6,1,0.5"), "error: --seed-random order 6 " + cap)):
+            (("analyze", encode_graph6(over), "--alpha", "0"), "error: " + cap),
+            (("bounds", over_file, "--alpha", "0.5"), f"error: {over_file}: " + cap),
+            (("sweep", "--corpus", over_file), f"error: {over_file}: " + cap),
+            (("sweep", "--seed-random", "6,1,0.5"),
+             "error: --seed-random order 6 exceeds the cap of 5 vertices\n")):
         from_edges.clear()
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", message), argv

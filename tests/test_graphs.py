@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -372,25 +373,37 @@ def test_distance_profiles_of_a_mixed_block(block, data):
     graphs, at = block
     apart = graphs[at]
     n = apart.n
+    limit = data.draw(st.sampled_from((0, 1000, dspread.graphs._MULADDS_PER_LOOP)))
     loops, reach, counted = [], dspread.graphs._reach_distances, _MatmulCounted()
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dspread.graphs, "_MULADDS_PER_LOOP", limit)
         mp.setattr(dspread.graphs, "_reach_distances",
-                   lambda orders, *edges: loops.append(orders.tolist()) or reach(orders, *edges))
+                   lambda orders, *edges: loops.append(orders) or reach(orders, *edges))
         mp.setattr(dspread.graphs, "np", counted)
         profiles = dspread.graphs.distance_profiles(graphs)
-    # one padded product loop per order band, the orders with one (n - 1).bit_length()
-    bands = {}
-    for g in graphs:
-        bands.setdefault((g.n - 1).bit_length(), []).append(g)
-    assert sorted(sorted(orders) for orders in loops) == \
-        sorted(sorted(g.n for g in band) for band in bands.values())
-    # padding reaches nothing: a band's loop stops after its largest
-    # diameter less one products, or, with the disconnected graph in it,
-    # after as many as its largest finite distance
-    far = {b: max(d for g in band for row in _oracle_rows(g)[1] for d in row if d is not None)
-           for b, band in bands.items()}
-    disconnected = (apart.n - 1).bit_length()
-    assert counted.calls == sum(d if b == disconnected else max(d - 1, 0) for b, d in far.items())
+    # each order runs in one loop, whole: its own, or that of the largest
+    # order N of its band (the orders with one (n - 1).bit_length()) exactly
+    # when padding its graphs to N costs at most the limit
+    count = Counter(g.n for g in graphs)
+    top = {}
+    for m in sorted(count):
+        top[(m - 1).bit_length()] = m
+    assert sorted(m for orders in loops for m in orders) == sorted(g.n for g in graphs)
+    for orders in loops:
+        big = max(orders)
+        assert Counter(orders) == {m: count[m] for m in set(orders)}
+        assert set(orders) == {big} or big == top[(big - 1).bit_length()]
+    for m, k in count.items():
+        big = top[(m - 1).bit_length()]
+        shared = any(m in orders and big in orders for orders in loops)
+        assert shared == (k * (big ** 3 - m ** 3) <= limit)
+    # padding reaches nothing: a loop stops after its largest diameter less
+    # one products, or, with the disconnected graph in it, after as many as
+    # its largest finite distance
+    far = [max(d for g in graphs if g.n in orders for row in _oracle_rows(g)[1] for d in row
+               if d is not None) for orders in loops]
+    assert counted.calls == sum(d if n in orders else max(d - 1, 0)
+                                for orders, d in zip(loops, far))
     assert profiles[at] is None
     for g, p in zip(graphs, profiles):
         if g is not apart:
@@ -421,6 +434,26 @@ def test_distance_profiles_of_a_mixed_block(block, data):
             for field in ("tr", "avg_dist_deg", "degree"):
                 assert np.array_equal(getattr(q, field)[lab], getattr(p, field))
             assert (q.wiener, q.diameter) == (p.wiener, p.diameter)
+
+
+@pytest.mark.parametrize("orders, loops", [
+    ([n for n in range(3, 13) for _ in range(6)], [[3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]),
+    ([5] * 32 + [8] * 32, [[5, 8]]),
+    ([9] * 32 + [16] * 32, [[9], [16]]),
+    ([17] * 32 + [32] * 32, [[17], [32]]),
+    ([33] * 32 + [64] * 32, [[33], [64]]),
+])
+def test_orders_share_a_loop_only_where_padding_is_cheap(orders, loops):
+    # many orders with few graphs each share their band's loop; a whole
+    # order of 32 graphs padded by 100,000 or more multiply-adds a level
+    # runs alone
+    seen = []
+    reach = dspread.graphs._reach_distances
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dspread.graphs, "_reach_distances",
+                   lambda o, *edges: seen.append(sorted(set(o))) or reach(o, *edges))
+        dspread.graphs.distance_profiles([parse_family(f"path:{n}") for n in orders])
+    assert sorted(seen) == loops
 
 
 def _dense_62():
