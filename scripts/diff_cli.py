@@ -50,8 +50,9 @@ CYCLE_63 = ("~??~hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@
 # holds ":", so it also reads as a (bad) family spec; {malformed}: a corpus
 # file whose second line has nonzero padding bits; {long}: a corpus file
 # holding CYCLE_63, a long-form graph6 line; {mixed} and {apart}: the two
-# corpus files of mixed_orders(). Each command is split with shlex, so a
-# quoted argument may hold whitespace.
+# corpus files of mixed_orders(); {empty}: a corpus file holding only a
+# comment. Each command is split with shlex, so a quoted argument may hold
+# whitespace.
 COMMANDS = [
     "analyze Bg",
     "analyze kbip:2,3",
@@ -147,6 +148,12 @@ COMMANDS = [
     "sweep --corpus {apart}",
     "bounds {apart}",
     "analyze {apart}",
+    # a corpus with no graph: no context reaches evaluate() or solve_spectra()
+    "bounds {empty}",
+    "bounds {empty} --format tsv",
+    "analyze {empty}",
+    "analyze {empty} --format tsv",
+    "sweep --corpus {empty}",
 ]
 
 
@@ -223,7 +230,8 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
                             ("malformed", "malformed.g6", "Bg\nBh\n"),
                             ("long", "cycle_63.g6", CYCLE_63 + "\n"),
                             ("mixed", "mixed_orders.g6", mixed),
-                            ("apart", "all_disconnected.g6", apart)):
+                            ("apart", "all_disconnected.g6", apart),
+                            ("empty", "comment_only.g6", "# no graph\n")):
         files[key] = Path(tmp) / name
         files[key].write_text(text, encoding="ascii")
     data = src / "dspread" / "data"

@@ -67,7 +67,7 @@ class EvalContext:
     independence number (each None when its search runs out of
     cliques.SEARCH_BUDGET nodes; search_nodes holds the nodes of each
     search run) and the spectra solve_spectra() caches: per solved group, its
-    alphas with their (k, n) eigenvalues and (k, 4) record rows.
+    alphas with their (k, n) eigenvalues.
 
     The profile is computed here unless given (distance_profiles() gives
     those of a block at once); computing it raises DisconnectedGraphError
@@ -77,7 +77,7 @@ class EvalContext:
     def __init__(self, graph: Graph, profile: Optional[DistanceProfile] = None):
         self.graph = graph
         self.profile = distance_profile(graph) if profile is None else profile
-        self._solved: list[tuple[tuple[float, ...], np.ndarray, np.ndarray]] = []
+        self._solved: list[tuple[tuple[float, ...], np.ndarray]] = []
         self.search_nodes: dict[str, int] = {}
 
     @cached_property
@@ -86,7 +86,7 @@ class EvalContext:
 
     def values(self, alpha: float) -> np.ndarray:
         """Eigenvalues of D_alpha, descending."""
-        for done, values, _ in self._solved:
+        for done, values in self._solved:
             if alpha in done:
                 return values[done.index(alpha)]
         solve_spectra([self], [alpha])
@@ -102,17 +102,17 @@ class EvalContext:
 
     @cached_property
     def independence(self) -> Optional[int]:
-        found = independence_number(self.graph, self.search_nodes)
-        return None if found is None else found[0]
+        return independence_number(self.graph, self.search_nodes)
 
 
 def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> np.ndarray:
     """The (G, k, 4) record [top, bottom, |D_alpha|_F^2, trace] of every
     context and alpha, in context and alpha order (a repeated alpha repeats
-    its rows), solving and caching what no context has cached yet.
+    its rows). Every context is solved at every alpha it is given and
+    caches those alphas with their eigenvalues.
 
-    D_alpha is affine in alpha, so the graphs of one order that lack the
-    same alphas, BLOCK_GRAPHS at a time, get their (G*k, n, n) stack from
+    D_alpha is affine in alpha, so the graphs of one order,
+    BLOCK_GRAPHS at a time, get their (G*k, n, n) stack from
     one generalized_distance_matrix call on their stacked distances and
     transmissions, and share one eigvalsh call on it. Every entry is the
     same elementwise product as in a one-graph call. The stack also gives
@@ -120,31 +120,23 @@ def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> np.nd
     """
     want = tuple(dict.fromkeys(alphas))
     record = np.empty((len(ctxs), len(want), 4))
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for g, ctx in enumerate(ctxs):
-        todo = want
-        for done, _, rows in ctx._solved:
-            for a in todo:
-                if a in done:
-                    record[g, want.index(a)] = rows[done.index(a)]
-            todo = tuple(a for a in todo if a not in done)
-        if todo:
-            groups.setdefault((ctx.graph.n, todo), []).append(g)
-    for (n, todo), members in groups.items():
-        cols = [want.index(a) for a in todo]
+        groups.setdefault(ctx.graph.n, []).append(g)
+    for n, members in groups.items():
         for start in range(0, len(members), BLOCK_GRAPHS):
             chunk = members[start:start + BLOCK_GRAPHS]
             # (G, 1, n, n) distances and (G, 1, n) transmissions give (G, k, n, n);
             # the stacked distances are freed before the eigensolve
             stack = generalized_distance_matrix(SimpleNamespace(
                 dist=np.stack([ctxs[g].profile.dist for g in chunk])[:, None],
-                tr=np.stack([ctxs[g].profile.tr for g in chunk])[:, None]), todo).reshape(-1, n, n)
+                tr=np.stack([ctxs[g].profile.tr for g in chunk])[:, None]), want).reshape(-1, n, n)
             values = sym_eigen(stack)
             rows = np.stack([values[:, 0], values[:, -1], (stack ** 2).sum(axis=(1, 2)),
                              np.trace(stack, axis1=1, axis2=2)], axis=1).reshape(len(chunk), -1, 4)
-            record[np.array(chunk)[:, None], cols] = rows
-            for g, v, r in zip(chunk, values.reshape(len(chunk), -1, n), rows):
-                ctxs[g]._solved.append((todo, v, r))
+            record[chunk] = rows
+            for g, v in zip(chunk, values.reshape(len(chunk), -1, n)):
+                ctxs[g]._solved.append((want, v))
     return record[:, [want.index(a) for a in alphas]]
 
 

@@ -278,16 +278,13 @@ def _cmd_sweep(args) -> tuple[str | dict, int]:
     alphas = _alphas(args)
     tol = _tolerance(args.tol)
     # parsed before any graph is read or drawn
-    seed_random = None if args.seed_random is None else _parse_seed_random(args.seed_random)
-    graphs: list[Graph] = []
-    if args.corpus is not None:
-        graphs.extend(_load_corpus(args.corpus))
-    if seed_random is not None:
-        n, count, p = seed_random
-        for i in range(count):
-            graphs.append(corpus_mod.random_connected_graph(n, p, seed=args.seed + i))
-    if not graphs and args.corpus is None:
+    n, count, p = (0, 0, 0.0) if args.seed_random is None else _parse_seed_random(args.seed_random)
+    if args.corpus is None and not count:
         raise _InputError("nothing to sweep: give --corpus and/or --seed-random")
+    # the corpus is read whole before any work; the random graphs are drawn
+    # as the sweep reaches them
+    graphs = itertools.chain([] if args.corpus is None else _load_corpus(args.corpus), (
+        corpus_mod.random_connected_graph(n, p, seed=args.seed + i) for i in range(count)))
     doc = {"alphas": alphas, **corpus_mod.sweep(graphs, alphas=alphas, tol=tol)}
     return doc, 4 if doc["violations"] else 0
 

@@ -128,18 +128,13 @@ def clique_number(
     return cliques[0].bit_count(), sorted(map(_mask_to_tuple, cliques))
 
 
-def independence_number(
-    g: Graph, nodes: Optional[dict[str, int]] = None
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Exact independence number with the first maximum independent set the
-    search finds (a maximum clique of the complement), or None as for
-    clique_number; nodes likewise, the count under "independence".
+def independence_number(g: Graph, nodes: Optional[dict[str, int]] = None) -> Optional[int]:
+    """Exact independence number (the clique number of the complement), or
+    None as for clique_number; nodes likewise, the count under "independence".
     """
     full = (1 << g.n) - 1
     non_adjacent = [full & ~(m | 1 << v) for v, m in enumerate(g.masks)]
     sets, spent = _maximum_cliques(non_adjacent, every=False)
     if nodes is not None:
         nodes["independence"] = spent
-    if sets is None:
-        return None
-    return sets[0].bit_count(), _mask_to_tuple(sets[0])
+    return None if sets is None else sets[0].bit_count()

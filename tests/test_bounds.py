@@ -41,9 +41,9 @@ GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 def test_clique_independence_small(zoo):
     assert clique_number(zoo["K23"])[0] == 2
-    assert independence_number(zoo["K23"])[0] == 3
+    assert independence_number(zoo["K23"]) == 3
     assert clique_number(zoo["C5"])[0] == 2
-    assert independence_number(zoo["C5"])[0] == 2
+    assert independence_number(zoo["C5"]) == 2
 
 
 def test_clique_split_graph(zoo):
@@ -51,7 +51,7 @@ def test_clique_split_graph(zoo):
     assert omega == 3
     # the 2-clique extends by any of the three independent vertices
     assert maxima == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
-    assert independence_number(zoo["CS25"])[0] == 3
+    assert independence_number(zoo["CS25"]) == 3
 
 
 def test_clique_cap(monkeypatch):
@@ -97,7 +97,7 @@ def test_clique_against_exhaustive_oracle(n, mask):
     omega, maxima = clique_number(g)
     assert omega == _brute_clique(g)
     assert maxima == _brute_maximum_cliques(g)
-    assert independence_number(g)[0] == _brute_independence(g)
+    assert independence_number(g) == _brute_independence(g)
 
 
 def test_maximum_clique_list_above_the_small_candidate_switch():
@@ -114,12 +114,9 @@ def test_maximum_clique_list_above_the_small_candidate_switch():
 
 @given(n=st.integers(1, 9), mask=st.integers(0, 2**36 - 1))
 @settings(max_examples=60, deadline=None)
-def test_independence_set_is_a_maximum_independent_set(n, mask):
+def test_independence_number_against_exhaustive_oracle(n, mask):
     g = graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
-    t, chosen = independence_number(g)
-    assert t == _brute_independence(g)
-    assert len(chosen) == len(set(chosen)) == t
-    assert not any((u, v) in g.edges for u, v in combinations(sorted(chosen), 2))
+    assert independence_number(g) == _brute_independence(g)
 
 
 def test_independence_cap(monkeypatch):
@@ -139,7 +136,7 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     sys.setrecursionlimit(depth + 60)
     try:
         omega, maxima = clique_number(parse_family("complete:300"))
-        alpha = independence_number(parse_family("star:300"))[0]
+        alpha = independence_number(parse_family("star:300"))
     finally:
         sys.setrecursionlimit(limit)
     assert (omega, maxima, alpha) == (300, [tuple(range(300))], 299)
@@ -157,7 +154,7 @@ def test_searches_invariant_under_relabeling(n, mask, data):
     def invariants(graph):
         omega, maxima = clique_number(graph)
         tr = distance_profile(graph).tr.tolist()
-        return (omega, independence_number(graph)[0],
+        return (omega, independence_number(graph),
                 sorted(sum(tr[v] for v in cl) for cl in maxima))
 
     assert invariants(g) == invariants(h)
@@ -441,7 +438,7 @@ def _record_row(g: Graph, alpha: float) -> list[float]:
 def test_solve_spectra_record_matches_one_graph_at_a_time(monkeypatch):
     # mixed orders, contexts with some alphas solved before, a repeated alpha
     # and 0 appended, as evaluate() asks: every row is the one-graph value,
-    # bit for bit, and the cached alphas are not solved again
+    # bit for bit, and every context is solved at every asked alpha
     graphs = [parse_family(spec) for spec in ("path:4", "cycle:5", "kbip:2,3", "complete:3",
                                               "star:6", "split:2,5", "path:4")]
     ctxs = [EvalContext(g) for g in graphs]
@@ -459,11 +456,17 @@ def test_solve_spectra_record_matches_one_graph_at_a_time(monkeypatch):
         for a in alphas:
             assert np.array_equal(ctx.values(a), sym_eigen(
                 generalized_distance_matrix(ctx.profile, a)))
-    # one stack per (order, missing alphas) group; a second call solves nothing
-    assert sorted(solved) == sorted([(2 * 4, 4, 4), (3, 5, 5), (3, 5, 5), (3, 3, 3), (3, 6, 6),
-                                     (4, 5, 5)])
+    # one stack per (order, chunk of BLOCK_GRAPHS) holding the 4 distinct
+    # alphas, orders in first-context order; a second call solves the same
+    # stacks again and gives the same record
+    stacks = [(2 * 4, 4, 4), (3 * 4, 5, 5), (4, 3, 3), (4, 6, 6)]
+    assert solved == stacks
     solved.clear()
-    assert np.array_equal(solve_spectra(ctxs, alphas), record) and solved == []
+    assert np.array_equal(solve_spectra(ctxs, alphas), record) and solved == stacks
+    solved.clear()
+    monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", 2)
+    assert np.array_equal(solve_spectra(ctxs, alphas), record)
+    assert solved == [(2 * 4, 4, 4), (2 * 4, 5, 5), (4, 5, 5), (4, 3, 3), (4, 6, 6)]
 
 
 # --- quotient-derived bounds against explicit quotients ---

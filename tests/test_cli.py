@@ -492,6 +492,13 @@ def test_sweep_shipped_corpus(capsys):
     assert doc["violations"] == []
 
 
+def test_empty_corpus_gives_empty_reports(capsys, tmp_path):
+    corpus = tmp_path / "comment_only.g6"
+    corpus.write_text("# no graph\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "bounds", str(corpus))
+    assert code == 0 and err == "" and json.loads(out)["reports"] == []
+
+
 def test_sweep_missing_corpus(capsys):
     code, _, err = run_cli(capsys, "sweep", "--corpus", "missing.g6")
     assert code == 2 and "missing.g6" in err
@@ -504,6 +511,38 @@ def test_sweep_seeded_random_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["graphs_seen"] == 5
+
+
+def test_sweep_draws_random_graphs_as_it_reaches_them(capsys, monkeypatch, tmp_path):
+    # the first block is evaluated after at most one block of draws, so a
+    # sweep never holds every drawn graph
+    draws = _count_calls(monkeypatch, corpus_mod.random_connected_graph)
+    drawn_at_evaluate = []
+    evaluate_block = corpus_mod.evaluate
+    monkeypatch.setattr(corpus_mod, "evaluate", lambda *args, **kwargs: (
+        drawn_at_evaluate.append(len(draws)) or evaluate_block(*args, **kwargs)))
+    code, out, _ = run_cli(capsys, "sweep", "--seed-random", "6,200,0.5", "--alphas", "0.5")
+    assert code == 0 and json.loads(out)["graphs_seen"] == len(draws) == 200
+    assert 0 < drawn_at_evaluate[0] <= bounds_mod.BLOCK_GRAPHS
+    # a corpus is read and validated whole before any draw
+    corpus = tmp_path / "malformed.g6"
+    corpus.write_text("Bg\nBh\n", encoding="ascii")
+    draws.clear()
+    code, out, _ = run_cli(capsys, "sweep", "--corpus", str(corpus), "--seed-random", "6,3,0.5")
+    assert code == 2 and out == "" and draws == []
+    # a draw that fails after blocks were swept still exits 3 with no stdout
+    draw = corpus_mod.random_connected_graph
+
+    def failing(n, p, seed):
+        if seed == 150:
+            raise ValueError("no connected sample")
+        return draw(n, p, seed)
+
+    monkeypatch.setattr(corpus_mod, "random_connected_graph", failing)
+    drawn_at_evaluate.clear()
+    code, out, err = run_cli(capsys, "sweep", "--seed-random", "6,200,0.5", "--alphas", "0.5")
+    assert code == 3 and out == "" and err == "error: no connected sample\n"
+    assert len(drawn_at_evaluate) == 2
 
 
 @pytest.mark.parametrize("spec", ["0,3,0.5", "-2,3,0.5", "5,-1,0.5", "5,3,2", "5,3,0",
