@@ -32,8 +32,8 @@ GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 PERFBENCH_SEED = 1
 
 # the complement of a perfect matching on 40 vertices, in graph6: 2^20
-# maximum cliques, so the clique search runs out of its node budget, and
-# independence number 2
+# maximum cliques, all of one transmission sum, which the clique search
+# finishes in 183 nodes, and independence number 2
 COCKTAIL_PARTY_40 = ("g]~v~z~~v~~}~~~~^~~~}~~~~~v~~~~~z~~~~~~v~~~~~~}~~~~~~~~^~~~~~~~}~~~~~"
                      "~~~~v~~~~~~~~~z~~~~~~~~~~v~~~~~~~~~~}~~~~~~~~~~~~^~~~~~~~~~~~}")
 
@@ -112,6 +112,8 @@ COMMANDS = [
     "sweep --corpus= --seed-random 4,1,0.9",
     "sweep --seed-random= --corpus {n4}",
     "sweep --seed-random 5,0,0.5",
+    # dense graphs with many maximum cliques of unequal transmission sums
+    "sweep --seed-random 36,8,0.7 --alphas 0,0.5,1",
     "conjecture --n 4 --alpha 0",
     "conjecture --n 5 --alpha 0.5",
     "conjecture --n 6 --alpha 0.5",

@@ -63,8 +63,9 @@ BLOCK_GRAPHS = 64
 
 class EvalContext:
     """Per-graph data the registry reads: the distance profile, and on first
-    use bipartiteness (off the profile's BFS levels), cliques and
-    independence number (each None when its search runs out of
+    use bipartiteness (off the profile's BFS levels), the clique number with
+    the least and greatest transmission sum over the maximum cliques, and
+    the independence number (each None when its search runs out of
     cliques.SEARCH_BUDGET nodes; search_nodes holds the nodes of each
     search run) and the spectra solve_spectra() caches: per solved group, its
     alphas with their (k, n) eigenvalues.
@@ -97,8 +98,8 @@ class EvalContext:
         return float(v[0] - v[-1])  # 0 for a single vertex
 
     @cached_property
-    def cliques(self) -> Optional[tuple[int, list[tuple[int, ...]]]]:
-        return clique_number(self.graph, self.search_nodes)
+    def cliques(self) -> Optional[tuple[int, int, int]]:
+        return clique_number(self.graph, self.profile.tr.tolist(), self.search_nodes)
 
     @cached_property
     def independence(self) -> Optional[int]:
@@ -307,18 +308,12 @@ def _padded(rows: list) -> np.ndarray:
     return out[:, None, :]
 
 
-def _clique_sums(ctx: EvalContext) -> list[float]:
-    if ctx.cliques is None:
-        return [np.nan]  # thm41 does not apply
-    tr = ctx.profile.tr.tolist()
-    return list({float(sum(tr[v] for v in cl)) for cl in ctx.cliques[1]})
-
-
 def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float],
              record: np.ndarray) -> SimpleNamespace:
     """What the formulas read: the alpha row (1, k), per-graph columns
     (G, 1), spectral arrays (G, k) from the record of alphas and then 0,
-    and per-vertex and per-clique arrays (G, 1, width), NaN-padded."""
+    per-vertex arrays (G, 1, width), NaN-padded, and the (G, 1, 2) least and
+    greatest transmission sums over the maximum cliques."""
 
     def col(xs):
         return np.array(xs, dtype=float)[:, None]
@@ -338,10 +333,11 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float],
     c.delta = np.nanmax(c.degree, axis=-1)
     c.tr_min, c.tr_max = np.nanmin(c.tr, axis=-1), np.nanmax(c.tr, axis=-1)
     c.tr_range = c.tr_max - c.tr_min
-    # NaN where a search ran out of budget: thm41 or thm43 does not apply
-    c.omega = col([np.nan if ctx.cliques is None else ctx.cliques[0] for ctx in ctxs])
-    # thm41 reads the transmission sum of each maximum clique
-    c.clique_tr = _padded([_clique_sums(ctx) for ctx in ctxs])
+    # NaN where a search ran out of budget: thm41 or thm43 does not apply.
+    # thm41 reads the least and greatest transmission sum of a maximum clique
+    cliques = np.array([(np.nan,) * 3 if ctx.cliques is None else ctx.cliques for ctx in ctxs],
+                       dtype=float)
+    c.omega, c.clique_tr = cliques[:, :1], cliques[:, None, 1:]
     c.indep = col([np.nan if ctx.independence is None else ctx.independence for ctx in ctxs])
     c.top, c.bottom, c.fro_sq, c.trace = np.moveaxis(record[:, :-1], -1, 0)
     c.spread = c.top - c.bottom

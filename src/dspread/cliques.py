@@ -1,13 +1,15 @@
-"""Exact maximum cliques and independence number on adjacency bitmasks.
+"""Exact clique and independence numbers on adjacency bitmasks.
 
-One branch and bound serves both: clique_number searches the graph and
-independence_number its complement. Each search is limited to
-SEARCH_BUDGET branch-and-bound nodes and returns None when it needs more,
-so a search gives up on every machine at the same point.
+One branch and bound serves both: clique_number searches the graph (and
+finds the extreme weight sums of its maximum cliques) and
+independence_number its complement, with zero weights. Each search is
+limited to SEARCH_BUDGET branch-and-bound nodes and returns None when it
+needs more, so a search gives up on every machine at the same point.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional, Sequence
 
 from .graphs import Graph
@@ -27,42 +29,50 @@ class SearchBudgetExceeded(RuntimeError):
     """Unwinds _maximum_cliques once it has visited SEARCH_BUDGET nodes."""
 
 
-def _maximum_cliques(masks: Sequence[int], every: bool) -> tuple[Optional[list[int]], int]:
-    """Maximum cliques as bitmasks, and the number of search nodes visited.
+def _maximum_cliques(
+    masks: Sequence[int], weights: Sequence[int]
+) -> tuple[Optional[tuple[int, int, int]], int]:
+    """The clique number with the least and greatest weight sum over the
+    maximum cliques, and the number of search nodes visited.
 
     Branch and bound in the MCQ style (Tomita and Seki, 2003): a node
     colours its candidates P greedily and branches from the highest colour
     down, as a clique takes at most one vertex of each colour class. A
-    branch is pruned when |R| plus its colour cannot reach the best size so
-    far, which keeps every maximum clique (every=True), or cannot beat it
-    (every=False, which returns the first maximum clique found). A node
-    with at most SMALL_CANDIDATES candidates bounds by |P| instead. The
-    cliques are None when the search needs more than SEARCH_BUDGET nodes.
+    branch that adds at most k vertices to R is pruned when |R| + k cannot
+    reach the best size so far, or can at best tie it with a sum in
+    [s + k*min(weights), s + k*max(weights)] that lies inside the least and
+    greatest sums found so far (s the weight sum of R). With equal weights
+    every tie is pruned, so the search stops at the first maximum clique
+    found. A node with at most SMALL_CANDIDATES candidates bounds by |P|
+    instead. The result is None when the search needs more than
+    SEARCH_BUDGET nodes.
     """
-    best: list[int] = []
-    best_size, slack = 0, 0 if every else 1
+    best_size, lo, hi = 0, math.inf, -math.inf
+    w_min, w_max = min(weights), max(weights)
     nodes, budget = 0, SEARCH_BUDGET
 
-    def small(r: int, size: int, p: int) -> None:
+    def small(size: int, s: int, p: int) -> None:
         # |P| <= SMALL_CANDIDATES here and below, so this recursion stays
         # shallow: bound by |P|
-        nonlocal best, best_size, nodes
+        nonlocal best_size, lo, hi, nodes
         nodes += 1
         if nodes > budget:
             raise SearchBudgetExceeded
         if not p:
             if size > best_size:
-                best, best_size = [r], size
+                best_size, lo, hi = size, s, s
             elif size == best_size:
-                best.append(r)
+                lo, hi = min(lo, s), max(hi, s)
             return
-        while p and size + p.bit_count() >= best_size + slack:
+        while p and (size + (k := p.bit_count()) > best_size or size + k == best_size
+                     and (s + k * w_min < lo or s + k * w_max > hi)):
             bit = p & -p
-            small(r | bit, size + 1, p & masks[bit.bit_length() - 1])
+            v = bit.bit_length() - 1
+            small(size + 1, s + weights[v], p & masks[v])
             p ^= bit
 
-    def coloured(r: int, size: int, p: int) -> Iterator[tuple[int, int, int]]:
-        # the children (r, size, p) of a node; greedy colouring makes each
+    def coloured(size: int, s: int, p: int) -> Iterator[tuple[int, int, int]]:
+        # the children (size, s, p) of a node; greedy colouring makes each
         # class an independent set, lowest vertex first
         classes, uncoloured = [], p
         while uncoloured:
@@ -74,12 +84,14 @@ def _maximum_cliques(masks: Sequence[int], every: bool) -> tuple[Optional[list[i
             classes.append(cls)
             uncoloured ^= cls
         for colour in range(len(classes), 0, -1):
-            cls = classes[colour - 1]
+            cls, reach = classes[colour - 1], size + colour
             while cls:
-                if size + colour < best_size + slack:
+                if reach < best_size or reach == best_size and (
+                        lo <= s + colour * w_min and s + colour * w_max <= hi):
                     return
                 bit = cls & -cls
-                yield r | bit, size + 1, p & masks[bit.bit_length() - 1]
+                v = bit.bit_length() - 1
+                yield size + 1, s + weights[v], p & masks[v]
                 p ^= bit
                 cls ^= bit
 
@@ -100,41 +112,32 @@ def _maximum_cliques(masks: Sequence[int], every: bool) -> tuple[Optional[list[i
                 stack.append(coloured(*child))
     except SearchBudgetExceeded:
         return None, budget
-    return best, nodes
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        out.append(bit.bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
+    return (best_size, lo, hi), nodes
 
 
 def clique_number(
-    g: Graph, nodes: Optional[dict[str, int]] = None
-) -> Optional[tuple[int, list[tuple[int, ...]]]]:
-    """Exact clique number together with every maximum clique, in
-    lexicographic order; None when the search runs out of its budget.
+    g: Graph, weights: Sequence[int], nodes: Optional[dict[str, int]] = None
+) -> Optional[tuple[int, int, int]]:
+    """Exact clique number with the least and greatest sum of the vertex
+    weights (thm41 passes the transmissions) over the maximum cliques;
+    None when the search runs out of its budget.
 
     nodes, when given, gets the search's node count under "clique".
     """
-    cliques, spent = _maximum_cliques(g.masks, True)
+    found, spent = _maximum_cliques(g.masks, weights)
     if nodes is not None:
         nodes["clique"] = spent
-    if cliques is None:
-        return None
-    return cliques[0].bit_count(), sorted(map(_mask_to_tuple, cliques))
+    return found
 
 
 def independence_number(g: Graph, nodes: Optional[dict[str, int]] = None) -> Optional[int]:
-    """Exact independence number (the clique number of the complement), or
+    """Exact independence number (the clique number of the complement, with
+    zero weights, so the search stops at the first maximum set found), or
     None as for clique_number; nodes likewise, the count under "independence".
     """
     full = (1 << g.n) - 1
     non_adjacent = [full & ~(m | 1 << v) for v, m in enumerate(g.masks)]
-    sets, spent = _maximum_cliques(non_adjacent, every=False)
+    found, spent = _maximum_cliques(non_adjacent, [0] * g.n)
     if nodes is not None:
         nodes["independence"] = spent
-    return None if sets is None else sets[0].bit_count()
+    return None if found is None else found[0]

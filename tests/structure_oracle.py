@@ -1,5 +1,6 @@
 """Structural facts that the paper uses only as proof steps, kept as a test
-oracle for acceptance criteria 8 and 9.
+oracle for acceptance criteria 8 and 9, and every maximum clique of a small
+graph by exhaustion.
 
 Eigenvalue interlacing covers the quotient matrix of a vertex partition and
 any principal submatrix, such as the induced-path blocks behind thm38 and
@@ -11,6 +12,7 @@ allow dspread.bounds.DEFAULT_TOL.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,6 +40,15 @@ def induced_paths(g: Graph) -> Iterator[tuple[int, int, int]]:
                 u, w = nbrs[i], nbrs[j]
                 if (u, w) not in g.edges:  # adjacency lists are sorted, so u < w
                     yield u, v, w
+
+
+def maximum_cliques(g: Graph) -> list[tuple[int, ...]]:
+    """Every maximum clique, in lexicographic order, by exhaustion."""
+    for size in range(g.n, 0, -1):
+        found = [sub for sub in combinations(range(g.n), size)
+                 if all((u, v) in g.edges for u, v in combinations(sub, 2))]
+        if found:
+            return found
 
 
 def check_partition(n: int, blocks: Sequence[Sequence[int]]) -> list[np.ndarray]:

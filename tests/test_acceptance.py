@@ -11,7 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dspread.bounds import EvalContext, clique_number
+from dspread.bounds import EvalContext
 from dspread.corpus import (
     check_problem_39,
     iter_graph6_lines,
@@ -34,6 +34,7 @@ from structure_oracle import (
     check_edge_deletion_monotonicity,
     check_interlacing,
     induced_paths,
+    maximum_cliques,
     quotient_eigenvalues,
     remove_edge,
 )
@@ -241,7 +242,7 @@ def test_criterion_09_interlacing(zoo):
     for g in corpus:
         p = distance_profile(g)
         parts = is_bipartite(g, p)
-        omega, maxima = clique_number(g)
+        maxima = maximum_cliques(g)
         triples = list(induced_paths(g))
         for alpha in GRID:
             m = generalized_distance_matrix(p, alpha)

@@ -21,6 +21,7 @@ from dspread.bounds import (
     solve_spectra,
 )
 from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT
+from dspread.corpus import ALPHA_GRID, random_connected_graph
 from dspread.eigen import sym_eigen
 from dspread.families import family, parse_family
 from dspread.graphs import Graph, distance_profile, is_connected, parse_graph6
@@ -30,6 +31,7 @@ from conftest import connected_graph_from_mask, evaluate_bound, graph_from_mask
 from structure_oracle import (
     check_edge_deletion_monotonicity,
     check_interlacing,
+    maximum_cliques,
     quotient_eigenvalues,
 )
 
@@ -39,19 +41,33 @@ GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 # --- clique / independence ---
 
 
+def _transmissions(g):
+    return distance_profile(g).tr.tolist()
+
+
+def _brute_clique_sums(g, weights):
+    """The clique number with the least and greatest weight sum over the
+    maximum cliques, from the exhaustive list."""
+    maxima = maximum_cliques(g)
+    sums = [sum(weights[v] for v in cl) for cl in maxima]
+    return len(maxima[0]), min(sums), max(sums)
+
+
 def test_clique_independence_small(zoo):
-    assert clique_number(zoo["K23"])[0] == 2
+    # every edge of K23 joins a vertex of transmission 3*1 + 1*2 to one of 2*1 + 2*2
+    assert clique_number(zoo["K23"], _transmissions(zoo["K23"])) == (2, 11, 11)
     assert independence_number(zoo["K23"]) == 3
-    assert clique_number(zoo["C5"])[0] == 2
+    assert clique_number(zoo["C5"], _transmissions(zoo["C5"])) == (2, 12, 12)
     assert independence_number(zoo["C5"]) == 2
 
 
 def test_clique_split_graph(zoo):
-    omega, maxima = clique_number(zoo["CS25"])
-    assert omega == 3
-    # the 2-clique extends by any of the three independent vertices
-    assert maxima == [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
-    assert independence_number(zoo["CS25"]) == 3
+    g = zoo["CS25"]
+    # the 2-clique (transmission 4 each) extends by any of the three
+    # independent vertices (transmission 6 each)
+    assert clique_number(g, _transmissions(g)) == (3, 14, 14) == _brute_clique_sums(
+        g, _transmissions(g))
+    assert independence_number(g) == 3
 
 
 def test_clique_cap(monkeypatch):
@@ -59,17 +75,8 @@ def test_clique_cap(monkeypatch):
     monkeypatch.setattr(cliques_mod, "SEARCH_BUDGET", 20)
     g = Graph.from_edges(45, [(i, i + 1) for i in range(44)])
     nodes = {}
-    assert clique_number(g, nodes=nodes) is None
+    assert clique_number(g, _transmissions(g), nodes=nodes) is None
     assert nodes == {"clique": 20}
-
-
-def _brute_clique(g):
-    best = 1
-    for size in range(1, g.n + 1):
-        for sub in combinations(range(g.n), size):
-            if all((u, v) in g.edges for u, v in combinations(sub, 2)):
-                best = max(best, size)
-    return best
 
 
 def _brute_independence(g):
@@ -81,35 +88,31 @@ def _brute_independence(g):
     return best
 
 
-def _brute_maximum_cliques(g):
-    """Every maximum clique, in lexicographic order, by exhaustion."""
-    for size in range(g.n, 0, -1):
-        found = [sub for sub in combinations(range(g.n), size)
-                 if all((u, v) in g.edges for u, v in combinations(sub, 2))]
-        if found:
-            return found
-
-
-@given(n=st.integers(2, 7), mask=st.integers(0, 2**21 - 1))
+@given(n=st.integers(2, 7), mask=st.integers(0, 2**21 - 1), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_clique_against_exhaustive_oracle(n, mask):
+def test_clique_against_exhaustive_oracle(n, mask, data):
     g = graph_from_mask(n, mask & ((1 << (n * (n - 1) // 2)) - 1))
-    omega, maxima = clique_number(g)
-    assert omega == _brute_clique(g)
-    assert maxima == _brute_maximum_cliques(g)
+    weights = data.draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    assert clique_number(g, weights) == _brute_clique_sums(g, weights)
     assert independence_number(g) == _brute_independence(g)
 
 
 def test_maximum_clique_list_above_the_small_candidate_switch():
     # the complete 5-partite graph with parts of 3 has 3**5 maximum cliques,
-    # found by the colouring branch and returned in lexicographic order
-    g = Graph.from_edges(15, [(u, v) for u in range(15) for v in range(u + 1, 15)
-                              if u % 5 != v % 5])
+    # searched by the colouring branch; it is transmission-regular (12*1 +
+    # 2*2), so every clique sum is 5*16
+    edges = [(u, v) for u in range(15) for v in range(u + 1, 15) if u % 5 != v % 5]
+    g = Graph.from_edges(15, edges)
     assert g.n > cliques_mod.SMALL_CANDIDATES
-    omega, maxima = clique_number(g)
-    assert omega == 5
-    assert len(maxima) == 3 ** 5
-    assert maxima == _brute_maximum_cliques(g)
+    assert len(maximum_cliques(g)) == 3 ** 5
+    assert clique_number(g, _transmissions(g)) == (5, 80, 80) == _brute_clique_sums(
+        g, _transmissions(g))
+    # without the edge 0-1, vertices 0 and 1 have transmission 17: the 2 * 3**3
+    # maximum cliques through one of them sum to 81, the other 3**4 to 80
+    h = Graph.from_edges(15, edges[1:])
+    assert edges[0] == (0, 1)
+    assert clique_number(h, _transmissions(h)) == (5, 80, 81) == _brute_clique_sums(
+        h, _transmissions(h))
 
 
 @given(n=st.integers(1, 9), mask=st.integers(0, 2**36 - 1))
@@ -135,11 +138,11 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 60)
     try:
-        omega, maxima = clique_number(parse_family("complete:300"))
+        cliques = clique_number(parse_family("complete:300"), [1] * 300)
         alpha = independence_number(parse_family("star:300"))
     finally:
         sys.setrecursionlimit(limit)
-    assert (omega, maxima, alpha) == (300, [tuple(range(300))], 299)
+    assert (cliques, alpha) == ((300, 300, 300), 299)
 
 
 @given(n=st.integers(2, 16), mask=st.integers(0, 2**120 - 1), data=st.data())
@@ -152,10 +155,7 @@ def test_searches_invariant_under_relabeling(n, mask, data):
     h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
 
     def invariants(graph):
-        omega, maxima = clique_number(graph)
-        tr = distance_profile(graph).tr.tolist()
-        return (omega, independence_number(graph),
-                sorted(sum(tr[v] for v in cl) for cl in maxima))
+        return clique_number(graph, _transmissions(graph)), independence_number(graph)
 
     assert invariants(g) == invariants(h)
 
@@ -475,7 +475,8 @@ def test_solve_spectra_record_matches_one_graph_at_a_time(monkeypatch):
 def test_thm41_matches_explicit_quotient(zoo):
     for name in ("CS25", "CS22", "C5", "K23"):
         g = zoo[name]
-        omega, maxima = clique_number(g)
+        maxima = maximum_cliques(g)
+        omega = len(maxima[0])
         if omega < 2 or omega == g.n:
             continue
         p = distance_profile(g)
@@ -488,6 +489,24 @@ def test_thm41_matches_explicit_quotient(zoo):
                 best = max(best, q[0] - q[-1])
             r = evaluate_bound("thm41_clique_lower", g, alpha)
             assert r["bound"] == pytest.approx(best, abs=1e-9)
+
+
+@given(n=st.integers(2, 12), p=st.sampled_from((0.3, 0.5, 0.8)), seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_thm41_from_the_extreme_clique_sums(n, p, seed):
+    # the radicand is convex in the clique sum, so the best quotient over
+    # every distinct maximum-clique sum is the one at s_min or s_max, bit for bit
+    g = random_connected_graph(n, p, seed=seed)
+    ctx = EvalContext(g)
+    c = bounds_mod._columns([ctx], ALPHA_GRID, solve_spectra([ctx], [*ALPHA_GRID, 0.0]))
+    tr = _transmissions(g)
+    sums = sorted({float(sum(tr[v] for v in cl)) for cl in maximum_cliques(g)})
+    assert c.clique_tr.tolist() == [[[sums[0], sums[-1]]]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        extremes = bounds_mod._thm41(c)[0]
+        c.clique_tr = np.array(sums)[None, None, :]
+        every = bounds_mod._thm41(c)[0]
+    assert (every == extremes).all()
 
 
 def _explicit_thm35(g, alpha):

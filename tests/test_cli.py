@@ -421,9 +421,9 @@ def test_clique_cap_degrades_to_inapplicable_entries(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("graph, budget, field, bound_id, reason", [
-    # kbip:6,6 takes 48 clique nodes and 12 independence nodes
+    # kbip:6,6 takes 41 clique nodes and 12 independence nodes
     ("kbip:6,6", 30, "clique_number", "thm41_clique_lower", CLIQUE_BUDGET_SPENT),
-    # path:12 takes 23 clique nodes and 64 independence nodes
+    # path:12 takes 18 clique nodes and 64 independence nodes
     ("path:12", 40, "independence_number", "thm43_independence_lower",
      INDEPENDENCE_BUDGET_SPENT),
 ])
@@ -457,6 +457,25 @@ def test_large_sparse_graphs_are_searched(capsys, spec):
     by_id = {b["bound_id"]: b for b in report["bounds"]}
     for bid in ("thm41_clique_lower", "thm43_independence_lower"):
         assert by_id[bid]["applicable"] and by_id[bid]["holds"], bid
+
+
+def test_cocktail_party_clique_search_finishes(capsys):
+    # the complement of a perfect matching on 40 vertices (COCKTAIL_PARTY_40
+    # of scripts/diff_cli.py) has 2^20 maximum cliques, all of one
+    # transmission sum, so the search prunes every tie after the first and
+    # finishes within its budget; thm41 meets the spread at every alpha
+    g = Graph.from_edges(40, [(u, v) for v in range(40) for u in range(v) if u != v ^ 1])
+    code, out, err = run_cli(capsys, "bounds", encode_graph6(g))
+    assert (code, err) == (0, "")
+    reports = json.loads(out)["reports"]
+    assert [r["alpha"] for r in reports] == list(corpus_mod.ALPHA_GRID)
+    for r in reports:
+        assert (r["clique_number"], r["independence_number"]) == (20, 2)
+        (entry,) = [b for b in r["bounds"] if b["bound_id"] == "thm41_clique_lower"]
+        assert entry["applicable"] and entry["equality"] and entry["holds"]
+        assert entry["bound"] == entry["actual"]
+    assert [r["bound"] for r in reports[3]["bounds"]
+            if r["bound_id"] == "thm41_clique_lower"] == [21]
 
 
 def test_sweep_worst_key_keeps_twelve_digits_of_alpha(capsys):
