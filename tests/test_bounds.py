@@ -107,8 +107,9 @@ def test_maximum_clique_list_above_the_small_candidate_switch():
     assert len(maximum_cliques(g)) == 3 ** 5
     assert clique_number(g, _transmissions(g)) == (5, 80, 80) == _brute_clique_sums(
         g, _transmissions(g))
-    # without the edge 0-1, vertices 0 and 1 have transmission 17: the 2 * 3**3
-    # maximum cliques through one of them sum to 81, the other 3**4 to 80
+    # without the edge 0-1, vertices 0 and 1 have transmission 17: the
+    # 4 * 3**3 maximum cliques through one of them sum to 81, the 4 * 3**3
+    # through neither to 80
     h = Graph.from_edges(15, edges[1:])
     assert edges[0] == (0, 1)
     assert clique_number(h, _transmissions(h)) == (5, 80, 81) == _brute_clique_sums(
