@@ -49,8 +49,9 @@ CYCLE_63 = ("~??~hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@
 # a corpus file holding COCKTAIL_PARTY_40; {colon}: a corpus file whose name
 # holds ":", so it also reads as a (bad) family spec; {malformed}: a corpus
 # file whose second line has nonzero padding bits; {long}: a corpus file
-# holding CYCLE_63, a long-form graph6 line; {mixed} and {apart}: the two
-# corpus files of mixed_orders(); {empty}: a corpus file holding only a
+# holding CYCLE_63, a long-form graph6 line; {mixed}, {apart} and
+# {connected}: the three corpus files of mixed_orders(); {n6x4}: the n = 6
+# corpus four times over (68 graphs); {empty}: a corpus file holding only a
 # comment. Each command is split with shlex, so a quoted argument may hold
 # whitespace.
 COMMANDS = [
@@ -120,6 +121,9 @@ COMMANDS = [
     "conjecture --n 6 --alpha 0",
     "conjecture --n 9 --alpha 0",
     "conjecture --n 4 --alpha 0 --corpus=",
+    # two blocks of one order; a corpus whose first bad graph is of the wrong order
+    "conjecture --n 6 --alpha 0.5 --corpus {n6x4}",
+    "conjecture --n 6 --alpha 0 --corpus {mixed}",
     "-h",
     "analyze -h",
     "bounds -h",
@@ -150,6 +154,9 @@ COMMANDS = [
     "sweep --corpus {apart}",
     "bounds {apart}",
     "analyze {apart}",
+    # the connected graphs of {mixed}: two blocks, each of mixed orders
+    "bounds {connected}",
+    "analyze {connected}",
     # a corpus with no graph: no context reaches evaluate() or solve_spectra()
     "bounds {empty}",
     "bounds {empty} --format tsv",
@@ -172,13 +179,14 @@ def graph6(n: int, edges) -> str:
     return "".join(chr(63 + x) for x in head + body)
 
 
-def mixed_orders() -> tuple[str, str]:
-    """Two seeded corpus texts. The first holds a connected graph of each
+def mixed_orders() -> tuple[str, str, str]:
+    """Three seeded corpus texts. The first holds a connected graph of each
     order 1..70 and a disconnected graph in each order band of
     graphs.distance_profiles ((n - 1).bit_length() = 1..7; order 1 cannot be
     disconnected), shuffled, so each 64-graph sweep block mixes orders. The
     second holds the disconnected graphs alone: a block with no connected
-    graph."""
+    graph. The third holds the connected graphs alone, in the first's
+    order."""
     rng = random.Random(19)
 
     def tree(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -196,7 +204,8 @@ def mixed_orders() -> tuple[str, str]:
         apart.append(graph6(n, tree(0, k) + tree(k, n)))
     lines += apart
     rng.shuffle(lines)
-    return "\n".join(lines) + "\n", "\n".join(apart) + "\n"
+    connected = [line for line in lines if line not in apart]
+    return tuple("\n".join(text) + "\n" for text in (lines, apart, connected))
 
 
 def run(src: Path, argv: list[str]) -> tuple[int, str, str]:
@@ -225,7 +234,9 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
     corpora of the dspread tree src. A label shows tmp as "{tmp}".
     """
     files = {"missing": Path(tmp) / "missing.g6"}
-    mixed, apart = mixed_orders()
+    mixed, apart, connected = mixed_orders()
+    data = src / "dspread" / "data"
+    n6 = (data / "bipartite_connected_n6.g6").read_text(encoding="ascii")
     for key, name, text in (("late", "late_disconnected.g6", "Bg\nBw\nC~\nA?\n"),
                             ("cocktail", "cocktail_party_40.g6", COCKTAIL_PARTY_40 + "\n"),
                             ("colon", "graphs:v2.g6", "Bg\nBw\nC~\n"),
@@ -233,10 +244,11 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
                             ("long", "cycle_63.g6", CYCLE_63 + "\n"),
                             ("mixed", "mixed_orders.g6", mixed),
                             ("apart", "all_disconnected.g6", apart),
+                            ("connected", "mixed_connected.g6", connected),
+                            ("n6x4", "bipartite_n6_x4.g6", n6 * 4),
                             ("empty", "comment_only.g6", "# no graph\n")):
         files[key] = Path(tmp) / name
         files[key].write_text(text, encoding="ascii")
-    data = src / "dspread" / "data"
     files.update(n4=data / "bipartite_connected_n4.g6", n6=data / "bipartite_connected_n6.g6")
     out = [(command, shlex.split(command.format(**files))) for command in COMMANDS]
     return out + [(" ".join(argv).replace(tmp, "{tmp}"), argv)

@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -132,6 +132,15 @@ def _resolve_inputs(text: str) -> list[tuple[Optional[str], Graph]]:
         raise _InputError(str(exc)) from None
 
 
+def _contexts(inputs: list[tuple[Optional[str], Graph]]) -> Iterator[bounds_mod.EvalContext]:
+    """The EvalContext of each input graph from corpus.blocks(); the first block
+    that holds a disconnected graph raises "requires connected graph" (exit 3)."""
+    for block in corpus_mod.blocks(g for _, g in inputs):
+        if any(ctx is None for _, ctx in block):
+            raise graphs_mod.DisconnectedGraphError("requires connected graph")
+        yield from (ctx for _, ctx in block)
+
+
 def _base_report(desc: Optional[str], ctx: bounds_mod.EvalContext, alpha: float) -> dict:
     profile = ctx.profile
     return {
@@ -155,9 +164,7 @@ def _base_report(desc: Optional[str], ctx: bounds_mod.EvalContext, alpha: float)
 def _cmd_analyze(args) -> tuple[str | dict, int]:
     inputs = _resolve_inputs(args.input)
     alphas = _alphas(args)
-    # built before any eigensolve: a disconnected graph anywhere in the input
-    # fails fast ("requires connected graph", exit 3)
-    ctxs = [bounds_mod.EvalContext(g) for _, g in inputs]
+    ctxs = list(_contexts(inputs))  # every block before any eigensolve
     bounds_mod.solve_spectra(ctxs, alphas)
     reports = [_base_report(d, ctx, a) for (d, _), ctx in zip(inputs, ctxs) for a in alphas]
     if args.format == "tsv":
@@ -222,7 +229,7 @@ def _cmd_bounds(args) -> tuple[str | dict, int]:
     inputs = _resolve_inputs(args.input)
     alphas = _alphas(args)
     tol = _tolerance(args.tol)
-    ctxs = [bounds_mod.EvalContext(g) for _, g in inputs]
+    ctxs = list(_contexts(inputs))  # every block before any eigensolve
     ev = bounds_mod.evaluate(ctxs, alphas, tol=tol)
     code = 4 if ev.violated.any() else 0
     tsv = args.format == "tsv"

@@ -1,17 +1,17 @@
 """Corpus sweeps: stress bounds over many graphs, probe the bipartite
 minimum-spread conjecture, and generate reproducible random graphs.
 
-Both corpus checks return their JSON document as a plain dict. A sweep
-folds its blocks of graphs into one document in corpus order: counts add
-up, and an entry's worst margin moves only to a strictly smaller one, so
-a tie keeps the first (graph, alpha) of the corpus.
+Every command gets its EvalContexts from blocks(). Both corpus checks fold
+its blocks in corpus order into their JSON document, a plain dict. In a
+sweep, counts add up, and an entry's worst margin moves only to a strictly
+smaller one, so a tie keeps the first (graph, alpha) of the corpus.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import islice, takewhile
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -38,27 +38,35 @@ def load_corpus(path) -> list[Graph]:
         return [parse_graph6(s) for s in iter_graph6_lines(fh)]
 
 
+def blocks(graphs: Iterable[Graph]) -> Iterator[list[tuple[Graph, Optional[EvalContext]]]]:
+    """Blocks of bounds.BLOCK_GRAPHS graphs (read at call time), one distance_profiles
+    call per block: each graph with its EvalContext, or None if disconnected."""
+    it = iter(graphs)
+    while block := list(islice(it, bounds.BLOCK_GRAPHS)):
+        yield [(g, None if p is None else EvalContext(g, p))
+               for g, p in zip(block, distance_profiles(block))]
+
+
 def sweep(
     graphs: Iterable[Graph], alphas: Sequence[float] = ALPHA_GRID, tol: float = DEFAULT_TOL
 ) -> dict:
     """Evaluate the whole bound registry on every (graph, alpha).
 
-    Graphs go through evaluate() bounds.BLOCK_GRAPHS at a time (read at
-    call time), folded in corpus order. Disconnected graphs are counted and
+    Each block of blocks() goes through evaluate() in turn, folded
+    in corpus order. Disconnected graphs are counted and
     skipped. The document lists every entry that applied somewhere, with
     its counts and the (graph, alpha) key of its smallest margin to
     violation (gap for lower bounds, -gap for upper), ties keeping the
     first. Violations list failed proven bounds; claimed-formula mismatches
     land in discrepancies.
     """
-    it, alphas = iter(graphs), list(alphas)
+    alphas = list(alphas)
     seen = skipped = 0
     tallies: dict[str, dict] = {}
     worst_margin: dict[str, float] = {}
     violations, discrepancies = [], []
-    while block := list(islice(it, bounds.BLOCK_GRAPHS)):
-        ctxs = [EvalContext(g, p) for g, p in zip(block, distance_profiles(block))
-                if p is not None]
+    for block in blocks(graphs):
+        ctxs = [ctx for _, ctx in block if ctx is not None]
         skipped += len(block) - len(ctxs)
         seen += len(ctxs)
         if not ctxs:
@@ -114,39 +122,38 @@ def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> dict:
     Returns the scan's JSON document.
 
     The corpus must be the complete set of connected bipartite graphs of
-    order n; missing the conjectured graph raises ValueError. Ties in the
-    minimum are broken by graph6 string so reruns are bit-identical.
+    order n; the first graph of another order or not connected bipartite,
+    or missing the conjectured graph, raises ValueError. Each block is folded
+    into the minimum, ties broken by graph6 string so reruns are bit-identical.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    ctxs, it = [], iter(graphs)
-    while block := list(islice(it, bounds.BLOCK_GRAPHS)):
-        # the graphs before the first of another order are checked first
-        fit = list(takewhile(lambda g: g.n == n, block))
-        for g, profile in zip(fit, distance_profiles(fit)):
-            if profile is None or not (ctx := EvalContext(g, profile)).bipartite:
-                raise ValueError("corpus contains a non-(connected bipartite) graph")
-            ctxs.append(ctx)
-        if len(fit) < len(block):
-            raise ValueError(f"corpus graph of order {block[len(fit)].n} in an order-{n} scan")
-    if not ctxs:
-        raise ValueError("empty corpus")
-    record = solve_spectra(ctxs, [alpha])
-    spreads = (record[:, 0, 0] - record[:, 0, 1]).tolist()
-    best = min(zip(spreads, (ctx.graph.graph6 for ctx in ctxs)))
     # every graph here is bipartite, so at most floor(n/2)*ceil(n/2) edges,
     # and only K_{floor(n/2),ceil(n/2)} has that many
     edges = n // 2 * (n - n // 2)
-    balanced = [s for s, ctx in zip(spreads, ctxs) if ctx.graph.edge_count == edges]
-    if not balanced:
+    seen, best, conjectured_spread = 0, (float("inf"), ""), None
+    for block in blocks(graphs):
+        for g, ctx in block:
+            if g.n != n:
+                raise ValueError(f"corpus graph of order {g.n} in an order-{n} scan")
+            if ctx is None or not ctx.bipartite:
+                raise ValueError("corpus contains a non-(connected bipartite) graph")
+        record = solve_spectra([ctx for _, ctx in block], [alpha])
+        spreads = (record[:, 0, 0] - record[:, 0, 1]).tolist()
+        seen += len(block)
+        best = min(best, *zip(spreads, (g.graph6 for g, _ in block)))
+        balanced = [s for s, (g, _) in zip(spreads, block) if g.edge_count == edges]
+        conjectured_spread = balanced[-1] if balanced else conjectured_spread
+    if not seen:
+        raise ValueError("empty corpus")
+    if conjectured_spread is None:
         raise ValueError(
             "incomplete corpus: balanced complete bipartite graph not present"
         )
-    conjectured_spread = balanced[-1]
     return {
         "n": n,
         "alpha": alpha,
-        "graphs_seen": len(ctxs),
+        "graphs_seen": seen,
         "candidate_min_graph": best[1],
         "candidate_min_spread": best[0],
         "conjectured_graph_spread": conjectured_spread,

@@ -19,17 +19,17 @@ from dspread.corpus import (
     sweep,
 )
 from dspread.eigen import sym_eigen
-from dspread.families import (
-    family,
-    sigma_complete_bipartite,
-    spectrum_complete_bipartite,
-    spectrum_complete_split,
-)
+from dspread.families import family
 from dspread.graphs import distance_profile, is_bipartite, is_connected, parse_graph6
 from dspread.jsonfmt import json_text
 from dspread.matrices import generalized_distance_matrix
 
 from conftest import evaluate_bound
+from family_oracle import (
+    sigma_complete_bipartite,
+    spectrum_complete_bipartite,
+    spectrum_complete_split,
+)
 from structure_oracle import (
     check_edge_deletion_monotonicity,
     check_interlacing,

@@ -24,7 +24,7 @@ from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT
 from dspread.cli import EXIT_BROKEN_PIPE, main
 from dspread.eigen import sym_eigen
 from dspread.families import family, parse_family
-from dspread.graphs import (DistanceProfile, Graph, bfs_distances, distance_profile,
+from dspread.graphs import (DistanceProfile, Graph, bfs_distances, distance_profiles,
                             encode_graph6, is_bipartite)
 from dspread.jsonfmt import json_text
 
@@ -645,27 +645,48 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 def test_one_profile_and_one_eigensolve_per_pair(capsys, monkeypatch, tmp_path):
-    # one distance profile per graph; the (graph, alpha) pairs of each vertex
-    # order share one batched eigensolve on their stacked matrices
+    # one distance_profiles call per block of graphs; the (graph, alpha) pairs
+    # of each vertex order share one batched eigensolve on their stacked matrices
     solves = _count_calls(monkeypatch, sym_eigen)
-    profiles = _count_calls(monkeypatch, distance_profile)
+    profiles = _count_calls(monkeypatch, distance_profiles)
     corpus = tmp_path / "three.g6"
     corpus.write_text("Bg\nBw\nC~\n", encoding="ascii")
     code, _, _ = run_cli(capsys, "bounds", str(corpus))
     assert code == 0
     assert [args[0].shape for args in solves] == [(2 * 7, 3, 3), (7, 4, 4)]
-    assert len(profiles) == 3
+    assert len(profiles) == 1
     profiles.clear()
     solves.clear()
     code, _, _ = run_cli(capsys, "analyze", str(corpus))
-    assert code == 0 and len(profiles) == 3 and len(solves) == 2
-    # a disconnected graph late in the file fails before any eigensolve
+    assert code == 0 and len(profiles) == 1 and len(solves) == 2
+    # a disconnected graph late in the file fails before any eigensolve, also
+    # from the last of several blocks
     corpus.write_text("Bg\nBw\nC~\nA?\n", encoding="ascii")
-    for cmd in ("bounds", "analyze"):
-        solves.clear()
-        code, out, err = run_cli(capsys, cmd, str(corpus))
-        assert code == 3 and "connected" in err and out == ""
-        assert solves == []
+    for block in (64, 2):
+        monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
+        for cmd in ("bounds", "analyze"):
+            solves.clear()
+            code, out, err = run_cli(capsys, cmd, str(corpus))
+            assert code == 3 and "connected" in err and out == ""
+            assert solves == []
+
+
+def test_reports_do_not_depend_on_the_block_size(capsys, monkeypatch, tmp_path):
+    # five graphs of three orders: three blocks at size 2, one at 64
+    profiles = _count_calls(monkeypatch, distance_profiles)
+    corpus = tmp_path / "five.g6"
+    specs = ("path:5", "complete:3", "kbip:2,3", "cycle:4", "star:5")
+    corpus.write_text("".join(encode_graph6(parse_family(s)) + "\n" for s in specs),
+                      encoding="ascii")
+    for argv in (("analyze",), ("analyze", "--format", "tsv"), ("bounds",),
+                 ("bounds", "--format", "tsv")):
+        runs = []
+        for block, blocks in ((2, 3), (64, 1)):
+            monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
+            profiles.clear()
+            runs.append(run_cli(capsys, argv[0], str(corpus), *argv[1:]))
+            assert len(profiles) == blocks, (argv, block)
+        assert runs[0] == runs[1] and runs[0][0] in (0, 4) and runs[0][1], argv
 
 
 def test_one_profile_and_no_bfs_per_small_graph(capsys, monkeypatch, tmp_path):

@@ -98,6 +98,48 @@ def test_problem39_reproducible():
     assert json_text(a) == json_text(b)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_problem39_same_document_at_every_block_size(monkeypatch, alpha):
+    from importlib import resources
+
+    ref = resources.files("dspread").joinpath("data/bipartite_connected_n6.g6")
+    graphs = load_corpus(ref)
+    texts = set()
+    for block in (1, 2, 64):
+        monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
+        texts.add(json_text(check_problem_39(graphs, 6, alpha)))
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize("block", [1, 2, 64])
+def test_problem39_tie_across_blocks_keeps_least_graph6(zoo, monkeypatch, block):
+    # "Cr" and "C]" are two labelings of C4, transmission regular, so both
+    # spreads are exactly 0 at alpha = 1; the later one has the smaller
+    # graph6 and at block sizes 1 and 2 sits in a later block
+    monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
+    graphs = [zoo["K13"], parse_graph6("Cr"), parse_graph6("C]"), zoo["P4"]]
+    result = check_problem_39(graphs, 4, 1.0)
+    assert (result["candidate_min_graph"], result["candidate_min_spread"]) == ("C]", 0.0)
+    assert result["graphs_seen"] == 4 and result["conjectured_graph_spread"] == 0.0
+
+
+@pytest.mark.parametrize("block", [1, 2, 64])
+def test_problem39_first_bad_graph_names_the_error(zoo, monkeypatch, block):
+    monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
+    c4, p4 = zoo["C4"], zoo["P4"]
+    not_bipartite, disconnected = zoo["CS22"], Graph.from_edges(4, [(0, 1)])
+    wrong_order, wrong_order_apart = zoo["P3"], Graph.from_edges(3, [(0, 1)])
+    for bad in (not_bipartite, disconnected):
+        for corpus in ([bad, wrong_order], [c4, p4, bad, wrong_order], [p4, bad, c4, wrong_order]):
+            with pytest.raises(ValueError, match="non-\\(connected bipartite\\)"):
+                check_problem_39(corpus, 4, 0.5)
+    for first in (wrong_order, wrong_order_apart):
+        for corpus in ([first, not_bipartite], [c4, p4, first, disconnected],
+                       [p4, first, c4, not_bipartite]):
+            with pytest.raises(ValueError, match="corpus graph of order 3 in an order-4 scan"):
+                check_problem_39(corpus, 4, 0.5)
+
+
 def test_random_graph_deterministic():
     a = random_connected_graph(8, 0.4, seed=7)
     b = random_connected_graph(8, 0.4, seed=7)

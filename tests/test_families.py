@@ -8,15 +8,11 @@ from dspread import families as families_mod
 from dspread import graphs as graphs_mod
 from dspread.cli import main
 from dspread.eigen import sym_eigen
-from dspread.families import (
-    family,
-    parse_family,
-    spectrum_complete,
-    spectrum_complete_bipartite,
-    spectrum_complete_split,
-)
+from dspread.families import family, parse_family
 from dspread.graphs import distance_profile, is_bipartite
 from dspread.matrices import generalized_distance_matrix
+
+from family_oracle import spectrum_complete, spectrum_complete_bipartite, spectrum_complete_split
 
 GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 TOL = 1e-8

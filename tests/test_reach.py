@@ -14,13 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # in file and source order, each with the reason it stays in the library.
 KEPT = {
     "bounds.evaluate_all": "a layer of perfbench/spans.py, so `run.py --trace 1` needs it",
-    "families.spectrum_complete": "the paper's spectrum of K_n, which tests/test_families.py "
-                                  "checks the split-graph closed form against",
-    "families.sigma_complete_bipartite": "the paper's discriminant for K_{a,n-a}, the star "
-                                         "oracle of criterion 2",
-    "families.spectrum_complete_bipartite": "the paper's spectrum of K_{r,s}, criterion 2's oracle",
-    "families.spectrum_complete_split": "the paper's spectrum of complete split graphs, "
-                                        "criterion 3's oracle",
+    "graphs.distance_profile": "EvalContext's default profile and a layer of perfbench/spans.py; "
+                               "tests call it on one graph",
 }
 
 
