@@ -70,9 +70,9 @@ class EvalContext:
     search run) and the spectra solve_spectra() caches: per solved group, its
     alphas with their (k, n) eigenvalues.
 
-    The profile is computed here unless given (distance_profiles() gives
-    those of a block at once); computing it raises DisconnectedGraphError
-    for a disconnected graph.
+    Commands build contexts in corpus.blocks(), from a block's profiles;
+    without a profile it is computed here, and a disconnected graph raises
+    DisconnectedGraphError.
     """
 
     def __init__(self, graph: Graph, profile: Optional[DistanceProfile] = None):
