@@ -157,6 +157,10 @@ COMMANDS = [
     # the connected graphs of {mixed}: two blocks, each of mixed orders
     "bounds {connected}",
     "analyze {connected}",
+    # multi-graph TSV: rows of many graphs, and of two blocks of mixed orders
+    "bounds {n6} --format tsv",
+    "bounds {connected} --alpha 0.5 --format tsv",
+    "analyze {connected} --format tsv",
     # a corpus with no graph: no context reaches evaluate() or solve_spectra()
     "bounds {empty}",
     "bounds {empty} --format tsv",

@@ -67,8 +67,8 @@ class EvalContext:
     the least and greatest transmission sum over the maximum cliques, and
     the independence number (each None when its search runs out of
     cliques.SEARCH_BUDGET nodes; search_nodes holds the nodes of each
-    search run) and the spectra solve_spectra() caches: per solved group, its
-    alphas with their (k, n) eigenvalues.
+    search run) and spectra, the eigenvalues of each alpha solve_spectra()
+    has solved it at.
 
     Commands build contexts in corpus.blocks(), from a block's profiles;
     without a profile it is computed here, and a disconnected graph raises
@@ -78,7 +78,7 @@ class EvalContext:
     def __init__(self, graph: Graph, profile: Optional[DistanceProfile] = None):
         self.graph = graph
         self.profile = distance_profile(graph) if profile is None else profile
-        self._solved: list[tuple[tuple[float, ...], np.ndarray]] = []
+        self.spectra: dict[float, np.ndarray] = {}
         self.search_nodes: dict[str, int] = {}
 
     @cached_property
@@ -87,11 +87,9 @@ class EvalContext:
 
     def values(self, alpha: float) -> np.ndarray:
         """Eigenvalues of D_alpha, descending."""
-        for done, values in self._solved:
-            if alpha in done:
-                return values[done.index(alpha)]
-        solve_spectra([self], [alpha])
-        return self._solved[-1][1][0]
+        if alpha not in self.spectra:
+            solve_spectra([self], [alpha])
+        return self.spectra[alpha]
 
     def spread(self, alpha: float) -> float:
         v = self.values(alpha)
@@ -110,7 +108,7 @@ def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> np.nd
     """The (G, k, 4) record [top, bottom, |D_alpha|_F^2, trace] of every
     context and alpha, in context and alpha order (a repeated alpha repeats
     its rows). Every context is solved at every alpha it is given and
-    caches those alphas with their eigenvalues.
+    keeps each alpha's eigenvalues in its spectra.
 
     D_alpha is affine in alpha, so the graphs of one order,
     BLOCK_GRAPHS at a time, get their (G*k, n, n) stack from
@@ -137,7 +135,7 @@ def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> np.nd
                              np.trace(stack, axis1=1, axis2=2)], axis=1).reshape(len(chunk), -1, 4)
             record[chunk] = rows
             for g, v in zip(chunk, values.reshape(len(chunk), -1, n)):
-                ctxs[g]._solved.append((want, v))
+                ctxs[g].spectra.update(zip(want, v))
     return record[:, [want.index(a) for a in alphas]]
 
 

@@ -232,31 +232,24 @@ def _cmd_bounds(args) -> tuple[str | dict, int]:
     ctxs = list(_contexts(inputs))  # every block before any eigensolve
     ev = bounds_mod.evaluate(ctxs, alphas, tol=tol)
     code = 4 if ev.violated.any() else 0
-    tsv = args.format == "tsv"
-    # TSV reads the entry dicts; JSON renders them from the arrays
-    texts = None if tsv else iter(_bounds_texts(ev))
-    reports = []
-    for g, ((desc, _), ctx) in enumerate(zip(inputs, ctxs)):
-        for j, a in enumerate(alphas):
-            base = _base_report(desc, ctx, a)
-            # null where the search ran out of its node budget
-            base["clique_number"] = None if ctx.cliques is None else ctx.cliques[0]
-            base["independence_number"] = ctx.independence
-            base["bounds"] = ev.reports(g, j) if tsv else next(texts)
-            base["discrepancies"] = ev.discrepancies(g, j)
-            reports.append(base)
-    if tsv:
-        rows = [
-            "input\talpha\tbound_id\tdirection\tstatus\tapplicable"
-            "\tbound\tactual\tgap\tholds\tequality\treason"
-        ]
+    pairs = [(g, j, desc or ctx.graph.graph6, ctx, a)
+             for g, ((desc, _), ctx) in enumerate(zip(inputs, ctxs)) for j, a in enumerate(alphas)]
+    if args.format == "tsv":  # one row per entry dict; no report is built
         keys = ("bound_id", "direction", "status", "applicable", "bound", "actual", "gap",
                 "holds", "equality", "reason")
-        for r in reports:
-            for b in r["bounds"]:
-                cells = [r["input"], fmt_float(r["alpha"])] + [_cell(b[k]) for k in keys]
-                rows.append("\t".join(cells))
+        rows = ["\t".join(("input", "alpha") + keys)]
+        rows += ["\t".join([name, fmt_float(a)] + [_cell(b[k]) for k in keys])
+                 for g, j, name, _, a in pairs for b in ev.reports(g, j)]
         return "\n".join(rows), code
+    reports = []
+    for (g, j, name, ctx, a), text in zip(pairs, _bounds_texts(ev)):
+        base = _base_report(name, ctx, a)
+        # null where the search ran out of its node budget
+        base["clique_number"] = None if ctx.cliques is None else ctx.cliques[0]
+        base["independence_number"] = ctx.independence
+        base["bounds"] = text
+        base["discrepancies"] = ev.discrepancies(g, j)
+        reports.append(base)
     return {"reports": reports}, code
 
 
@@ -373,7 +366,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         body, code = args.fn(args)
         if isinstance(body, dict):
             body = json_text({"schema_version": SCHEMA_VERSION, "command": args.command, **body})
-        sys.stdout.write(body + "\n")
+        sys.stdout.write(body)
+        sys.stdout.write("\n")
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
         return code
     except BrokenPipeError:

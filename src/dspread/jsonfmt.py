@@ -4,14 +4,14 @@ The stock json module prints floats with repr, which is shortest-roundtrip
 rather than fixed-width; golden-file tests want the same bytes on every
 platform, so this small writer formats every float with "%.12g". Objects
 and arrays put one member per line, indented two spaces per level, in
-insertion order; strings are ASCII with JSON escapes; NaN and infinities
-raise ValueError. A Raw leaf is text rendered elsewhere in this layout, and
-goes out as it is.
+insertion order; strings are ASCII with JSON escapes. fmt_float renders
+every float leaf and raises ValueError on NaN and infinities; a list of
+exact floats (a spectrum) is the one batch path, one join with one check.
+A Raw leaf is text rendered elsewhere in this layout, and goes out as it is.
 """
 
 from __future__ import annotations
 
-import math
 from json.encoder import encode_basestring_ascii as _quote
 
 
@@ -19,16 +19,12 @@ _NON_FINITE = "non-finite float in report"
 
 
 def fmt_float(x: float) -> str:
-    """x as %.12g, the one float format of JSON and TSV output."""
-    if not math.isfinite(x):
+    """x as %.12g, the one float format of JSON and TSV output; NaN and
+    infinities raise ValueError."""
+    text = "%.12g" % x
+    if text[-1] in "nf":  # nan, inf and -inf; no finite float's text
         raise ValueError(_NON_FINITE)
-    return format(x, ".12g")
-
-
-# fmt_float's format as one C call, for the many floats of a document; it
-# renders NaN and infinities as nan, inf and -inf, so its callers raise on
-# a text that ends in "n" or "f", which no finite float's does
-_FLOAT = "%.12g".__mod__
+    return text
 
 
 class Raw(str):
@@ -40,7 +36,7 @@ class Raw(str):
 _LEAF = {
     Raw: str.__str__,
     str: _quote,
-    float: _FLOAT,
+    float: fmt_float,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
@@ -50,10 +46,7 @@ _FLOATS = {float}
 
 def json_text(obj) -> str:
     """Render dicts/lists/tuples/str/bool/None/int/float; dict order is preserved."""
-    fn = _LEAF.get(type(obj))
-    text = fn(obj) if fn is not None else _leaf(obj)
-    if fn is _FLOAT and text[-1] in "nf":
-        raise ValueError(_NON_FINITE)
+    text = _LEAF.get(type(obj), _leaf)(obj)
     if text is not None:
         return text
     out: list[str] = []
@@ -96,10 +89,7 @@ def _write(obj, emit, nl: str, prefixes: dict) -> None:
                 prefix = inner + _quote(str(k)) + ": "
                 if type(k) is str:  # 1 and True are equal keys that render apart
                     memo[k] = prefix
-            fn = _LEAF.get(type(v))
-            text = fn(v) if fn is not None else _leaf(v)
-            if fn is _FLOAT and text[-1] in "nf":
-                raise ValueError(_NON_FINITE)
+            text = _LEAF.get(type(v), _leaf)(v)
             if text is None:
                 emit(sep + prefix)
                 _write(v, emit, inner, prefixes)
@@ -113,17 +103,14 @@ def _write(obj, emit, nl: str, prefixes: dict) -> None:
             return
         if type(obj[0]) is float and set(map(type, obj)) == _FLOATS:
             # a spectrum: one join; no finite float's text holds an "n"
-            text = ("," + inner).join(map(_FLOAT, obj))
+            text = ("," + inner).join(map("%.12g".__mod__, obj))
             if "n" in text:
                 raise ValueError(_NON_FINITE)
             emit("[" + inner + text + nl + "]")
             return
         sep = "[" + inner
         for v in obj:
-            fn = _LEAF.get(type(v))
-            text = fn(v) if fn is not None else _leaf(v)
-            if fn is _FLOAT and text[-1] in "nf":
-                raise ValueError(_NON_FINITE)
+            text = _LEAF.get(type(v), _leaf)(v)
             if text is None:
                 emit(sep)
                 _write(v, emit, inner, prefixes)

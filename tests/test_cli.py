@@ -383,6 +383,57 @@ def test_tsv_rows_have_the_header_cell_count(capsys, tmp_path, command, rows_per
         assert [c[0] for c in cells] == [i for i in inputs for _ in range(rows_per_graph)], text
 
 
+class _WriteRecorder:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [("analyze", "Bg"), ("bounds", "Bw", "--alpha", "0.5"),
+                                  ("bounds", "Bw", "--alpha", "0.5", "--format", "tsv")])
+def test_main_writes_the_document_and_then_its_newline(capsys, monkeypatch, argv):
+    """The document goes out as it was rendered, then "\n": two writes, so
+    no copy of the document with its newline is built."""
+    code, out, err = run_cli(capsys, *argv)
+    recorder = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(list(argv)) == code == 0 and err == ""
+    assert recorder.writes == [out[:-1], "\n"]
+
+
+def test_bounds_tsv_builds_no_report(capsys, monkeypatch, tmp_path):
+    """TSV rows come from the entry dicts: no base report and no
+    discrepancy list is built for them; JSON builds one of each per pair."""
+    corpus = tmp_path / "three.g6"
+    corpus.write_text("Bg\nBw\nC~\n", encoding="ascii")
+    calls = {"_base_report": 0, "discrepancies": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(cli_mod, "_base_report")
+    counted(bounds_mod.Evaluation, "discrepancies")
+    code, out, err = run_cli(capsys, "bounds", str(corpus), "--format", "tsv")
+    assert (code, err) == (0, "") and len(out.splitlines()) == 1 + 3 * 7 * 17
+    assert calls == {"_base_report": 0, "discrepancies": 0}
+    code, out, err = run_cli(capsys, "bounds", str(corpus))
+    assert (code, err) == (0, "") and len(json.loads(out)["reports"]) == 3 * 7
+    assert calls == {"_base_report": 3 * 7, "discrepancies": 3 * 7}
+
+
 def test_json_stdout_is_the_reference_text_of_the_library_document(capsys):
     """stdout is the envelope and the body that the library builds, through
     the reference writer, and one newline."""

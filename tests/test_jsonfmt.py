@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dspread.jsonfmt import Raw, json_text
+from dspread.jsonfmt import Raw, fmt_float, json_text
 
 from json_oracle import json_text as oracle_text
 
@@ -51,6 +51,19 @@ def test_layout():
     )
     assert json_text(1 / 3) == "0.333333333333"
     assert json_text("é") == '"\\u00e9"'
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite | edge_floats | finite.map(np.float64) | edge_floats.map(np.float64))
+def test_fmt_float_is_the_12_digit_format(x):
+    assert fmt_float(x) == format(x, ".12g")
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf, np.float64(np.nan),
+                                 np.float64(-np.inf)])
+def test_fmt_float_raises_on_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite float"):
+        fmt_float(bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(np.nan)])
