@@ -215,14 +215,14 @@ def _bounds_texts(ev: bounds_mod.Evaluation) -> list[Raw]:
     bound, actual, gap = (map("%.12g".__mod__, flat(a)) for a in (ev.bound, ev.actual, ev.gap))
     holds, equality = (map(("false", "true").__getitem__, flat(a))
                        for a in (ev.holds, ev.equality))
-    entries = [live[i][c] % (b, a, h, g, q) if applicable else dead[i][f]
+    # joined one pair at a time, so the entries of every pair are never held at once
+    entries = (live[i][c] % (b, a, h, g, q) if applicable else dead[i][f]
                for i, applicable, f, c, b, a, h, g, q in zip(
                    itertools.cycle(range(len(registry))), flat(ok), flat(ev.failed),
-                   flat(ev.claimed), bound, actual, holds, gap, equality)]
+                   flat(ev.claimed), bound, actual, holds, gap, equality))
     head, sep, tail = "[" + _ENTRY_NL, "," + _ENTRY_NL, _ENTRY_NL[:-2] + "]"
-    size = len(registry)
-    return [Raw(head + sep.join(entries[p:p + size]) + tail)
-            for p in range(0, len(entries), size)]
+    return [Raw(head + sep.join(itertools.islice(entries, len(registry))) + tail)
+            for _ in range(ok[0].size)]
 
 
 def _cmd_bounds(args) -> tuple[str | dict, int]:

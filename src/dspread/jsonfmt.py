@@ -7,7 +7,7 @@ and arrays put one member per line, indented two spaces per level, in
 insertion order; strings are ASCII with JSON escapes. fmt_float renders
 every float leaf and raises ValueError on NaN and infinities; a list of
 exact floats (a spectrum) is the one batch path, one join with one check.
-A Raw leaf is text rendered elsewhere in this layout, and goes out as it is.
+A Raw leaf is text rendered elsewhere in this layout, and goes out uncopied.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class Raw(str):
 
 # renderers of the leaf types by exact type; subclasses go through _leaf
 _LEAF = {
-    Raw: str.__str__,
+    Raw: lambda _: None,  # _write emits it as it is, uncopied
     str: _quote,
     float: fmt_float,
     int: int.__repr__,
@@ -69,11 +69,14 @@ def _leaf(obj) -> str | None:
 
 
 def _write(obj, emit, nl: str, prefixes: dict) -> None:
-    """Append the fragments of a dict, list or tuple to emit.
+    """Append the fragments of a dict, list, tuple or Raw to emit.
 
     nl is the newline plus indent of obj's closing bracket. prefixes maps
     each member indent to a memo of its '<indent>"key": ' strings.
     """
+    if type(obj) is Raw:
+        emit(obj)
+        return
     inner = nl + "  "
     if isinstance(obj, dict):
         if not obj:

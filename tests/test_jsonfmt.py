@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dspread import jsonfmt
 from dspread.jsonfmt import Raw, fmt_float, json_text
 
 from json_oracle import json_text as oracle_text
@@ -106,6 +107,16 @@ def test_raw_text_goes_out_unchanged():
     doc = {"a": Raw("[1, 2]"), "b": [Raw("x")]}
     assert json_text(doc) == '{\n  "a": [1, 2],\n  "b": [\n    x\n  ]\n}'
     assert json_text(Raw("nan")) == "nan"
+
+
+def test_raw_text_is_one_uncopied_fragment():
+    """A Raw member is emitted as the object itself, so a document of large
+    Raw texts holds no second copy of them before the join."""
+    raws = [Raw("[1, 2]"), Raw("x")]
+    out = []
+    jsonfmt._write({"a": raws[0], "b": [raws[1]]}, out.append, "\n", {})
+    assert [f for f in out if type(f) is Raw] == raws
+    assert all(any(f is r for f in out) for r in raws)
 
 
 def test_strings_that_spell_non_finite_floats_render():
