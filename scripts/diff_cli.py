@@ -52,8 +52,10 @@ CYCLE_63 = ("~??~hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@
 # holding CYCLE_63, a long-form graph6 line; {mixed}, {apart} and
 # {connected}: the three corpus files of mixed_orders(); {n6x4}: the n = 6
 # corpus four times over (68 graphs); {empty}: a corpus file holding only a
-# comment. Each command is split with shlex, so a quoted argument may hold
-# whitespace.
+# comment; {nonascii}: a corpus file whose second line holds byte 0xE9;
+# {dir}: the temporary directory itself; {nonbip}: the n = 4 corpus and
+# then K4; {incomplete}: the n = 4 corpus without its K_{2,2}. Each command
+# is split with shlex, so a quoted argument may hold whitespace.
 COMMANDS = [
     "analyze Bg",
     "analyze kbip:2,3",
@@ -167,6 +169,24 @@ COMMANDS = [
     "analyze {empty}",
     "analyze {empty} --format tsv",
     "sweep --corpus {empty}",
+    # refused input, each an exit 2: family specs, unreadable corpora, and
+    # conjecture corpora that are not the exhaustive set of one order
+    "analyze foo:3",
+    "analyze kbip:3",
+    "analyze cycle:2",
+    "analyze path:2001",
+    "analyze complete:1001",
+    "analyze {nonascii}",
+    "bounds {nonascii}",
+    "sweep --corpus {nonascii}",
+    "conjecture --n 4 --alpha 0 --corpus {nonascii}",
+    "analyze {dir}",
+    "conjecture --n 4 --alpha 0 --corpus {empty}",
+    "conjecture --n 4 --alpha 0 --corpus {missing}",
+    "conjecture --n 4 --alpha 0 --corpus {malformed}",
+    "conjecture --n 1 --alpha 0 --corpus {n4}",
+    "conjecture --n 4 --alpha 0 --corpus {nonbip}",
+    "conjecture --n 4 --alpha 0.5 --corpus {incomplete}",
 ]
 
 
@@ -237,10 +257,12 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
     Writes the file inputs under the directory tmp and reads the packaged
     corpora of the dspread tree src. A label shows tmp as "{tmp}".
     """
-    files = {"missing": Path(tmp) / "missing.g6"}
+    files = {"missing": Path(tmp) / "missing.g6", "dir": Path(tmp),
+             "nonascii": Path(tmp) / "non_ascii.g6"}
+    files["nonascii"].write_bytes(b"Bg\n\xe9\n")
     mixed, apart, connected = mixed_orders()
     data = src / "dspread" / "data"
-    n6 = (data / "bipartite_connected_n6.g6").read_text(encoding="ascii")
+    n4, n6 = ((data / f"bipartite_connected_n{n}.g6").read_text(encoding="ascii") for n in (4, 6))
     for key, name, text in (("late", "late_disconnected.g6", "Bg\nBw\nC~\nA?\n"),
                             ("cocktail", "cocktail_party_40.g6", COCKTAIL_PARTY_40 + "\n"),
                             ("colon", "graphs:v2.g6", "Bg\nBw\nC~\n"),
@@ -250,7 +272,9 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
                             ("apart", "all_disconnected.g6", apart),
                             ("connected", "mixed_connected.g6", connected),
                             ("n6x4", "bipartite_n6_x4.g6", n6 * 4),
-                            ("empty", "comment_only.g6", "# no graph\n")):
+                            ("empty", "comment_only.g6", "# no graph\n"),
+                            ("nonbip", "bipartite_n4_and_k4.g6", n4 + "C~\n"),
+                            ("incomplete", "bipartite_n4_no_k22.g6", "Ck\nCs\n")):
         files[key] = Path(tmp) / name
         files[key].write_text(text, encoding="ascii")
     files.update(n4=data / "bipartite_connected_n4.g6", n6=data / "bipartite_connected_n6.g6")

@@ -5,15 +5,13 @@ table) and exits. Floats are rendered with 12 significant digits, so repeated
 invocations with the same numpy/LAPACK build are byte-identical; another
 build may move the last digits and noise-level gaps.
 
-Exit codes: 0 success, 2 input error (unparseable graph, bad family spec,
-a graph6 line, family spec or --seed-random order over the size cap,
-unreadable corpus, NaN/infinite/negative tolerance, bad --seed-random values,
---alpha with --alpha-grid, an empty --alpha-grid, --alphas, --corpus or
---seed-random value), 3 precondition failure
-(disconnected graph, alpha out of range, no connected --seed-random
-sample), 4 at least one applicable proven bound violated, 141 stdout
-closed before the output was written (128 + SIGPIPE, what a shell reports
-for a writer that a broken pipe ended).
+Exit codes: 0 success; 2 bad input, that is a graphs.InputError (a graph6
+line, family spec, corpus file, tolerance, alpha list or --seed-random value
+that cannot be used) or an argparse usage error; 3 any other ValueError, a
+failed precondition (disconnected graph, alpha out of range, no connected
+--seed-random sample); 4 at least one applicable proven bound violated; 141
+stdout closed before the output was written (128 + SIGPIPE, what a shell
+reports for a writer that a broken pipe ended).
 """
 
 from __future__ import annotations
@@ -33,15 +31,11 @@ from . import bounds as bounds_mod
 from . import corpus as corpus_mod
 from .families import parse_family
 from . import graphs as graphs_mod
-from .graphs import Graph, GraphParseError, is_transmission_regular, parse_graph6
+from .graphs import Graph, InputError, is_transmission_regular, parse_graph6
 from .jsonfmt import _NON_FINITE, Raw, fmt_float, json_text
 
 SCHEMA_VERSION = 1
 EXIT_BROKEN_PIPE = 141
-
-
-class _InputError(Exception):
-    pass
 
 
 def _cell(x) -> str:
@@ -68,9 +62,9 @@ def _tolerance(flag: Optional[float]) -> float:
         try:
             value, source = float(raw), "SPREAD_TOL"
         except ValueError:
-            raise _InputError(f"SPREAD_TOL={raw!r} is not a number") from None
+            raise InputError(f"SPREAD_TOL={raw!r} is not a number") from None
     if not (math.isfinite(value) and value >= 0.0):
-        raise _InputError(f"{source} must be finite and non-negative, got {value:g}")
+        raise InputError(f"{source} must be finite and non-negative, got {value:g}")
     return value
 
 
@@ -78,9 +72,9 @@ def _parse_alpha_list(text: str) -> list[float]:
     try:
         out = [float(t) for t in text.split(",") if t.strip() != ""]
     except ValueError:
-        raise _InputError(f"bad alpha list {text!r}") from None
+        raise InputError(f"bad alpha list {text!r}") from None
     if not out:
-        raise _InputError("empty alpha list")
+        raise InputError("empty alpha list")
     return out
 
 
@@ -99,19 +93,6 @@ def _alphas(args) -> list[float]:
     return [a + 0.0 for a in alphas]  # -0 renders as 0
 
 
-def _load_corpus(path) -> list[Graph]:
-    """Every graph of a graph6 corpus file; a file that cannot be read,
-    decoded as ASCII or parsed is an input error."""
-    try:
-        return corpus_mod.load_corpus(path)
-    except OSError as exc:
-        raise _InputError(f"cannot read corpus {path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _InputError(f"{path}: corpus is not ASCII graph6 text") from None
-    except GraphParseError as exc:
-        raise _InputError(f"{path}: {exc}") from None
-
-
 def _resolve_inputs(text: str) -> list[tuple[Optional[str], Graph]]:
     """An input is a corpus file path, a family spec ("kbip:2,3") or a
     graph6 string, tried in that order; graph6 never holds ":". Files yield
@@ -120,16 +101,10 @@ def _resolve_inputs(text: str) -> list[tuple[Optional[str], Graph]]:
     skips (a run after a ">>graph6<<" header becomes one space), so it
     cannot break a TSV row."""
     if os.path.exists(text):
-        return [(None, g) for g in _load_corpus(text)]
+        return [(None, g) for g in corpus_mod.load_corpus(text)]
     if ":" in text:
-        try:
-            return [(text, parse_family(text))]
-        except ValueError as exc:
-            raise _InputError(str(exc)) from None
-    try:
-        return [(" ".join(text.split()), parse_graph6(text))]
-    except GraphParseError as exc:
-        raise _InputError(str(exc)) from None
+        return [(text, parse_family(text))]
+    return [(" ".join(text.split()), parse_graph6(text))]
 
 
 def _contexts(inputs: list[tuple[Optional[str], Graph]]) -> Iterator[bounds_mod.EvalContext]:
@@ -259,18 +234,18 @@ def _cmd_bounds(args) -> tuple[str | dict, int]:
 def _parse_seed_random(text: str) -> tuple[int, int, float]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise _InputError("--seed-random expects n,count,p")
+        raise InputError("--seed-random expects n,count,p")
     try:
         n, count, p = int(parts[0]), int(parts[1]), float(parts[2])
     except ValueError:
-        raise _InputError(f"bad --seed-random value {text!r}") from None
+        raise InputError(f"bad --seed-random value {text!r}") from None
     if n < 1 or count < 0:
-        raise _InputError(f"--seed-random needs n >= 1 and count >= 0, got {text!r}")
+        raise InputError(f"--seed-random needs n >= 1 and count >= 0, got {text!r}")
     if not 0.0 < p <= 1.0:  # NaN fails too
-        raise _InputError(f"--seed-random edge probability must lie in (0, 1], got {text!r}")
+        raise InputError(f"--seed-random edge probability must lie in (0, 1], got {text!r}")
     if n > graphs_mod.MAX_FAMILY_ORDER:
-        raise _InputError(f"--seed-random order {n} exceeds the cap of "
-                          f"{graphs_mod.MAX_FAMILY_ORDER} vertices")
+        raise InputError(f"--seed-random order {n} exceeds the cap of "
+                         f"{graphs_mod.MAX_FAMILY_ORDER} vertices")
     return n, count, p
 
 
@@ -280,10 +255,10 @@ def _cmd_sweep(args) -> tuple[str | dict, int]:
     # parsed before any graph is read or drawn
     n, count, p = (0, 0, 0.0) if args.seed_random is None else _parse_seed_random(args.seed_random)
     if args.corpus is None and not count:
-        raise _InputError("nothing to sweep: give --corpus and/or --seed-random")
+        raise InputError("nothing to sweep: give --corpus and/or --seed-random")
     # the corpus is read whole before any work; the random graphs are drawn
     # as the sweep reaches them
-    graphs = itertools.chain([] if args.corpus is None else _load_corpus(args.corpus), (
+    graphs = itertools.chain([] if args.corpus is None else corpus_mod.load_corpus(args.corpus), (
         corpus_mod.random_connected_graph(n, p, seed=args.seed + i) for i in range(count)))
     doc = {"alphas": alphas, **corpus_mod.sweep(graphs, alphas=alphas, tol=tol)}
     return doc, 4 if doc["violations"] else 0
@@ -293,10 +268,9 @@ def _cmd_sweep(args) -> tuple[str | dict, int]:
 
 
 def _packaged_corpus(n: int):
-    name = f"bipartite_connected_n{n}.g6"
-    ref = resources.files("dspread").joinpath("data").joinpath(name)
+    ref = resources.files("dspread").joinpath(f"data/bipartite_connected_n{n}.g6")
     if not ref.is_file():
-        raise _InputError(
+        raise InputError(
             f"no packaged corpus for n={n}; supply --corpus with an exhaustive "
             f"connected-bipartite graph6 file"
         )
@@ -305,11 +279,8 @@ def _packaged_corpus(n: int):
 
 def _cmd_conjecture(args) -> tuple[str | dict, int]:
     [alpha] = _alphas(args)
-    graphs = _load_corpus(_packaged_corpus(args.n) if args.corpus is None else args.corpus)
-    try:
-        return corpus_mod.check_problem_39(graphs, args.n, alpha), 0
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
+    path = _packaged_corpus(args.n) if args.corpus is None else args.corpus
+    return corpus_mod.check_problem_39(corpus_mod.load_corpus(path), args.n, alpha), 0
 
 
 # --- driver -----------------------------------------------------------------
@@ -360,6 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; an InputError exits 2, any other ValueError 3."""
     args = _build_parser().parse_args(argv)
     try:
         # each command returns a TSV table or the body of its JSON document
@@ -377,13 +349,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except _InputError as exc:
+    except ValueError as exc:  # InputError is a ValueError, so one clause tests the type
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # failed preconditions: disconnected input, alpha out of range
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds
 from .bounds import BOUND_IDS, DEFAULT_TOL, EQ_TOL
 from .bounds import EvalContext, evaluate, solve_spectra
-from .graphs import Graph, distance_profiles, is_connected, parse_graph6
+from .graphs import Graph, InputError, distance_profiles, is_connected, parse_graph6
 from .jsonfmt import fmt_float
 
 ALPHA_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
@@ -34,8 +34,18 @@ def iter_graph6_lines(lines: Iterable[str]) -> Iterator[str]:
 
 
 def load_corpus(path) -> list[Graph]:
-    with open(path, "r", encoding="ascii") as fh:
-        return [parse_graph6(s) for s in iter_graph6_lines(fh)]
+    """Every graph of a graph6 corpus file; one that cannot be read, is not
+    ASCII or holds a line that does not parse raises InputError naming it."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return [parse_graph6(s) for s in iter_graph6_lines(fh)]
+    except OSError as exc:
+        raise InputError(f"cannot read corpus {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path}: corpus is not ASCII graph6 text") from None
+    except InputError as exc:  # a GraphParseError, kept with its byte offset
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def blocks(graphs: Iterable[Graph]) -> Iterator[list[tuple[Graph, Optional[EvalContext]]]]:
@@ -122,12 +132,13 @@ def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> dict:
     Returns the scan's JSON document.
 
     The corpus must be the complete set of connected bipartite graphs of
-    order n; the first graph of another order or not connected bipartite,
-    or missing the conjectured graph, raises ValueError. Each block is folded
-    into the minimum, ties broken by graph6 string so reruns are bit-identical.
+    order n; n < 2, the first graph of another order or not connected
+    bipartite, an empty corpus or one missing the conjectured graph raises
+    InputError. Each block is folded into the minimum, ties broken by
+    graph6 string so reruns are bit-identical.
     """
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InputError("need n >= 2")
     # every graph here is bipartite, so at most floor(n/2)*ceil(n/2) edges,
     # and only K_{floor(n/2),ceil(n/2)} has that many
     edges = n // 2 * (n - n // 2)
@@ -135,9 +146,9 @@ def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> dict:
     for block in blocks(graphs):
         for g, ctx in block:
             if g.n != n:
-                raise ValueError(f"corpus graph of order {g.n} in an order-{n} scan")
+                raise InputError(f"corpus graph of order {g.n} in an order-{n} scan")
             if ctx is None or not ctx.bipartite:
-                raise ValueError("corpus contains a non-(connected bipartite) graph")
+                raise InputError("corpus contains a non-(connected bipartite) graph")
         record = solve_spectra([ctx for _, ctx in block], [alpha])
         spreads = (record[:, 0, 0] - record[:, 0, 1]).tolist()
         seen += len(block)
@@ -145,9 +156,9 @@ def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> dict:
         balanced = [s for s, (g, _) in zip(spreads, block) if g.edge_count == edges]
         conjectured_spread = balanced[-1] if balanced else conjectured_spread
     if not seen:
-        raise ValueError("empty corpus")
+        raise InputError("empty corpus")
     if conjectured_spread is None:
-        raise ValueError(
+        raise InputError(
             "incomplete corpus: balanced complete bipartite graph not present"
         )
     return {

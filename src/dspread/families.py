@@ -11,7 +11,7 @@ tests/family_oracle.py.
 from __future__ import annotations
 
 from . import graphs
-from .graphs import Graph
+from .graphs import Graph, InputError
 
 
 # the most edges of a family graph, beside graphs.MAX_FAMILY_ORDER:
@@ -44,29 +44,34 @@ def family(kind: str, *params: int) -> Graph:
     """The named graph, e.g. family("kbip", 2, 3), with canonical vertex
     labeling; an unknown kind, a wrong parameter count, an out-of-range
     parameter or a graph of more than MAX_FAMILY_ORDER vertices or
-    MAX_FAMILY_EDGES edges raises ValueError before anything is built."""
+    MAX_FAMILY_EDGES edges raises InputError before anything is built."""
     if kind not in _FAMILIES:
-        raise ValueError(f"unknown family kind {kind!r}")
+        raise InputError(f"unknown family kind {kind!r}")
     arity, in_range, need, size, build = _FAMILIES[kind]
     if len(params) != arity:
-        raise ValueError(f"family {kind!r} takes {arity} parameter(s), got {len(params)}")
+        raise InputError(f"family {kind!r} takes {arity} parameter(s), got {len(params)}")
     if not in_range(*params):
-        raise ValueError(need)
+        raise InputError(need)
     n, m = size(*params)
     if n > graphs.MAX_FAMILY_ORDER or m > MAX_FAMILY_EDGES:
-        raise ValueError(f"family graph with {n} vertices and {m} edges exceeds the cap of "
+        raise InputError(f"family graph with {n} vertices and {m} edges exceeds the cap of "
                          f"{graphs.MAX_FAMILY_ORDER} vertices and {MAX_FAMILY_EDGES} edges")
     return Graph.from_edges(n, build(*params))
 
 
 def parse_family(text: str) -> Graph:
     """The graph of a CLI spec like "complete:4", "kbip:2,3", "split:2,5":
-    the kind, a colon and comma-separated ASCII integers, no whitespace."""
+    the kind, a colon and comma-separated ASCII integers, no whitespace.
+    Any other spec, or one that family() refuses, raises InputError."""
     kind, sep, rest = text.partition(":")
     if not sep or kind not in _FAMILIES:
-        raise ValueError(f"unknown family spec {text!r}")
+        raise InputError(f"unknown family spec {text!r}")
     params = rest.split(",")
     digits = [p.removeprefix("-") for p in params]
     if not all(d.isascii() and d.isdigit() for d in digits):
-        raise ValueError(f"non-integer parameter in family spec {text!r}")
-    return family(kind, *map(int, params))
+        raise InputError(f"non-integer parameter in family spec {text!r}")
+    try:
+        values = [int(p) for p in params]
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise InputError(str(exc)) from None
+    return family(kind, *values)

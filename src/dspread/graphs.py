@@ -17,7 +17,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 
-class GraphParseError(ValueError):
+class InputError(ValueError):
+    """Input from outside the program that cannot be used (CLI exit 2)."""
+
+
+class GraphParseError(InputError):
     """Malformed textual graph input. Carries the byte offset when known."""
 
     def __init__(self, message: str, offset: int | None = None):

@@ -24,8 +24,8 @@ from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT
 from dspread.cli import EXIT_BROKEN_PIPE, main
 from dspread.eigen import sym_eigen
 from dspread.families import family, parse_family
-from dspread.graphs import (DistanceProfile, Graph, bfs_distances, distance_profiles,
-                            encode_graph6, is_bipartite)
+from dspread.graphs import (DistanceProfile, Graph, InputError, bfs_distances,
+                            distance_profiles, encode_graph6, is_bipartite)
 from dspread.jsonfmt import json_text
 
 from json_oracle import json_text as oracle_text
@@ -567,6 +567,32 @@ def test_empty_corpus_gives_empty_reports(capsys, tmp_path):
     corpus.write_text("# no graph\n", encoding="ascii")
     code, out, err = run_cli(capsys, "bounds", str(corpus))
     assert code == 0 and err == "" and json.loads(out)["reports"] == []
+
+
+@pytest.mark.parametrize("error, expected", [(InputError, 2), (ValueError, 3)])
+@pytest.mark.parametrize("argv", [("sweep", "--corpus", "{n6}"), ("bounds", "{n6}"),
+                                  ("analyze", "{n6}"),
+                                  ("conjecture", "--n", "6", "--alpha", "0", "--corpus", "{n6}")],
+                         ids=["sweep", "bounds", "analyze", "conjecture"])
+def test_errors_raised_inside_iteration_are_mapped_by_main(capsys, monkeypatch, argv, error,
+                                                           expected):
+    # an error raised after the first block, as a corpus read block by block
+    # would raise it, exits 2 for an InputError and 3 for any other ValueError
+    blocks = corpus_mod.blocks
+    yielded = []
+
+    def failing(graphs):
+        it = blocks(graphs)
+        yielded.append(next(it))
+        yield yielded[0]
+        raise error("line 9 is malformed")
+
+    monkeypatch.setattr(corpus_mod, "blocks", failing)
+    monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", 8)
+    n6 = str(resources.files("dspread") / "data" / "bipartite_connected_n6.g6")
+    code, out, err = run_cli(capsys, *(a.format(n6=n6) for a in argv))
+    assert (code, out, err) == (expected, "", "error: line 9 is malformed\n")
+    assert len(yielded) == 1
 
 
 def test_sweep_missing_corpus(capsys):

@@ -14,7 +14,8 @@ from dspread.corpus import (
     sweep,
 )
 from dspread.families import family
-from dspread.graphs import Graph, encode_graph6, is_connected, parse_graph6
+from dspread.graphs import (Graph, GraphParseError, InputError, encode_graph6, is_connected,
+                            parse_graph6)
 from dspread.jsonfmt import fmt_float, json_text
 
 from conftest import graph_from_mask
@@ -53,6 +54,34 @@ def test_load_corpus(tmp_path):
     path.write_text("# two graphs\nBg\nBw\n", encoding="ascii")
     graphs = load_corpus(path)
     assert [g.n for g in graphs] == [3, 3]
+
+
+def test_load_corpus_refusals_name_the_file(tmp_path):
+    missing, latin, malformed = (tmp_path / name for name in ("missing.g6", "latin.g6", "bad.g6"))
+    latin.write_bytes(b"Bg\n\xe9\n")
+    malformed.write_text("Bg\nBh\n", encoding="ascii")
+    for path, message in ((missing, f"cannot read corpus {missing}: "),
+                          (tmp_path, f"cannot read corpus {tmp_path}: "),
+                          (latin, f"{latin}: corpus is not ASCII graph6 text")):
+        with pytest.raises(InputError) as info:
+            load_corpus(path)
+        assert str(info.value).startswith(message)
+    # a line that does not parse keeps its type and byte offset
+    with pytest.raises(GraphParseError) as info:
+        load_corpus(malformed)
+    assert str(info.value) == f"{malformed}: nonzero padding bits (byte offset 1)"
+    assert info.value.offset == 1
+
+
+def test_problem39_refusals_are_input_errors(zoo):
+    k4 = family("complete", 4)
+    for graphs, n, message in (([zoo["C4"]], 1, "need n >= 2"),
+                               ([zoo["P3"]], 4, "order 3"),
+                               ([zoo["C4"], k4], 4, "non-\\(connected bipartite\\)"),
+                               ([], 4, "empty corpus"),
+                               ([zoo["P4"]], 4, "incomplete corpus")):
+        with pytest.raises(InputError, match=message):
+            check_problem_39(graphs, n, 0.5)
 
 
 def test_problem39_n3():

@@ -9,7 +9,7 @@ from dspread import graphs as graphs_mod
 from dspread.cli import main
 from dspread.eigen import sym_eigen
 from dspread.families import family, parse_family
-from dspread.graphs import distance_profile, is_bipartite
+from dspread.graphs import InputError, distance_profile, is_bipartite
 from dspread.matrices import generalized_distance_matrix
 
 from family_oracle import spectrum_complete, spectrum_complete_bipartite, spectrum_complete_split
@@ -91,6 +91,21 @@ _BAD_SPECS = [
 def test_parse_family_errors(text, message):
     with pytest.raises(ValueError, match=message):
         parse_family(text)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: family("nope", 3),  # unknown kind
+    lambda: family("path", 2, 3),  # wrong arity
+    lambda: family("cycle", 2),  # out of range
+    lambda: family("path", graphs_mod.MAX_FAMILY_ORDER + 1),  # over the order cap
+    lambda: family("complete", 1001),  # over the edge cap
+    lambda: parse_family("nope:3"),
+    lambda: parse_family("kbip:2,x"),  # a non-integer parameter
+    lambda: parse_family("path:" + "1" * 5000),  # more digits than int() takes
+], ids=["kind", "arity", "range", "order-cap", "edge-cap", "spec", "non-integer", "digits"])
+def test_every_family_refusal_is_an_input_error(build):
+    with pytest.raises(InputError):
+        build()
 
 
 def test_family_spec_rejects_unknown_kind():

@@ -12,6 +12,7 @@ from dspread.graphs import (
     DisconnectedGraphError,
     Graph,
     GraphParseError,
+    InputError,
     distance_profile,
     encode_graph6,
     is_bipartite,
@@ -63,6 +64,15 @@ def test_parse_graph6_k2_and_empty_pair():
 
 def test_parse_graph6_header():
     assert sorted(parse_graph6(">>graph6<<Bw").edges) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_parse_errors_are_input_errors():
+    # InputError is what the CLI reports as exit 2; a ValueError that is not
+    # one is a failed precondition
+    assert issubclass(InputError, ValueError) and issubclass(GraphParseError, InputError)
+    assert not issubclass(DisconnectedGraphError, InputError)
+    with pytest.raises(InputError, match="nonzero padding bits"):
+        parse_graph6("AG")
 
 
 def test_parse_graph6_nonzero_padding():
