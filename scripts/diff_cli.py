@@ -99,6 +99,11 @@ COMMANDS = [
     "bounds kbip:3,5",
     "bounds path:30 --alpha 0.5",
     "bounds {colon} --alpha 0.5",
+    # extreme alphas: tiny entries that sym_eigen zeroes in the stack itself,
+    # and a false exit 4 from cancellation in the bound formulas (ROADMAP item 4)
+    "bounds path:30 --alpha 1e-300",
+    "analyze path:62 --alpha-grid 0,1e-300,0.9999999999999999,1",
+    "bounds cycle:40 --alpha 0.99999999",
     "sweep --seed-random 6,3,0.5 --alphas 0.1234567,0.1234568",
     "sweep --seed-random 10,200,0.5 --seed 1",
     "sweep --corpus {n6} --alphas 0,0.5,1",

@@ -115,7 +115,7 @@ def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> np.nd
     one generalized_distance_matrix call on their stacked distances and
     transmissions, and share one eigvalsh call on it. Every entry is the
     same elementwise product as in a one-graph call. The stack also gives
-    the squared Frobenius norm and the trace that mirsky_upper reads.
+    the trace, then, squared in place, the |D_alpha|_F^2 mirsky_upper reads.
     """
     want = tuple(dict.fromkeys(alphas))
     record = np.empty((len(ctxs), len(want), 4))
@@ -130,9 +130,10 @@ def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> np.nd
             stack = generalized_distance_matrix(SimpleNamespace(
                 dist=np.stack([ctxs[g].profile.dist for g in chunk])[:, None],
                 tr=np.stack([ctxs[g].profile.tr for g in chunk])[:, None]), want).reshape(-1, n, n)
+            trace = np.trace(stack, axis1=1, axis2=2)
             values = sym_eigen(stack)
-            rows = np.stack([values[:, 0], values[:, -1], (stack ** 2).sum(axis=(1, 2)),
-                             np.trace(stack, axis1=1, axis2=2)], axis=1).reshape(len(chunk), -1, 4)
+            rows = np.stack([values[:, 0], values[:, -1], np.square(stack, out=stack).sum((1, 2)),
+                             trace], axis=1).reshape(len(chunk), -1, 4)
             record[chunk] = rows
             for g, v in zip(chunk, values.reshape(len(chunk), -1, n)):
                 ctxs[g].spectra.update(zip(want, v))

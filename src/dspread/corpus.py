@@ -35,16 +35,21 @@ def iter_graph6_lines(lines: Iterable[str]) -> Iterator[str]:
 
 def load_corpus(path) -> list[Graph]:
     """Every graph of a graph6 corpus file; one that cannot be read, is not
-    ASCII or holds a line that does not parse raises InputError naming it."""
+    ASCII or holds a line that does not parse raises InputError naming it
+    (and the number of the line)."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return [parse_graph6(s) for s in iter_graph6_lines(fh)]
+            graphs = []
+            for lineno, line in enumerate(fh, 1):
+                for s in iter_graph6_lines([line]):
+                    graphs.append(parse_graph6(s))
+            return graphs
     except OSError as exc:
         raise InputError(f"cannot read corpus {path}: {exc}") from None
     except UnicodeDecodeError:
         raise InputError(f"{path}: corpus is not ASCII graph6 text") from None
-    except InputError as exc:  # a GraphParseError, kept with its byte offset
-        exc.args = (f"{path}: {exc}",)
+    except InputError as exc:  # a GraphParseError, raised in the loop, kept with its byte offset
+        exc.args = (f"{path}: line {lineno}: {exc}",)
         raise
 
 

@@ -312,7 +312,7 @@ _G6_HEADER = ">>graph6<<"
 # largest order of the 4-byte long-form header; the 8-byte form is not read
 _G6_MAX_ORDER = 258047
 # the largest order of any input graph (graph6, family spec, --seed-random),
-# refused before any O(n^2) work; `analyze cycle:2000` takes 729 MB
+# refused before any O(n^2) work; `analyze cycle:2000` peaks at 330 MiB
 MAX_FAMILY_ORDER = 2000
 # the offsets within a graph6 byte (0 = most significant of its 6 bits) of
 # the bits set in each value 0..63

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -434,6 +435,21 @@ def _record_row(g: Graph, alpha: float) -> list[float]:
     m = generalized_distance_matrix(distance_profile(g), alpha)
     v = sym_eigen(m)
     return [v[0], v[-1], (m ** 2).sum(), np.trace(m)]
+
+
+def test_solve_spectra_holds_one_stack():
+    # the D_alpha stack is the one buffer of the solve: sym_eigen zeroes its
+    # tiny entries in it and |D_alpha|_F^2 squares it in place, so a private
+    # copy or a squared second stack would each add a whole stack
+    ctx = EvalContext(parse_family("cycle:300"))
+    solve_spectra([ctx], ALPHA_GRID)  # warm-up: numpy and LAPACK set up their buffers
+    tracemalloc.start()
+    try:
+        solve_spectra([ctx], ALPHA_GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * len(ALPHA_GRID) * 300 * 300 * 8
 
 
 def test_solve_spectra_record_matches_one_graph_at_a_time(monkeypatch):

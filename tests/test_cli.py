@@ -324,6 +324,16 @@ def test_bounds_violation_exits_4(capsys, monkeypatch):
     assert after["bounds"] == before["bounds"]  # the other 16 entries
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the tolerance does not cover the "
+                   "cancellation inside the bound formulas near alpha = 1")
+def test_proven_bounds_hold_near_alpha_1(capsys):
+    # on a cycle the exact mirsky_upper is sqrt(2) * (1 - alpha) * |D|_F, about
+    # 6.5e-06 here, above the spread 5.6e-06; but 2 |D_alpha|_F^2 and 2 tr^2 / n
+    # are both about 1.28e7 and cancel to 0, and thm41 reads 9.1e-06: exit 4
+    code, _, err = run_cli(capsys, "bounds", "cycle:40", "--alpha", "0.99999999")
+    assert (code, err) == (0, "")
+
+
 def test_sweep_violation_exits_4(capsys, monkeypatch):
     _undercut_thm24_upper(monkeypatch)
     code, out, _ = run_cli(capsys, "sweep", "--seed-random", "5,3,0.5", "--alphas", "0,0.5")
@@ -835,8 +845,8 @@ def test_every_input_is_held_to_the_order_cap(capsys, monkeypatch, tmp_path):
     over_file = _graph6_file(tmp_path / "over.g6", at, over)
     for argv, message in (
             (("analyze", encode_graph6(over), "--alpha", "0"), "error: " + cap),
-            (("bounds", over_file, "--alpha", "0.5"), f"error: {over_file}: " + cap),
-            (("sweep", "--corpus", over_file), f"error: {over_file}: " + cap),
+            (("bounds", over_file, "--alpha", "0.5"), f"error: {over_file}: line 2: " + cap),
+            (("sweep", "--corpus", over_file), f"error: {over_file}: line 2: " + cap),
             (("sweep", "--seed-random", "6,1,0.5"),
              "error: --seed-random order 6 exceeds the cap of 5 vertices\n")):
         from_edges.clear()

@@ -66,10 +66,10 @@ def test_load_corpus_refusals_name_the_file(tmp_path):
         with pytest.raises(InputError) as info:
             load_corpus(path)
         assert str(info.value).startswith(message)
-    # a line that does not parse keeps its type and byte offset
+    # a line that does not parse is named by number and keeps its type and byte offset
     with pytest.raises(GraphParseError) as info:
         load_corpus(malformed)
-    assert str(info.value) == f"{malformed}: nonzero padding bits (byte offset 1)"
+    assert str(info.value) == f"{malformed}: line 2: nonzero padding bits (byte offset 1)"
     assert info.value.offset == 1
 
 
