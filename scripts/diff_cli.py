@@ -51,7 +51,8 @@ CYCLE_63 = ("~??~hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@
 # file whose second line has nonzero padding bits; {long}: a corpus file
 # holding CYCLE_63, a long-form graph6 line; {mixed}, {apart} and
 # {connected}: the three corpus files of mixed_orders(); {n6x4}: the n = 6
-# corpus four times over (68 graphs); {empty}: a corpus file holding only a
+# corpus four times over (68 graphs); {wide}: {n6x4} and then the path on
+# 150 vertices, so one block mixes orders far apart; {empty}: a corpus file holding only a
 # comment; {nonascii}: a corpus file whose second line holds byte 0xE9;
 # {dir}: the temporary directory itself; {nonbip}: the n = 4 corpus and
 # then K4; {incomplete}: the n = 4 corpus without its K_{2,2}. Each command
@@ -168,6 +169,10 @@ COMMANDS = [
     "bounds {n6} --format tsv",
     "bounds {connected} --alpha 0.5 --format tsv",
     "analyze {connected} --format tsv",
+    # a block whose orders lie far apart: 68 graphs of order 6 and one of order 150
+    "bounds {wide} --alpha 0.5",
+    "bounds {wide} --alpha 0.5 --format tsv",
+    "analyze {wide} --alpha-grid 0,1",
     # a corpus with no graph: no context reaches evaluate() or solve_spectra()
     "bounds {empty}",
     "bounds {empty} --format tsv",
@@ -277,6 +282,8 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
                             ("apart", "all_disconnected.g6", apart),
                             ("connected", "mixed_connected.g6", connected),
                             ("n6x4", "bipartite_n6_x4.g6", n6 * 4),
+                            ("wide", "n6_x4_and_path_150.g6",
+                             n6 * 4 + graph6(150, [(v - 1, v) for v in range(1, 150)]) + "\n"),
                             ("empty", "comment_only.g6", "# no graph\n"),
                             ("nonbip", "bipartite_n4_and_k4.g6", n4 + "C~\n"),
                             ("incomplete", "bipartite_n4_no_k22.g6", "Ck\nCs\n")):

@@ -53,9 +53,6 @@ CLAIMED = "claimed"
 
 DEFAULT_TOL = 1e-8
 EQ_TOL = 1e-6
-# graphs per eigensolve stack and per sweep block, so a stack holds at most
-# BLOCK_GRAPHS * k matrices however large the corpus
-BLOCK_GRAPHS = 64
 
 
 # --- evaluation context and batched spectra ---------------------------------
@@ -110,12 +107,13 @@ def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> np.nd
     its rows). Every context is solved at every alpha it is given and
     keeps each alpha's eigenvalues in its spectra.
 
-    D_alpha is affine in alpha, so the graphs of one order,
-    BLOCK_GRAPHS at a time, get their (G*k, n, n) stack from
-    one generalized_distance_matrix call on their stacked distances and
-    transmissions, and share one eigvalsh call on it. Every entry is the
-    same elementwise product as in a one-graph call. The stack also gives
-    the trace, then, squared in place, the |D_alpha|_F^2 mirsky_upper reads.
+    D_alpha is affine in alpha, so the graphs of one order get their
+    (G*k, n, n) stack from one generalized_distance_matrix call on their
+    stacked distances and transmissions, and share one eigvalsh call on it.
+    Every entry is the same elementwise product as in a one-graph call. The
+    stack also gives the trace, then, squared in place, the |D_alpha|_F^2
+    mirsky_upper reads. Callers give at most one block of corpus.blocks(),
+    so a stack holds at most corpus.BLOCK_GRAPHS * k matrices.
     """
     want = tuple(dict.fromkeys(alphas))
     record = np.empty((len(ctxs), len(want), 4))
@@ -123,20 +121,18 @@ def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> np.nd
     for g, ctx in enumerate(ctxs):
         groups.setdefault(ctx.graph.n, []).append(g)
     for n, members in groups.items():
-        for start in range(0, len(members), BLOCK_GRAPHS):
-            chunk = members[start:start + BLOCK_GRAPHS]
-            # (G, 1, n, n) distances and (G, 1, n) transmissions give (G, k, n, n);
-            # the stacked distances are freed before the eigensolve
-            stack = generalized_distance_matrix(SimpleNamespace(
-                dist=np.stack([ctxs[g].profile.dist for g in chunk])[:, None],
-                tr=np.stack([ctxs[g].profile.tr for g in chunk])[:, None]), want).reshape(-1, n, n)
-            trace = np.trace(stack, axis1=1, axis2=2)
-            values = sym_eigen(stack)
-            rows = np.stack([values[:, 0], values[:, -1], np.square(stack, out=stack).sum((1, 2)),
-                             trace], axis=1).reshape(len(chunk), -1, 4)
-            record[chunk] = rows
-            for g, v in zip(chunk, values.reshape(len(chunk), -1, n)):
-                ctxs[g].spectra.update(zip(want, v))
+        # (G, 1, n, n) distances and (G, 1, n) transmissions give (G, k, n, n);
+        # the stacked distances are freed before the eigensolve
+        stack = generalized_distance_matrix(SimpleNamespace(
+            dist=np.stack([ctxs[g].profile.dist for g in members])[:, None],
+            tr=np.stack([ctxs[g].profile.tr for g in members])[:, None]), want).reshape(-1, n, n)
+        trace = np.trace(stack, axis1=1, axis2=2)
+        values = sym_eigen(stack)
+        rows = np.stack([values[:, 0], values[:, -1], np.square(stack, out=stack).sum((1, 2)),
+                         trace], axis=1).reshape(len(members), -1, 4)
+        record[members] = rows
+        for g, v in zip(members, values.reshape(len(members), -1, n)):
+            ctxs[g].spectra.update(zip(want, v))
     return record[:, [want.index(a) for a in alphas]]
 
 
@@ -412,16 +408,16 @@ def evaluate(
 ) -> Evaluation:
     """Every registry entry on every (context, alpha) pair, as arrays.
 
-    The spectra come from one solve_spectra() call, whose record the
-    columns read. Those at alpha = 0, which thm24 and ineq24/25 read at
-    every alpha, join the same batch when 0 is not among the alphas.
+    ctxs is at most one block of corpus.blocks(), never empty, and the
+    per-vertex columns are padded to its largest order. The spectra come
+    from one solve_spectra() call, whose record the columns read. Those at
+    alpha = 0, which thm24 and ineq24/25 read at every alpha, join the same
+    batch when 0 is not among the alphas.
     """
     shape = (len(REGISTRY), len(ctxs), len(alphas))
     bound, actual = np.zeros(shape), np.zeros(shape)
     applicable, claimed, exact = (np.zeros(shape, dtype=bool) for _ in range(3))
     failed = np.zeros(shape, dtype=np.int8)
-    if not ctxs:
-        return Evaluation(bound, actual, bound, applicable, failed, *(applicable,) * 6)
     c = _columns(ctxs, alphas, solve_spectra(ctxs, [*alphas, 0.0]))
     # masked-out entries (n = 1, a star in the general branch, ...) may divide
     # by zero; their values are never read. A huge tol may overflow the

@@ -31,7 +31,7 @@ from . import bounds as bounds_mod
 from . import corpus as corpus_mod
 from .families import parse_family
 from . import graphs as graphs_mod
-from .graphs import Graph, InputError, is_transmission_regular, parse_graph6
+from .graphs import Graph, InputError, parse_graph6
 from .jsonfmt import _NON_FINITE, Raw, fmt_float, json_text
 
 SCHEMA_VERSION = 1
@@ -93,31 +93,32 @@ def _alphas(args) -> list[float]:
     return [a + 0.0 for a in alphas]  # -0 renders as 0
 
 
-def _resolve_inputs(text: str) -> list[tuple[Optional[str], Graph]]:
+def _resolve_inputs(text: str) -> tuple[Optional[str], list[Graph]]:
     """An input is a corpus file path, a family spec ("kbip:2,3") or a
-    graph6 string, tried in that order; graph6 never holds ":". Files yield
-    one graph per non-comment line, described (desc None) by its graph6
-    string. A graph6 string is echoed without the whitespace the parser
-    skips (a run after a ">>graph6<<" header becomes one space), so it
-    cannot break a TSV row."""
+    graph6 string, tried in that order; graph6 never holds ":". Returns
+    (desc, graphs); a file has desc None (each graph is described by its
+    graph6 string) and one graph per non-comment line. A graph6 string is
+    echoed without the whitespace the parser skips (a run after a
+    ">>graph6<<" header becomes one space), so it cannot break a TSV row."""
     if os.path.exists(text):
-        return [(None, g) for g in corpus_mod.load_corpus(text)]
+        return None, corpus_mod.load_corpus(text)
     if ":" in text:
-        return [(text, parse_family(text))]
-    return [(" ".join(text.split()), parse_graph6(text))]
+        return text, [parse_family(text)]
+    return " ".join(text.split()), [parse_graph6(text)]
 
 
-def _contexts(inputs: list[tuple[Optional[str], Graph]]) -> Iterator[bounds_mod.EvalContext]:
-    """The EvalContext of each input graph from corpus.blocks(); the first block
-    that holds a disconnected graph raises "requires connected graph" (exit 3)."""
-    for block in corpus_mod.blocks(g for _, g in inputs):
+def _blocks(graphs: list[Graph]) -> Iterator[list[bounds_mod.EvalContext]]:
+    """The EvalContexts of each block of corpus.blocks(); the first block that
+    holds a disconnected graph raises "requires connected graph" (exit 3)."""
+    for block in corpus_mod.blocks(graphs):
         if any(ctx is None for _, ctx in block):
             raise graphs_mod.DisconnectedGraphError("requires connected graph")
-        yield from (ctx for _, ctx in block)
+        yield [ctx for _, ctx in block]
 
 
 def _base_report(desc: Optional[str], ctx: bounds_mod.EvalContext, alpha: float) -> dict:
     profile = ctx.profile
+    tr_min, tr_max = int(profile.tr.min()), int(profile.tr.max())
     return {
         "input": desc or ctx.graph.graph6,
         "graph6": ctx.graph.graph6,
@@ -125,9 +126,9 @@ def _base_report(desc: Optional[str], ctx: bounds_mod.EvalContext, alpha: float)
         "alpha": float(alpha),
         "wiener": profile.wiener,
         "diameter": profile.diameter,
-        "transmission_min": int(profile.tr.min()),
-        "transmission_max": int(profile.tr.max()),
-        "transmission_regular": is_transmission_regular(profile),
+        "transmission_min": tr_min,
+        "transmission_max": tr_max,
+        "transmission_regular": tr_min if tr_min == tr_max else None,
         "spectrum": ctx.values(alpha).tolist(),
         "spread": ctx.spread(alpha),
     }
@@ -137,11 +138,12 @@ def _base_report(desc: Optional[str], ctx: bounds_mod.EvalContext, alpha: float)
 
 
 def _cmd_analyze(args) -> tuple[str | dict, int]:
-    inputs = _resolve_inputs(args.input)
+    desc, graphs = _resolve_inputs(args.input)
     alphas = _alphas(args)
-    ctxs = list(_contexts(inputs))  # every block before any eigensolve
-    bounds_mod.solve_spectra(ctxs, alphas)
-    reports = [_base_report(d, ctx, a) for (d, _), ctx in zip(inputs, ctxs) for a in alphas]
+    blocks = list(_blocks(graphs))  # every block before any eigensolve
+    for ctxs in blocks:
+        bounds_mod.solve_spectra(ctxs, alphas)
+    reports = [_base_report(desc, ctx, a) for ctxs in blocks for ctx in ctxs for a in alphas]
     if args.format == "tsv":
         rows = ["input\talpha\tn\twiener\tdiameter\tspread\tspectrum"]
         for r in reports:
@@ -201,31 +203,30 @@ def _bounds_texts(ev: bounds_mod.Evaluation) -> list[Raw]:
 
 
 def _cmd_bounds(args) -> tuple[str | dict, int]:
-    inputs = _resolve_inputs(args.input)
+    desc, graphs = _resolve_inputs(args.input)
     alphas = _alphas(args)
     tol = _tolerance(args.tol)
-    ctxs = list(_contexts(inputs))  # every block before any eigensolve
-    ev = bounds_mod.evaluate(ctxs, alphas, tol=tol)
-    code = 4 if ev.violated.any() else 0
-    pairs = [(g, j, desc or ctx.graph.graph6, ctx, a)
-             for g, ((desc, _), ctx) in enumerate(zip(inputs, ctxs)) for j, a in enumerate(alphas)]
-    if args.format == "tsv":  # one row per entry dict; no report is built
-        keys = ("bound_id", "direction", "status", "applicable", "bound", "actual", "gap",
-                "holds", "equality", "reason")
-        rows = ["\t".join(("input", "alpha") + keys)]
-        rows += ["\t".join([name, fmt_float(a)] + [_cell(b[k]) for k in keys])
-                 for g, j, name, _, a in pairs for b in ev.reports(g, j)]
-        return "\n".join(rows), code
-    reports = []
-    for (g, j, name, ctx, a), text in zip(pairs, _bounds_texts(ev)):
-        base = _base_report(name, ctx, a)
-        # null where the search ran out of its node budget
-        base["clique_number"] = None if ctx.cliques is None else ctx.cliques[0]
-        base["independence_number"] = ctx.independence
-        base["bounds"] = text
-        base["discrepancies"] = ev.discrepancies(g, j)
-        reports.append(base)
-    return {"reports": reports}, code
+    keys = ("bound_id", "direction", "status", "applicable", "bound", "actual", "gap", "holds",
+            "equality", "reason")
+    rows, reports, code = ["\t".join(("input", "alpha") + keys)], [], 0
+    for ctxs in list(_blocks(graphs)):  # every block before any eigensolve
+        ev = bounds_mod.evaluate(ctxs, alphas, tol=tol)
+        code = 4 if ev.violated.any() else code
+        pairs = [(g, j, desc or ctx.graph.graph6, ctx, a)
+                 for g, ctx in enumerate(ctxs) for j, a in enumerate(alphas)]
+        if args.format == "tsv":  # one row per entry dict; no report is built
+            rows += ["\t".join([name, fmt_float(a)] + [_cell(b[k]) for k in keys])
+                     for g, j, name, _, a in pairs for b in ev.reports(g, j)]
+            continue
+        for (g, j, name, ctx, a), text in zip(pairs, _bounds_texts(ev)):
+            base = _base_report(name, ctx, a)
+            # null where the search ran out of its node budget
+            base["clique_number"] = None if ctx.cliques is None else ctx.cliques[0]
+            base["independence_number"] = ctx.independence
+            base["bounds"] = text
+            base["discrepancies"] = ev.discrepancies(g, j)
+            reports.append(base)
+    return ("\n".join(rows) if args.format == "tsv" else {"reports": reports}), code
 
 
 # --- sweep ------------------------------------------------------------------
@@ -338,7 +339,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         body, code = args.fn(args)
         if isinstance(body, dict):
             body = json_text({"schema_version": SCHEMA_VERSION, "command": args.command, **body})
-        sys.stdout.write(body)
+        for start in range(0, len(body), 1 << 20):  # 1 MB at a time: no encoded copy of it all
+            sys.stdout.write(body[start:start + (1 << 20)])
         sys.stdout.write("\n")
         sys.stdout.flush()  # a closed pipe raises here, not at shutdown
         return code

@@ -1,7 +1,7 @@
 """Corpus sweeps: stress bounds over many graphs, probe the bipartite
 minimum-spread conjecture, and generate reproducible random graphs.
 
-Every command gets its EvalContexts from blocks(). Both corpus checks fold
+Every command evaluates blocks() one at a time. Both corpus checks fold
 its blocks in corpus order into their JSON document, a plain dict. In a
 sweep, counts add up, and an entry's worst margin moves only to a strictly
 smaller one, so a tie keeps the first (graph, alpha) of the corpus.
@@ -15,7 +15,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import bounds
 from .bounds import BOUND_IDS, DEFAULT_TOL, EQ_TOL
 from .bounds import EvalContext, evaluate, solve_spectra
 from .graphs import Graph, InputError, distance_profiles, is_connected, parse_graph6
@@ -23,6 +22,9 @@ from .jsonfmt import fmt_float
 
 ALPHA_GRID = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 MAX_TRIES = 200
+# graphs per block, so an eigensolve stack holds at most BLOCK_GRAPHS * k
+# matrices however large the corpus
+BLOCK_GRAPHS = 64
 
 
 def iter_graph6_lines(lines: Iterable[str]) -> Iterator[str]:
@@ -54,10 +56,10 @@ def load_corpus(path) -> list[Graph]:
 
 
 def blocks(graphs: Iterable[Graph]) -> Iterator[list[tuple[Graph, Optional[EvalContext]]]]:
-    """Blocks of bounds.BLOCK_GRAPHS graphs (read at call time), one distance_profiles
+    """Blocks of BLOCK_GRAPHS graphs (read at call time), one distance_profiles
     call per block: each graph with its EvalContext, or None if disconnected."""
     it = iter(graphs)
-    while block := list(islice(it, bounds.BLOCK_GRAPHS)):
+    while block := list(islice(it, BLOCK_GRAPHS)):
         yield [(g, None if p is None else EvalContext(g, p))
                for g, p in zip(block, distance_profiles(block))]
 

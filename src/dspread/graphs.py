@@ -280,18 +280,6 @@ def _reach_distances(orders: list[int], src, dst) -> tuple[np.ndarray, np.ndarra
     return dist, (reach[:, 0] >= real).all(axis=1)
 
 
-def is_transmission_regular(profile: DistanceProfile) -> Optional[int]:
-    """Return the common transmission k if all vertices share it, else None.
-
-    Transmissions are integers, so the comparison is exact.
-    """
-    tr = profile.tr
-    k = int(tr[0])
-    if np.all(tr == k):
-        return k
-    return None
-
-
 def is_bipartite(g: Graph,
                  profile: DistanceProfile) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The even and the odd BFS levels from vertex 0 (profile.dist[0]) of a

@@ -473,17 +473,13 @@ def test_solve_spectra_record_matches_one_graph_at_a_time(monkeypatch):
         for a in alphas:
             assert np.array_equal(ctx.values(a), sym_eigen(
                 generalized_distance_matrix(ctx.profile, a)))
-    # one stack per (order, chunk of BLOCK_GRAPHS) holding the 4 distinct
-    # alphas, orders in first-context order; a second call solves the same
-    # stacks again and gives the same record
+    # one stack per order holding the 4 distinct alphas, orders in
+    # first-context order; a second call solves the same stacks again and
+    # gives the same record
     stacks = [(2 * 4, 4, 4), (3 * 4, 5, 5), (4, 3, 3), (4, 6, 6)]
     assert solved == stacks
     solved.clear()
     assert np.array_equal(solve_spectra(ctxs, alphas), record) and solved == stacks
-    solved.clear()
-    monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", 2)
-    assert np.array_equal(solve_spectra(ctxs, alphas), record)
-    assert solved == [(2 * 4, 4, 4), (2 * 4, 5, 5), (4, 5, 5), (4, 3, 3), (4, 6, 6)]
 
 
 # --- quotient-derived bounds against explicit quotients ---

@@ -87,6 +87,16 @@ def test_analyze_file_input(capsys, tmp_path):
     assert code == 0
 
 
+def test_analyze_transmission_regular(capsys, tmp_path, zoo):
+    # the common transmission where every vertex shares it, else null
+    p = tmp_path / "graphs.g6"
+    p.write_text("".join(encode_graph6(zoo[k]) + "\n" for k in ("C4", "P3", "K5")),
+                 encoding="ascii")
+    code, out, _ = run_cli(capsys, "analyze", str(p), "--alpha", "0.5")
+    assert code == 0
+    assert [r["transmission_regular"] for r in json.loads(out)["reports"]] == [4, None, 4]
+
+
 def test_exit_2_on_parse_error(capsys):
     code, _, err = run_cli(capsys, "analyze", "B" + chr(20), "--alpha", "0")
     assert code == 2 and "error" in err
@@ -598,7 +608,7 @@ def test_errors_raised_inside_iteration_are_mapped_by_main(capsys, monkeypatch, 
         raise error("line 9 is malformed")
 
     monkeypatch.setattr(corpus_mod, "blocks", failing)
-    monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", 8)
+    monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", 8)
     n6 = str(resources.files("dspread") / "data" / "bipartite_connected_n6.g6")
     code, out, err = run_cli(capsys, *(a.format(n6=n6) for a in argv))
     assert (code, out, err) == (expected, "", "error: line 9 is malformed\n")
@@ -629,7 +639,7 @@ def test_sweep_draws_random_graphs_as_it_reaches_them(capsys, monkeypatch, tmp_p
         drawn_at_evaluate.append(len(draws)) or evaluate_block(*args, **kwargs)))
     code, out, _ = run_cli(capsys, "sweep", "--seed-random", "6,200,0.5", "--alphas", "0.5")
     assert code == 0 and json.loads(out)["graphs_seen"] == len(draws) == 200
-    assert 0 < drawn_at_evaluate[0] <= bounds_mod.BLOCK_GRAPHS
+    assert 0 < drawn_at_evaluate[0] <= corpus_mod.BLOCK_GRAPHS
     # a corpus is read and validated whole before any draw
     corpus = tmp_path / "malformed.g6"
     corpus.write_text("Bg\nBh\n", encoding="ascii")
@@ -750,7 +760,7 @@ def test_one_profile_and_one_eigensolve_per_pair(capsys, monkeypatch, tmp_path):
     # from the last of several blocks
     corpus.write_text("Bg\nBw\nC~\nA?\n", encoding="ascii")
     for block in (64, 2):
-        monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
+        monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", block)
         for cmd in ("bounds", "analyze"):
             solves.clear()
             code, out, err = run_cli(capsys, cmd, str(corpus))
@@ -769,11 +779,41 @@ def test_reports_do_not_depend_on_the_block_size(capsys, monkeypatch, tmp_path):
                  ("bounds", "--format", "tsv")):
         runs = []
         for block, blocks in ((2, 3), (64, 1)):
-            monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
+            monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", block)
             profiles.clear()
             runs.append(run_cli(capsys, argv[0], str(corpus), *argv[1:]))
             assert len(profiles) == blocks, (argv, block)
         assert runs[0] == runs[1] and runs[0][0] in (0, 4) and runs[0][1], argv
+
+
+def test_commands_evaluate_one_block_at_a_time(capsys, monkeypatch, tmp_path):
+    # five graphs in blocks of two: bounds evaluates and analyze solves each
+    # block on its own, never more than one block per call
+    monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", 2)
+    evaluates = _count_calls(monkeypatch, evaluate)
+    solves = _count_calls(monkeypatch, bounds_mod.solve_spectra)
+    corpus = tmp_path / "five.g6"
+    specs = ("path:5", "complete:3", "kbip:2,3", "cycle:4", "star:5")
+    corpus.write_text("".join(encode_graph6(parse_family(s)) + "\n" for s in specs),
+                      encoding="ascii")
+    code, out, _ = run_cli(capsys, "bounds", str(corpus))
+    assert code in (0, 4) and len(json.loads(out)["reports"]) == 5 * 7
+    assert [len(args[0]) for args in evaluates] == [2, 2, 1]
+    solves.clear()
+    code, out, _ = run_cli(capsys, "analyze", str(corpus))
+    assert code == 0 and len(json.loads(out)["reports"]) == 5 * 7
+    assert [len(args[0]) for args in solves] == [2, 2, 1]
+
+
+def test_a_document_longer_than_a_write_is_written_whole(capsys, tmp_path):
+    # main writes stdout 1 MB at a time; the n = 6 corpus four times over
+    # gives about 3 MB of bounds JSON, so several writes, and no byte is lost
+    n6 = (resources.files("dspread") / "data" / "bipartite_connected_n6.g6").read_text()
+    corpus = tmp_path / "n6_x4.g6"
+    corpus.write_text(n6 * 4, encoding="ascii")
+    code, out, _ = run_cli(capsys, "bounds", str(corpus))
+    assert code == 0 and len(out) > 2 * (1 << 20)
+    assert out == json_text(json.loads(out)) + "\n"
 
 
 def test_one_profile_and_no_bfs_per_small_graph(capsys, monkeypatch, tmp_path):

@@ -3,7 +3,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dspread import bounds as bounds_mod
 from dspread import corpus as corpus_mod
 from dspread.bounds import CLAIMED, PROVEN, evaluate_all
 from dspread.corpus import (
@@ -135,7 +134,7 @@ def test_problem39_same_document_at_every_block_size(monkeypatch, alpha):
     graphs = load_corpus(ref)
     texts = set()
     for block in (1, 2, 64):
-        monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
+        monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", block)
         texts.add(json_text(check_problem_39(graphs, 6, alpha)))
     assert len(texts) == 1
 
@@ -145,7 +144,7 @@ def test_problem39_tie_across_blocks_keeps_least_graph6(zoo, monkeypatch, block)
     # "Cr" and "C]" are two labelings of C4, transmission regular, so both
     # spreads are exactly 0 at alpha = 1; the later one has the smaller
     # graph6 and at block sizes 1 and 2 sits in a later block
-    monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
+    monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", block)
     graphs = [zoo["K13"], parse_graph6("Cr"), parse_graph6("C]"), zoo["P4"]]
     result = check_problem_39(graphs, 4, 1.0)
     assert (result["candidate_min_graph"], result["candidate_min_spread"]) == ("C]", 0.0)
@@ -154,7 +153,7 @@ def test_problem39_tie_across_blocks_keeps_least_graph6(zoo, monkeypatch, block)
 
 @pytest.mark.parametrize("block", [1, 2, 64])
 def test_problem39_first_bad_graph_names_the_error(zoo, monkeypatch, block):
-    monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
+    monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", block)
     c4, p4 = zoo["C4"], zoo["P4"]
     not_bipartite, disconnected = zoo["CS22"], Graph.from_edges(4, [(0, 1)])
     wrong_order, wrong_order_apart = zoo["P3"], Graph.from_edges(3, [(0, 1)])
@@ -280,13 +279,13 @@ def test_sweep_equals_per_pair_tally(zoo, monkeypatch):
     # smaller blocks give the same document; with one-graph blocks the
     # disconnected graph is a block with nothing to evaluate
     for size in (1, 2, 3):
-        monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", size)
+        monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", size)
         assert json_text(sweep(graphs, alphas=alphas)) == text, size
 
 
 @pytest.mark.parametrize("block", [1, 2, 64])
 def test_sweep_exact_tie_keeps_first_pair(zoo, monkeypatch, block):
-    monkeypatch.setattr(bounds_mod, "BLOCK_GRAPHS", block)
+    monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", block)
     alphas = (0.0, 0.5, 1.0)
     # thm26 is exactly tight on every complete graph at alpha = 1: a tie across blocks
     for k in ("K4", "K5"):

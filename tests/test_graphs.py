@@ -17,7 +17,6 @@ from dspread.graphs import (
     encode_graph6,
     is_bipartite,
     is_connected,
-    is_transmission_regular,
     parse_graph6,
 )
 
@@ -245,12 +244,6 @@ def test_profile_single_vertex():
 def test_profile_disconnected_raises():
     with pytest.raises(ValueError, match="requires connected graph"):
         distance_profile(Graph.from_edges(3, [(0, 1)]))
-
-
-def test_transmission_regular(zoo):
-    assert is_transmission_regular(distance_profile(zoo["C4"])) == 4
-    assert is_transmission_regular(distance_profile(zoo["P3"])) is None
-    assert is_transmission_regular(distance_profile(zoo["K5"])) == 4
 
 
 @given(n=st.integers(2, 9), mask=st.integers(0, 2**36 - 1))
