@@ -121,6 +121,9 @@ COMMANDS = [
     "sweep --corpus= --seed-random 4,1,0.9",
     "sweep --seed-random= --corpus {n4}",
     "sweep --seed-random 5,0,0.5",
+    # too few edges on average for a connected draw: refused before any draw
+    "sweep --seed-random 2000,1,0.0005",
+    "sweep --seed-random 500,1,0.001",
     # dense graphs with many maximum cliques of unequal transmission sums
     "sweep --seed-random 36,8,0.7 --alphas 0,0.5,1",
     "conjecture --n 4 --alpha 0",

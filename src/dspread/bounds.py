@@ -59,33 +59,25 @@ EQ_TOL = 1e-6
 
 
 class EvalContext:
-    """Per-graph data the registry reads: the distance profile, and on first
-    use bipartiteness (off the profile's BFS levels), the clique number with
-    the least and greatest transmission sum over the maximum cliques, and
-    the independence number (each None when its search runs out of
-    cliques.SEARCH_BUDGET nodes; search_nodes holds the nodes of each
-    search run) and spectra, the eigenvalues of each alpha solve_spectra()
-    has solved it at.
-
-    Commands build contexts in corpus.blocks(), from a block's profiles;
-    without a profile it is computed here, and a disconnected graph raises
-    DisconnectedGraphError.
+    """Per-graph data the registry reads: the distance profile, given by
+    corpus.blocks(), and on first use bipartiteness (off the profile's BFS
+    levels), the clique number with the least and greatest transmission sum
+    over the maximum cliques, and the independence number (each None when
+    its search runs out of cliques.SEARCH_BUDGET nodes). spectra holds the
+    eigenvalues of each alpha solve_spectra() has solved it at.
     """
 
-    def __init__(self, graph: Graph, profile: Optional[DistanceProfile] = None):
+    def __init__(self, graph: Graph, profile: DistanceProfile):
         self.graph = graph
-        self.profile = distance_profile(graph) if profile is None else profile
+        self.profile = profile
         self.spectra: dict[float, np.ndarray] = {}
-        self.search_nodes: dict[str, int] = {}
 
     @cached_property
     def bipartite(self) -> bool:
         return is_bipartite(self.graph, self.profile) is not None
 
     def values(self, alpha: float) -> np.ndarray:
-        """Eigenvalues of D_alpha, descending."""
-        if alpha not in self.spectra:
-            solve_spectra([self], [alpha])
+        """Eigenvalues of D_alpha, descending; KeyError if unsolved at alpha."""
         return self.spectra[alpha]
 
     def spread(self, alpha: float) -> float:
@@ -94,11 +86,11 @@ class EvalContext:
 
     @cached_property
     def cliques(self) -> Optional[tuple[int, int, int]]:
-        return clique_number(self.graph, self.profile.tr.tolist(), self.search_nodes)
+        return clique_number(self.graph, self.profile.tr.tolist())
 
     @cached_property
     def independence(self) -> Optional[int]:
-        return independence_number(self.graph, self.search_nodes)
+        return independence_number(self.graph)
 
 
 def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> np.ndarray:
@@ -449,6 +441,6 @@ def evaluate(
 def evaluate_all(g: Graph, alpha: float, ctx: Optional[EvalContext] = None) -> list[dict]:
     """The `bounds` entries of (g, alpha), inapplicable ones included: the
     one-graph, one-alpha view of evaluate()."""
-    ctx = EvalContext(g) if ctx is None else ctx
+    ctx = EvalContext(g, distance_profile(g)) if ctx is None else ctx
     return evaluate([ctx], [alpha]).reports(0, 0)
 

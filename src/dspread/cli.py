@@ -257,6 +257,8 @@ def _cmd_sweep(args) -> tuple[str | dict, int]:
     n, count, p = (0, 0, 0.0) if args.seed_random is None else _parse_seed_random(args.seed_random)
     if args.corpus is None and not count:
         raise InputError("nothing to sweep: give --corpus and/or --seed-random")
+    if count:  # hopeless draws are refused before the corpus is read (exit 3)
+        corpus_mod.check_connected_draws(n, p)
     # the corpus is read whole before any work; the random graphs are drawn
     # as the sweep reaches them
     graphs = itertools.chain([] if args.corpus is None else corpus_mod.load_corpus(args.corpus), (

@@ -29,11 +29,10 @@ class SearchBudgetExceeded(RuntimeError):
     """Unwinds _maximum_cliques once it has visited SEARCH_BUDGET nodes."""
 
 
-def _maximum_cliques(
-    masks: Sequence[int], weights: Sequence[int]
-) -> tuple[Optional[tuple[int, int, int]], int]:
+def _maximum_cliques(masks: Sequence[int],
+                     weights: Sequence[int]) -> Optional[tuple[int, int, int]]:
     """The clique number with the least and greatest weight sum over the
-    maximum cliques, and the number of search nodes visited.
+    maximum cliques.
 
     Branch and bound in the MCQ style (Tomita and Seki, 2003): a node
     colours its candidates P greedily and branches from the highest colour
@@ -111,33 +110,22 @@ def _maximum_cliques(
                     raise SearchBudgetExceeded
                 stack.append(coloured(*child))
     except SearchBudgetExceeded:
-        return None, budget
-    return (best_size, lo, hi), nodes
+        return None
+    return best_size, lo, hi
 
 
-def clique_number(
-    g: Graph, weights: Sequence[int], nodes: Optional[dict[str, int]] = None
-) -> Optional[tuple[int, int, int]]:
+def clique_number(g: Graph, weights: Sequence[int]) -> Optional[tuple[int, int, int]]:
     """Exact clique number with the least and greatest sum of the vertex
     weights (thm41 passes the transmissions) over the maximum cliques;
-    None when the search runs out of its budget.
-
-    nodes, when given, gets the search's node count under "clique".
-    """
-    found, spent = _maximum_cliques(g.masks, weights)
-    if nodes is not None:
-        nodes["clique"] = spent
-    return found
+    None when the search runs out of its budget."""
+    return _maximum_cliques(g.masks, weights)
 
 
-def independence_number(g: Graph, nodes: Optional[dict[str, int]] = None) -> Optional[int]:
+def independence_number(g: Graph) -> Optional[int]:
     """Exact independence number (the clique number of the complement, with
     zero weights, so the search stops at the first maximum set found), or
-    None as for clique_number; nodes likewise, the count under "independence".
-    """
+    None as for clique_number."""
     full = (1 << g.n) - 1
     non_adjacent = [full & ~(m | 1 << v) for v, m in enumerate(g.masks)]
-    found, spent = _maximum_cliques(non_adjacent, [0] * g.n)
-    if nodes is not None:
-        nodes["independence"] = spent
+    found = _maximum_cliques(non_adjacent, [0] * g.n)
     return None if found is None else found[0]

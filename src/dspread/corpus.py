@@ -9,6 +9,7 @@ smaller one, so a tie keeps the first (graph, alpha) of the corpus.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
@@ -177,6 +178,20 @@ def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> dict:
         "conjectured_graph_spread": conjectured_spread,
         "confirmed": conjectured_spread <= best[0] + EQ_TOL,
     }
+
+
+def check_connected_draws(n: int, edge_prob: float) -> None:
+    """Raise ValueError where MAX_TRIES draws of G(n, p) almost surely miss the n - 1 edges of
+    a connected graph: where n - 1 > N*p over N = n(n-1)/2 pairs, one draw has that many with
+    probability at most exp(-N*KL((n-1)/N || p)) (Chernoff), and MAX_TRIES times that < 1e-30."""
+    pairs = n * (n - 1) / 2
+    q = (n - 1) / pairs if pairs else 0.0
+    if q <= edge_prob:
+        return
+    rest = (1 - q) * math.log((1 - q) / (1 - edge_prob)) if q < 1 else 0.0
+    if pairs * (q * math.log(q / edge_prob) + rest) > math.log(MAX_TRIES / 1e-30):
+        raise ValueError(f"no connected sample in reach (n={n}, p={edge_prob}): a connected "
+                         f"graph needs {n - 1} edges, a draw has {pairs * edge_prob:g} on average")
 
 
 def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:

@@ -2,7 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from dspread.bounds import BOUND_IDS, evaluate_all
+from dspread.bounds import BOUND_IDS, evaluate_all, solve_spectra
+from dspread.corpus import blocks
 from dspread.families import family
 from dspread.graphs import Graph, is_connected
 
@@ -32,6 +33,20 @@ def zoo():
 def evaluate_bound(bound_id: str, g: Graph, alpha: float, ctx=None) -> dict:
     """The `bounds` entry of one registry entry on (g, alpha)."""
     return evaluate_all(g, alpha, ctx)[BOUND_IDS.index(bound_id)]
+
+
+def contexts(graphs, alphas=()) -> list:
+    """The EvalContexts of connected graphs as the commands build them:
+    profiles from corpus.blocks, spectra from one solve_spectra call per
+    block at alphas (none when alphas is empty)."""
+    out = []
+    for block in blocks(graphs):
+        ctxs = [ctx for _, ctx in block]
+        assert None not in ctxs, "disconnected graph"
+        if alphas:
+            solve_spectra(ctxs, alphas)
+        out += ctxs
+    return out
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:

@@ -17,9 +17,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from dspread.bounds import DEFAULT_TOL, EvalContext, solve_spectra
+from dspread.bounds import DEFAULT_TOL, solve_spectra
+from dspread.corpus import blocks
 from dspread.eigen import sym_eigen
-from dspread.graphs import DisconnectedGraphError, Graph
+from dspread.graphs import Graph
 
 
 def remove_edge(g: Graph, edge: tuple[int, int]) -> Graph:
@@ -112,10 +113,8 @@ def check_edge_deletion_monotonicity(g: Graph, edge: tuple[int, int], alpha: flo
     """
     if not 0.5 <= alpha <= 1.0:
         raise ValueError("monotonicity check requires alpha in [1/2, 1]")
-    try:
-        smaller = EvalContext(remove_edge(g, edge))
-    except DisconnectedGraphError:
-        raise ValueError("edge deletion disconnects the graph") from None
-    before = EvalContext(g)
+    (_, before), (_, smaller) = next(blocks([g, remove_edge(g, edge)]))
+    if smaller is None:
+        raise ValueError("edge deletion disconnects the graph")
     solve_spectra([before, smaller], [alpha])
     return bool(np.all(smaller.values(alpha) >= before.values(alpha) - DEFAULT_TOL))

@@ -11,7 +11,6 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from dspread.bounds import EvalContext
 from dspread.corpus import (
     check_problem_39,
     iter_graph6_lines,
@@ -24,7 +23,7 @@ from dspread.graphs import distance_profile, is_bipartite, is_connected, parse_g
 from dspread.jsonfmt import json_text
 from dspread.matrices import generalized_distance_matrix
 
-from conftest import evaluate_bound
+from conftest import contexts, evaluate_bound
 from family_oracle import (
     sigma_complete_bipartite,
     spectrum_complete_bipartite,
@@ -163,8 +162,7 @@ def test_criterion_05_equality_characterizations(zoo):
     # so the characterization only concerns alpha < 1
     alphas = [a for a in GRID if a < 1.0]
     thm26_small_alpha = 0
-    for g in completes:
-        ctx = EvalContext(g)
+    for g, ctx in zip(completes, contexts(completes)):
         for a in alphas:
             r25 = evaluate_bound("thm25_lower", g, a, ctx=ctx)
             assert r25["equality"], ("thm25 missed equality on complete graph", g.n, a)
@@ -176,8 +174,7 @@ def test_criterion_05_equality_characterizations(zoo):
                 # n*alpha - 1 is negative, so the bound is strict
                 assert not r26["equality"] and r26["gap"] > 1e-6
                 thm26_small_alpha += 1
-    for g in others:
-        ctx = EvalContext(g)
+    for g, ctx in zip(others, contexts(others)):
         for a in alphas:
             assert not evaluate_bound("thm25_lower", g, a, ctx=ctx)["equality"]
             assert not evaluate_bound("thm26_lower", g, a, ctx=ctx)["equality"]
@@ -191,7 +188,7 @@ def test_criterion_06_transmission_regular_identity():
     for n in range(3, 13):
         g = family("cycle", n)
         sd = _spread(g, 0.0)
-        ctx = EvalContext(g)
+        (ctx,) = contexts([g], GRID)
         for alpha in GRID:
             assert abs(ctx.spread(alpha) - (1 - alpha) * sd) <= TOL, (n, alpha)
             lo = evaluate_bound("thm24_lower", g, alpha, ctx=ctx)

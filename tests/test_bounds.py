@@ -28,7 +28,7 @@ from dspread.families import family, parse_family
 from dspread.graphs import Graph, distance_profile, is_connected, parse_graph6
 from dspread.matrices import generalized_distance_matrix
 
-from conftest import connected_graph_from_mask, evaluate_bound, graph_from_mask
+from conftest import connected_graph_from_mask, contexts, evaluate_bound, graph_from_mask
 from structure_oracle import (
     check_edge_deletion_monotonicity,
     check_interlacing,
@@ -75,9 +75,7 @@ def test_clique_cap(monkeypatch):
     # the search stops after SEARCH_BUDGET nodes, whatever the order
     monkeypatch.setattr(cliques_mod, "SEARCH_BUDGET", 20)
     g = Graph.from_edges(45, [(i, i + 1) for i in range(44)])
-    nodes = {}
-    assert clique_number(g, _transmissions(g), nodes=nodes) is None
-    assert nodes == {"clique": 20}
+    assert clique_number(g, _transmissions(g)) is None
 
 
 def _brute_independence(g):
@@ -127,9 +125,7 @@ def test_independence_number_against_exhaustive_oracle(n, mask):
 def test_independence_cap(monkeypatch):
     # the complement of 41 isolated vertices is K41: one 42-node descent
     monkeypatch.setattr(cliques_mod, "SEARCH_BUDGET", 20)
-    nodes = {}
-    assert independence_number(Graph(n=41, edges=frozenset()), nodes=nodes) is None
-    assert nodes == {"independence": 20}
+    assert independence_number(Graph(n=41, edges=frozenset())) is None
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
@@ -293,7 +289,7 @@ def test_reports_hold_plain_python_values(zoo, monkeypatch):
     # both searches on the 45-path run out of a 20-node budget
     monkeypatch.setattr(cliques_mod, "SEARCH_BUDGET", 20)
     path45 = Graph.from_edges(45, [(i, i + 1) for i in range(44)])
-    ev = evaluate([EvalContext(path45), EvalContext(zoo["K13"])], [0.1])
+    ev = evaluate(contexts([path45, zoo["K13"]]), [0.1])
     kinds = set()
     for g in range(2):
         for r in ev.reports(g, 0):
@@ -307,7 +303,7 @@ def test_reports_hold_plain_python_values(zoo, monkeypatch):
 
 def test_entry_and_discrepancy_key_order(zoo):
     # the key order of the `bounds` JSON entries and discrepancies
-    ev = evaluate([EvalContext(zoo["K13"])], [0.1])
+    ev = evaluate(contexts([zoo["K13"]]), [0.1])
     by_id = {r["bound_id"]: r for r in ev.reports(0, 0)}
     applicable, inapplicable = by_id["thm35_bipartite_lower"], by_id["thm38_bipartite_lower"]
     assert applicable["applicable"] and not inapplicable["applicable"]
@@ -329,8 +325,7 @@ def test_single_vertex_all_inapplicable():
 
 
 def test_zoo_soundness(zoo):
-    for g in zoo.values():
-        ctx = EvalContext(g)
+    for g, ctx in zip(zoo.values(), contexts(zoo.values())):
         for alpha in GRID:
             reports = evaluate_all(g, alpha, ctx=ctx)
             violated = [r for r in reports if r["status"] == PROVEN and r["holds"] is False]
@@ -367,7 +362,7 @@ def test_halfrange_equality_iff_zero_smallest(zoo):
     for g in zoo.values():
         for alpha in (0.5, 0.75, 1.0):
             r = evaluate_bound("halfrange_radius_upper", g, alpha)
-            ctx = EvalContext(g)
+            (ctx,) = contexts([g], [alpha])
             smallest = ctx.values(alpha)[-1]
             assert r["equality"] == (abs(smallest) <= 1e-6)
 
@@ -385,8 +380,7 @@ def test_thm210_equality_condition(zoo):
     # when the equality flag fires, every middle eigenvalue must sit at the
     # midpoint of the extremes
     hits = 0
-    for g in zoo.values():
-        ctx = EvalContext(g)
+    for g, ctx in zip(zoo.values(), contexts(zoo.values())):
         for alpha in GRID:
             r = evaluate_bound("thm210_upper", g, alpha, ctx=ctx)
             if not r["equality"]:
@@ -405,7 +399,7 @@ def test_stars_meet_mirsky_at_alpha_star():
     for n in range(3, 21):
         g = family("star", n)
         alpha = 2 * n / (3 * n - 2)
-        ctx = EvalContext(g)
+        (ctx,) = contexts([g], [alpha])
         vals = ctx.values(alpha)
         assert np.all(np.abs(vals[1:-1] - (vals[0] + vals[-1]) / 2) <= 1e-12), n
         for bound_id in ("mirsky_upper", "thm210_upper"):
@@ -430,6 +424,20 @@ def test_mirsky_generic_symmetric(raw):
     assert spread <= bound + 1e-8
 
 
+def test_context_takes_its_profile_from_the_block_stage(zoo):
+    with pytest.raises(TypeError):
+        EvalContext(zoo["C4"])
+
+
+def test_values_runs_no_solve(zoo, monkeypatch):
+    # only solve_spectra fills a context's spectra; an unsolved alpha is a KeyError
+    (ctx,) = contexts([zoo["C4"]], [0.5])
+    monkeypatch.setattr(bounds_mod, "solve_spectra", None)
+    assert ctx.spread(0.5) == pytest.approx(3.0)
+    with pytest.raises(KeyError):
+        ctx.values(0.25)
+
+
 def _record_row(g: Graph, alpha: float) -> list[float]:
     """[top, bottom, |D_alpha|_F^2, trace] of one graph and alpha, alone."""
     m = generalized_distance_matrix(distance_profile(g), alpha)
@@ -441,7 +449,7 @@ def test_solve_spectra_holds_one_stack():
     # the D_alpha stack is the one buffer of the solve: sym_eigen zeroes its
     # tiny entries in it and |D_alpha|_F^2 squares it in place, so a private
     # copy or a squared second stack would each add a whole stack
-    ctx = EvalContext(parse_family("cycle:300"))
+    (ctx,) = contexts([parse_family("cycle:300")])
     solve_spectra([ctx], ALPHA_GRID)  # warm-up: numpy and LAPACK set up their buffers
     tracemalloc.start()
     try:
@@ -458,10 +466,10 @@ def test_solve_spectra_record_matches_one_graph_at_a_time(monkeypatch):
     # bit for bit, and every context is solved at every asked alpha
     graphs = [parse_family(spec) for spec in ("path:4", "cycle:5", "kbip:2,3", "complete:3",
                                               "star:6", "split:2,5", "path:4")]
-    ctxs = [EvalContext(g) for g in graphs]
-    ctxs[1].values(0.5)
+    ctxs = contexts(graphs)
+    solve_spectra(ctxs[1:2], [0.5])
     solve_spectra(ctxs[2:4], [0.25, 0.9])
-    ctxs[4].values(0.0)
+    solve_spectra(ctxs[4:5], [0.0])
     alphas = [0.25, 0.5, 0.25, 1.0, 0.0]
     solved = []
     monkeypatch.setattr(bounds_mod, "sym_eigen", lambda m: solved.append(m.shape) or sym_eigen(m))
@@ -510,7 +518,7 @@ def test_thm41_from_the_extreme_clique_sums(n, p, seed):
     # the radicand is convex in the clique sum, so the best quotient over
     # every distinct maximum-clique sum is the one at s_min or s_max, bit for bit
     g = random_connected_graph(n, p, seed=seed)
-    ctx = EvalContext(g)
+    (ctx,) = contexts([g])
     c = bounds_mod._columns([ctx], ALPHA_GRID, solve_spectra([ctx], [*ALPHA_GRID, 0.0]))
     tr = _transmissions(g)
     sums = sorted({float(sum(tr[v] for v in cl)) for cl in maximum_cliques(g)})
@@ -559,7 +567,7 @@ def test_thm35_matches_explicit_quotient_in_mixed_blocks(shapes):
         block.append(Graph.from_edges(2 * r, [e for i, j in pairs for e in ((i, r + j), (j, r + i))]))
     assume(len({g.n for g in block}) >= 2)
     alphas = (0.0, 0.4, 0.75, 1.0)
-    ev = evaluate([EvalContext(g) for g in block], alphas)
+    ev = evaluate(contexts(block), alphas)
     i = BOUND_IDS.index("thm35_bipartite_lower")
     for k, g in enumerate(block):
         for j, alpha in enumerate(alphas):
@@ -571,7 +579,7 @@ def test_thm35_matches_explicit_quotient_in_mixed_blocks(shapes):
 
 
 def test_thm38_halfrange_counterexample_c4(zoo):
-    ev = evaluate([EvalContext(zoo["C4"])], [0.5])
+    ev = evaluate(contexts([zoo["C4"]]), [0.5])
     i = BOUND_IDS.index("thm38_bipartite_lower")
     r = ev.reports(0, 0)[i]
     assert r["status"] == CLAIMED
@@ -583,7 +591,7 @@ def test_thm38_halfrange_counterexample_c4(zoo):
 
 
 def test_thm43_halfrange_counterexample_diamond(zoo):
-    ev = evaluate([EvalContext(zoo["CS22"])], [0.5])
+    ev = evaluate(contexts([zoo["CS22"]]), [0.5])
     r = ev.reports(0, 0)[BOUND_IDS.index("thm43_independence_lower")]
     assert r["status"] == CLAIMED
     assert r["actual"] == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-9)
@@ -599,7 +607,7 @@ def test_thm43_zero_alpha_equality_on_split_graphs(zoo):
 
 
 def test_thm35_star_claim_discrepancy(zoo):
-    ev = evaluate([EvalContext(zoo["K13"])], [0.1])
+    ev = evaluate(contexts([zoo["K13"]]), [0.1])
     i = BOUND_IDS.index("thm35_bipartite_lower")
     r = ev.reports(0, 0)[i]
     assert r["status"] == CLAIMED and ev.exact[i, 0, 0]
@@ -674,7 +682,7 @@ def test_reports_invariant_under_relabeling(n, mask, perm_seed):
     perm = list(range(n))
     perm_seed.shuffle(perm)
     h = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges])
-    ctx_g, ctx_h = EvalContext(g), EvalContext(h)
+    ctx_g, ctx_h = contexts([g, h])
     ev_g, ev_h = evaluate([ctx_g], GRID), evaluate([ctx_h], GRID)
     for j, alpha in enumerate(GRID):
         assert np.allclose(ctx_g.values(alpha), ctx_h.values(alpha), rtol=0, atol=1e-9)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -19,7 +20,7 @@ from dspread import cli as cli_mod
 from dspread import cliques as cliques_mod
 from dspread import corpus as corpus_mod
 from dspread import graphs as graphs_mod
-from dspread.bounds import BOUND_IDS, EvalContext, evaluate, evaluate_all
+from dspread.bounds import BOUND_IDS, evaluate, evaluate_all
 from dspread.cliques import CLIQUE_BUDGET_SPENT, INDEPENDENCE_BUDGET_SPENT
 from dspread.cli import EXIT_BROKEN_PIPE, main
 from dspread.eigen import sym_eigen
@@ -28,6 +29,7 @@ from dspread.graphs import (DistanceProfile, Graph, InputError, bfs_distances,
                             distance_profiles, encode_graph6, is_bipartite)
 from dspread.jsonfmt import json_text
 
+from conftest import contexts
 from json_oracle import json_text as oracle_text
 
 
@@ -201,7 +203,7 @@ def test_bounds_report_renders_the_registry_entries(capsys, spec, alpha, kind):
     assert code == 0
     (report,) = json.loads(out)["reports"]
     g = parse_family(spec)
-    discrepancies = evaluate([EvalContext(g)], [alpha]).discrepancies(0, 0)
+    discrepancies = evaluate(contexts([g]), [alpha]).discrepancies(0, 0)
     assert report["bounds"] == json.loads(json_text(evaluate_all(g, alpha)))
     assert report["discrepancies"] == json.loads(json_text(discrepancies))
     assert [d["kind"] for d in report["discrepancies"]] == [kind]
@@ -245,7 +247,7 @@ def test_bounds_json_entries_match_the_report_dicts(tmp_path_factory, graphs, al
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
-        ctxs = [EvalContext(g) for g in graphs]
+        ctxs = contexts(graphs)
         ev = evaluate(ctxs, alphas)
     reports = [
         dict(cli_mod._base_report(None, ctx, a),
@@ -458,7 +460,7 @@ def test_json_stdout_is_the_reference_text_of_the_library_document(capsys):
     """stdout is the envelope and the body that the library builds, through
     the reference writer, and one newline."""
     alphas = [0.0, 0.25, 1.0]
-    ctx = EvalContext(parse_family("kbip:2,3"))
+    (ctx,) = contexts([parse_family("kbip:2,3")], alphas)
     graphs = [corpus_mod.random_connected_graph(6, 0.5, seed=1 + i) for i in range(3)]
     n5 = corpus_mod.load_corpus(resources.files("dspread") / "data" / "bipartite_connected_n5.g6")
     for argv, body in [
@@ -669,6 +671,19 @@ def test_sweep_bad_seed_random_is_an_input_error(capsys, tmp_path, spec):
     for extra in ((), ("--corpus", str(corpus))):
         code, out, err = run_cli(capsys, "sweep", f"--seed-random={spec}", *extra)
         assert code == 2 and "--seed-random" in err and out == "", extra
+
+
+@pytest.mark.parametrize("spec, edges", [("2000,1,0.0005", 1999), ("500,1,0.001", 499)])
+def test_sweep_refuses_hopeless_draws_up_front(capsys, tmp_path, spec, edges):
+    # no draw of these has the n - 1 edges a connected graph needs: exit 3
+    # at once, before the (missing) corpus is read or any graph is drawn
+    n, _, p = spec.split(",")
+    for extra in ((), ("--corpus", str(tmp_path / "missing.g6"))):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sweep", "--seed-random", spec, *extra)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == "", extra
+        assert f"(n={n}, p={p})" in err and f"needs {edges} edges" in err
 
 
 @pytest.mark.parametrize("argv", [("analyze", "Bg", "--alpha={}"),

@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # in file and source order, each with the reason it stays in the library.
 KEPT = {
     "bounds.evaluate_all": "a layer of perfbench/spans.py, so `run.py --trace 1` needs it",
-    "graphs.distance_profile": "EvalContext's default profile and a layer of perfbench/spans.py; "
+    "graphs.distance_profile": "evaluate_all's profile and a layer of perfbench/spans.py; "
                                "tests call it on one graph",
 }
 
