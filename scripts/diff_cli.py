@@ -55,8 +55,9 @@ CYCLE_63 = ("~??~hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@
 # 150 vertices, so one block mixes orders far apart; {empty}: a corpus file holding only a
 # comment; {nonascii}: a corpus file whose second line holds byte 0xE9;
 # {dir}: the temporary directory itself; {nonbip}: the n = 4 corpus and
-# then K4; {incomplete}: the n = 4 corpus without its K_{2,2}. Each command
-# is split with shlex, so a quoted argument may hold whitespace.
+# then K4; {incomplete}: the n = 4 corpus without its K_{2,2}; {c40}: a
+# corpus file holding the 40-cycle. Each command is split with shlex, so a
+# quoted argument may hold whitespace.
 COMMANDS = [
     "analyze Bg",
     "analyze kbip:2,3",
@@ -200,6 +201,16 @@ COMMANDS = [
     "conjecture --n 1 --alpha 0 --corpus {n4}",
     "conjecture --n 4 --alpha 0 --corpus {nonbip}",
     "conjecture --n 4 --alpha 0.5 --corpus {incomplete}",
+    # a missing path as a command input: graph6 never holds "." or "/"
+    "analyze {missing}",
+    "bounds {missing}",
+    # false violations near alpha = 1 (ROADMAP item 4), the one command whose
+    # sweep lists violations
+    "sweep --corpus {c40} --alphas 0.99999999",
+    # input errors of the alpha list and --seed-random
+    "analyze Bg --alpha-grid 0,x",
+    "sweep --seed-random a,1,0.5",
+    "sweep --seed-random 2001,1,0.5",
 ]
 
 
@@ -289,7 +300,9 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
                              n6 * 4 + graph6(150, [(v - 1, v) for v in range(1, 150)]) + "\n"),
                             ("empty", "comment_only.g6", "# no graph\n"),
                             ("nonbip", "bipartite_n4_and_k4.g6", n4 + "C~\n"),
-                            ("incomplete", "bipartite_n4_no_k22.g6", "Ck\nCs\n")):
+                            ("incomplete", "bipartite_n4_no_k22.g6", "Ck\nCs\n"),
+                            ("c40", "cycle_40.g6",
+                             graph6(40, [(v, (v + 1) % 40) for v in range(40)]) + "\n")):
         files[key] = Path(tmp) / name
         files[key].write_text(text, encoding="ascii")
     files.update(n4=data / "bipartite_connected_n4.g6", n6=data / "bipartite_connected_n6.g6")

@@ -22,7 +22,7 @@ import itertools
 import math
 import os
 import sys
-from importlib import resources
+from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -95,12 +95,13 @@ def _alphas(args) -> list[float]:
 
 def _resolve_inputs(text: str) -> tuple[Optional[str], list[Graph]]:
     """An input is a corpus file path, a family spec ("kbip:2,3") or a
-    graph6 string, tried in that order; graph6 never holds ":". Returns
-    (desc, graphs); a file has desc None (each graph is described by its
-    graph6 string) and one graph per non-comment line. A graph6 string is
-    echoed without the whitespace the parser skips (a run after a
+    graph6 string. Graph6 never holds ":", "." or "/", so an existing file,
+    or a text with "." or "/" and no ":", is a path, read even if missing;
+    else a text with ":" is a family spec. Returns (desc, graphs); a file
+    has desc None (each graph is described by its graph6 string). A graph6
+    string is echoed without the whitespace the parser skips (a run after a
     ">>graph6<<" header becomes one space), so it cannot break a TSV row."""
-    if os.path.exists(text):
+    if os.path.exists(text) or ":" not in text and ("." in text or "/" in text):
         return None, corpus_mod.load_corpus(text)
     if ":" in text:
         return text, [parse_family(text)]
@@ -270,14 +271,14 @@ def _cmd_sweep(args) -> tuple[str | dict, int]:
 # --- conjecture -------------------------------------------------------------
 
 
-def _packaged_corpus(n: int):
-    ref = resources.files("dspread").joinpath(f"data/bipartite_connected_n{n}.g6")
-    if not ref.is_file():
+def _packaged_corpus(n: int) -> Path:
+    path = Path(__file__).with_name("data") / f"bipartite_connected_n{n}.g6"
+    if not path.is_file():
         raise InputError(
             f"no packaged corpus for n={n}; supply --corpus with an exhaustive "
             f"connected-bipartite graph6 file"
         )
-    return ref
+    return path
 
 
 def _cmd_conjecture(args) -> tuple[str | dict, int]:

@@ -28,23 +28,16 @@ MAX_TRIES = 200
 BLOCK_GRAPHS = 64
 
 
-def iter_graph6_lines(lines: Iterable[str]) -> Iterator[str]:
-    """Yield graph6 payload lines, skipping blanks and '#' comments."""
-    for line in lines:
-        s = line.strip()
-        if s and not s.startswith("#"):
-            yield s
-
-
 def load_corpus(path) -> list[Graph]:
-    """Every graph of a graph6 corpus file; one that cannot be read, is not
-    ASCII or holds a line that does not parse raises InputError naming it
-    (and the number of the line)."""
+    """Every graph of a graph6 corpus file, one a stripped line, blanks and
+    "#" comments skipped; a file that cannot be read, is not ASCII or holds a
+    line that does not parse raises InputError naming it (and the line)."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             graphs = []
             for lineno, line in enumerate(fh, 1):
-                for s in iter_graph6_lines([line]):
+                s = line.strip()
+                if s and not s.startswith("#"):
                     graphs.append(parse_graph6(s))
             return graphs
     except OSError as exc:

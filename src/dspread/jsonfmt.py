@@ -4,10 +4,12 @@ The stock json module prints floats with repr, which is shortest-roundtrip
 rather than fixed-width; golden-file tests want the same bytes on every
 platform, so this small writer formats every float with "%.12g". Objects
 and arrays put one member per line, indented two spaces per level, in
-insertion order; strings are ASCII with JSON escapes. fmt_float renders
-every float leaf and raises ValueError on NaN and infinities; a list of
-exact floats (a spectrum) is the one batch path, one join with one check.
-A Raw leaf is text rendered elsewhere in this layout, and goes out uncopied.
+insertion order; strings are ASCII with JSON escapes. Leaves are of the
+exact types str, bool, None, int and float, keys are str, and a Raw is
+text rendered elsewhere in this layout that goes out uncopied; anything
+else, numpy scalars included, raises TypeError. fmt_float renders every
+float leaf and raises ValueError on NaN and infinities; a list of exact
+floats (a spectrum) is the one batch path, one join with one check.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ class Raw(str):
     depth it sits at."""
 
 
-# renderers of the leaf types by exact type; subclasses go through _leaf
+# renderers of the leaf types, by exact type
 _LEAF = {
-    Raw: lambda _: None,  # _write emits it as it is, uncopied
     str: _quote,
     float: fmt_float,
     int: int.__repr__,
@@ -45,40 +46,28 @@ _FLOATS = {float}
 
 
 def json_text(obj) -> str:
-    """Render dicts/lists/tuples/str/bool/None/int/float; dict order is preserved."""
-    text = _LEAF.get(type(obj), _leaf)(obj)
-    if text is not None:
-        return text
+    """Render dicts (str keys), lists, tuples, Raw and the exact types str,
+    bool, None, int and float; dict order is preserved. Anything else raises
+    TypeError."""
+    render = _LEAF.get(type(obj))
+    if render is not None:
+        return render(obj)
     out: list[str] = []
     _write(obj, out.append, "\n", {})
     return "".join(out)
 
 
-def _leaf(obj) -> str | None:
-    """Render an instance of a leaf type's subclass (numpy.float64, ...);
-    None for a dict, list or tuple."""
-    if isinstance(obj, (dict, list, tuple)):
-        return None
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return fmt_float(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _write(obj, emit, nl: str, prefixes: dict) -> None:
-    """Append the fragments of a dict, list, tuple or Raw to emit.
+    """Append the fragments of a dict, list, tuple or Raw to emit; anything
+    else raises TypeError.
 
     nl is the newline plus indent of obj's closing bracket. prefixes maps
     each member indent to a memo of its '<indent>"key": ' strings.
     """
+    inner = nl + "  "
     if type(obj) is Raw:
         emit(obj)
-        return
-    inner = nl + "  "
-    if isinstance(obj, dict):
+    elif isinstance(obj, dict):
         if not obj:
             emit("{}")
             return
@@ -88,19 +77,17 @@ def _write(obj, emit, nl: str, prefixes: dict) -> None:
         sep = "{"
         for k, v in obj.items():
             prefix = memo.get(k)
-            if prefix is None:
-                prefix = inner + _quote(str(k)) + ": "
-                if type(k) is str:  # 1 and True are equal keys that render apart
-                    memo[k] = prefix
-            text = _LEAF.get(type(v), _leaf)(v)
-            if text is None:
+            if prefix is None:  # _quote raises TypeError for a key that is no str
+                prefix = memo[k] = inner + _quote(k) + ": "
+            render = _LEAF.get(type(v))
+            if render is None:
                 emit(sep + prefix)
                 _write(v, emit, inner, prefixes)
             else:
-                emit(sep + prefix + text)
+                emit(sep + prefix + render(v))
             sep = ","
         emit(nl + "}")
-    else:
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             emit("[]")
             return
@@ -113,11 +100,13 @@ def _write(obj, emit, nl: str, prefixes: dict) -> None:
             return
         sep = "[" + inner
         for v in obj:
-            text = _LEAF.get(type(v), _leaf)(v)
-            if text is None:
+            render = _LEAF.get(type(v))
+            if render is None:
                 emit(sep)
                 _write(v, emit, inner, prefixes)
             else:
-                emit(sep + text)
+                emit(sep + render(v))
             sep = "," + inner
         emit(nl + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")

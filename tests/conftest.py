@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 
 from dspread.bounds import BOUND_IDS, evaluate_all, solve_spectra
-from dspread.corpus import blocks
+from dspread.cli import _packaged_corpus
+from dspread.corpus import blocks, load_corpus
 from dspread.families import family
 from dspread.graphs import Graph, is_connected
 
@@ -47,6 +48,12 @@ def contexts(graphs, alphas=()) -> list:
             solve_spectra(ctxs, alphas)
         out += ctxs
     return out
+
+
+def packaged_corpus(n: int) -> list:
+    """The graphs of the packaged connected bipartite corpus of order n, read
+    as `conjecture` reads them."""
+    return load_corpus(_packaged_corpus(n))
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:

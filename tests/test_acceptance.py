@@ -6,24 +6,22 @@ report lines and the logged discrepancy findings.
 
 import math
 import time
-from importlib import resources
 
 import numpy as np
 import pytest
 
 from dspread.corpus import (
     check_problem_39,
-    iter_graph6_lines,
     random_connected_graph,
     sweep,
 )
 from dspread.eigen import sym_eigen
 from dspread.families import family
-from dspread.graphs import distance_profile, is_bipartite, is_connected, parse_graph6
+from dspread.graphs import distance_profile, is_bipartite, is_connected
 from dspread.jsonfmt import json_text
 from dspread.matrices import generalized_distance_matrix
 
-from conftest import contexts, evaluate_bound
+from conftest import contexts, evaluate_bound, packaged_corpus
 from family_oracle import (
     sigma_complete_bipartite,
     spectrum_complete_bipartite,
@@ -63,12 +61,7 @@ def _random_corpus(count=500):
 
 
 def _shipped_bipartite():
-    out = []
-    for n in (3, 4, 5, 6):
-        ref = resources.files("dspread").joinpath(f"data/bipartite_connected_n{n}.g6")
-        for line in iter_graph6_lines(ref.read_text(encoding="ascii").splitlines()):
-            out.append(parse_graph6(line))
-    return out
+    return [g for n in (3, 4, 5, 6) for g in packaged_corpus(n)]
 
 
 def test_criterion_01_complete_graph_spectrum():
@@ -270,11 +263,7 @@ def test_criterion_09_interlacing(zoo):
 def test_criterion_10_bipartite_minimum_conjecture():
     lines = []
     for n in (3, 4, 5, 6):
-        ref = resources.files("dspread").joinpath(f"data/bipartite_connected_n{n}.g6")
-        graphs = [
-            parse_graph6(s)
-            for s in iter_graph6_lines(ref.read_text(encoding="ascii").splitlines())
-        ]
+        graphs = packaged_corpus(n)
         for alpha in GRID:
             first = check_problem_39(graphs, n, alpha)
             second = check_problem_39(graphs, n, alpha)

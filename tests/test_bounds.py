@@ -490,6 +490,22 @@ def test_solve_spectra_record_matches_one_graph_at_a_time(monkeypatch):
     assert np.array_equal(solve_spectra(ctxs, alphas), record) and solved == stacks
 
 
+def test_d1_is_the_transmission_matrix(zoo):
+    # the abstract's D_1 = Tr, exactly: at alpha = 1 every spectrum is the
+    # transmissions as floats, sorted descending, and the record's trace and
+    # |D_1|_F^2 are their sum and their sum of squares. path:200 takes the
+    # per-vertex BFS and cycle:63 is read from its long-form graph6 line
+    graphs = list(zoo.values())
+    graphs += [random_connected_graph(n, p, seed=n) for n in (7, 16, 40) for p in (0.2, 0.6)]
+    graphs += [parse_family("path:200"), parse_graph6(parse_family("cycle:63").graph6)]
+    ctxs = contexts(graphs)
+    record = solve_spectra(ctxs, [1.0])
+    for ctx, (_, _, norm2, trace) in zip(ctxs, record[:, 0].tolist()):
+        tr = ctx.profile.tr.tolist()
+        assert np.array_equal(ctx.values(1.0), np.array(sorted(tr, reverse=True), dtype=float))
+        assert trace == sum(tr) and norm2 == sum(t * t for t in tr)
+
+
 # --- quotient-derived bounds against explicit quotients ---
 
 

@@ -146,6 +146,11 @@ def test_alpha_and_alpha_grid_exclude_each_other(capsys):
     (("analyze", "path:+3"), None, ["non-integer parameter"]),
     (("analyze", " path:3"), None, ["unknown family spec"]),
     (("analyze", "path:-1"), None, ["path needs n >= 1"]),
+    # graph6 never holds "." or "/": a text with either and no ":" is a
+    # corpus path, even where no such file exists
+    (("analyze", "{corpus}"), None, ["error: cannot read corpus {corpus}: "]),
+    (("bounds", "missing.g6"), None, ["error: cannot read corpus missing.g6: "]),
+    (("analyze", "./c.g6"), None, ["error: cannot read corpus ./c.g6: "]),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, corpus, messages):
     path = tmp_path / "corpus.g6"

@@ -7,7 +7,6 @@ from dspread import corpus as corpus_mod
 from dspread.bounds import CLAIMED, PROVEN, evaluate_all
 from dspread.corpus import (
     check_problem_39,
-    iter_graph6_lines,
     load_corpus,
     random_connected_graph,
     sweep,
@@ -17,7 +16,7 @@ from dspread.graphs import (Graph, GraphParseError, InputError, encode_graph6, i
                             parse_graph6)
 from dspread.jsonfmt import fmt_float, json_text
 
-from conftest import graph_from_mask
+from conftest import graph_from_mask, packaged_corpus
 
 
 def test_sweep_zoo_clean(zoo):
@@ -43,16 +42,13 @@ def test_sweep_empty():
     assert summary["violations"] == [] and summary["discrepancies"] == []
 
 
-def test_iter_graph6_lines():
-    lines = ["# comment", "", "Bg", "  Bw  ", "# more"]
-    assert list(iter_graph6_lines(lines)) == ["Bg", "Bw"]
-
-
 def test_load_corpus(tmp_path):
+    # blank, indented and comment lines: each graph keeps its stripped line
     path = tmp_path / "c.g6"
-    path.write_text("# two graphs\nBg\nBw\n", encoding="ascii")
+    path.write_text("# two graphs\n\nBg\n  Bw  \n\t\n  # more\n", encoding="ascii")
     graphs = load_corpus(path)
     assert [g.n for g in graphs] == [3, 3]
+    assert [g.graph6 for g in graphs] == ["Bg", "Bw"]
 
 
 def test_load_corpus_refusals_name_the_file(tmp_path):
@@ -128,10 +124,7 @@ def test_problem39_reproducible():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_problem39_same_document_at_every_block_size(monkeypatch, alpha):
-    from importlib import resources
-
-    ref = resources.files("dspread").joinpath("data/bipartite_connected_n6.g6")
-    graphs = load_corpus(ref)
+    graphs = packaged_corpus(6)
     texts = set()
     for block in (1, 2, 64):
         monkeypatch.setattr(corpus_mod, "BLOCK_GRAPHS", block)
@@ -201,14 +194,11 @@ def test_random_graph_domain():
 
 
 def test_shipped_corpora_complete():
-    from importlib import resources
-
     expected = {3: 1, 4: 3, 5: 5, 6: 17}
     for n, count in expected.items():
-        ref = resources.files("dspread").joinpath(f"data/bipartite_connected_n{n}.g6")
-        lines = list(iter_graph6_lines(ref.read_text(encoding="ascii").splitlines()))
+        graphs = packaged_corpus(n)
+        lines = [g.graph6 for g in graphs]  # the stripped lines load_corpus read
         assert len(lines) == count
-        graphs = [parse_graph6(s) for s in lines]
         assert all(g.n == n for g in graphs)
         # spreads are isomorphism invariants; distinct graphs here
         assert len({g.edges for g in graphs}) == count

@@ -23,17 +23,13 @@ leaves = (
     | st.integers()
     | finite
     | st.sampled_from([-0.0, 0.0, 1e16, 5e-5, 3.0, -2.0, 1e-300, 123456789012.5])
-    | finite.map(np.float64)
     | st.text()  # non-ASCII and control characters included
 )
-# non-string keys render through str(); 1 and True are equal keys that
-# render apart
-keys = st.text(max_size=8) | st.integers(-2, 2) | st.booleans() | st.none() | finite
 documents = st.recursive(
     leaves,
     lambda kids: (st.lists(kids, max_size=5)
                   | st.lists(kids, max_size=5).map(tuple)
-                  | st.dictionaries(keys, kids, max_size=5)),
+                  | st.dictionaries(st.text(max_size=8), kids, max_size=5)),
     max_leaves=40,
 )
 
@@ -67,7 +63,8 @@ def test_fmt_float_raises_on_non_finite(bad):
         fmt_float(bad)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(np.nan)])
+# -nan: a NaN with its sign bit set
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -math.nan])
 def test_non_finite_raises(bad):
     for doc in (bad, [1.0, bad], {"x": {"y": bad}}):
         with pytest.raises(ValueError, match="non-finite float"):
@@ -85,6 +82,10 @@ def test_non_finite_raises_at_every_depth(bad, depth):
     for level in range(depth):
         doc = ({"nan": "inf", "a": -2.5, "b": doc} if level % 2 else
                ["-inf", 1e300, (0.5, doc)])
+    if type(bad) is not float:  # a numpy float is no leaf: refused before any float check
+        with pytest.raises(TypeError, match="cannot serialize float64"):
+            json_text(doc)
+        return
     with pytest.raises(ValueError, match="non-finite float"):
         json_text(doc)
     with pytest.raises(ValueError, match="non-finite float"):
@@ -131,3 +132,40 @@ def test_unsupported_type_raises(bad):
             json_text(doc)
         with pytest.raises(TypeError, match="cannot serialize"):
             oracle_text(doc)
+
+
+def _nested(doc, depth):
+    """doc at depth, alternately a dict member and a list member, after
+    siblings of every leaf type and a spectrum-like float list."""
+    for level in range(depth):
+        doc = ({"nan": "inf", "a": -2.5, "i": 3, "b": doc} if level % 2 else
+               ["-inf", 1e300, None, True, [0.5, 1.5], (0.5, doc)])
+    return doc
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+# json_text renders the exact leaf types only: numpy.float64 is a float
+# subclass, and finite or not it raises TypeError before any float check
+@pytest.mark.parametrize("bad", [np.float64(1.5), np.float64(np.nan), np.float64(np.inf),
+                                 np.float64(-np.inf), _Text("x"), _Count(2)])
+@pytest.mark.parametrize("depth", range(6))
+def test_leaf_subclass_raises_at_every_depth(bad, depth):
+    # a lone leaf, and one among exact floats
+    for doc in (bad, [1.0, bad, 2.0]):
+        with pytest.raises(TypeError, match=f"cannot serialize {type(bad).__name__}"):
+            json_text(_nested(doc, depth))
+
+
+@pytest.mark.parametrize("key", [1, 0.5, True, None, ("a",), b"k"])
+@pytest.mark.parametrize("depth", range(6))
+def test_non_str_key_raises_at_every_depth(key, depth):
+    # after a str key at the same indent, whose prefix is memoized
+    with pytest.raises(TypeError):
+        json_text(_nested({"k": 1, key: 2}, depth))

@@ -1,6 +1,7 @@
-"""What the commands run: the library functions no command enters, and the
-layers the perfbench tracer wraps by name."""
+"""What the commands run: the library functions and statements no command
+runs, and the layers the perfbench tracer wraps by name."""
 
+import importlib
 import importlib.util
 import subprocess
 import sys
@@ -38,3 +39,46 @@ def test_perfbench_tracer_layers_resolve(monkeypatch):
     for name in spans.LAYERS:
         owner, attr, fn = spans.Tracer._resolve(name)
         assert getattr(owner, attr) is fn and callable(fn), name
+
+
+def test_unrun_statements_by_line(tmp_path, monkeypatch):
+    # the --statements lines of a module of which only the lines in ran
+    # produced line events: the statements holding none of them, in source
+    # order, each under the qualname of its function or class
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    unreached = importlib.import_module("unreached")
+    source = tmp_path / "mod.py"
+    source.write_text('''"""Doc."""
+import os
+
+
+@cache
+def f(x):
+    """Doc."""
+    def g():
+        nonlocal x
+        return x
+    if x:
+        return g()
+    elif x is None:
+        raise ValueError(
+            "none")
+    return 0
+
+
+class C:
+    y = 1
+''')
+    ran = {1, 2, 5, 11, 19}
+    assert unreached.unrun_statements(source, ran) == [
+        "mod.f: def g():",
+        "mod.f.<locals>.g: return x",
+        "mod.f: return g()",
+        "mod.f: if x is None:",
+        "mod.f: raise ValueError('none')",
+        "mod.f: return 0",
+        "mod.C: y = 1",
+    ]
+    # a line event on a continuation line counts for its statement
+    assert "mod.f: raise ValueError('none')" not in unreached.unrun_statements(source, ran | {15})
