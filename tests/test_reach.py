@@ -1,7 +1,6 @@
 """What the commands run: the library functions and statements no command
 runs, and the layers the perfbench tracer wraps by name."""
 
-import importlib
 import importlib.util
 import subprocess
 import sys
