@@ -45,7 +45,8 @@ CYCLE_63 = ("~??~hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@
             "????@??????????o?????????G")
 
 # {n4}, {n6}: the packaged n = 4 and n = 6 bipartite corpora; {late}: a corpus file whose last
-# graph is disconnected; {missing}: a path that does not exist; {cocktail}:
+# graph is disconnected; {missing}: a path that does not exist; {colonpath}:
+# a path that does not exist, in a missing directory, whose name holds ":"; {cocktail}:
 # a corpus file holding COCKTAIL_PARTY_40; {colon}: a corpus file whose name
 # holds ":", so it also reads as a (bad) family spec; {malformed}: a corpus
 # file whose second line has nonzero padding bits; {long}: a corpus file
@@ -102,10 +103,12 @@ COMMANDS = [
     "bounds path:30 --alpha 0.5",
     "bounds {colon} --alpha 0.5",
     # extreme alphas: tiny entries that sym_eigen zeroes in the stack itself,
-    # and a false exit 4 from cancellation in the bound formulas (ROADMAP item 4)
+    # and false exits 4 from cancellation in the bound formulas (ROADMAP item 4)
     "bounds path:30 --alpha 1e-300",
     "analyze path:62 --alpha-grid 0,1e-300,0.9999999999999999,1",
     "bounds cycle:40 --alpha 0.99999999",
+    "bounds cycle:100 --alpha 0.99999999",
+    "bounds kbip:7,7 --alpha 0.9999999",
     "sweep --seed-random 6,3,0.5 --alphas 0.1234567,0.1234568",
     "sweep --seed-random 10,200,0.5 --seed 1",
     "sweep --corpus {n6} --alphas 0,0.5,1",
@@ -201,9 +204,12 @@ COMMANDS = [
     "conjecture --n 1 --alpha 0 --corpus {n4}",
     "conjecture --n 4 --alpha 0 --corpus {nonbip}",
     "conjecture --n 4 --alpha 0.5 --corpus {incomplete}",
-    # a missing path as a command input: graph6 never holds "." or "/"
+    # a missing path as a command input: graph6 never holds "." or "/", and
+    # no family spec holds "/"; a "." after a ":" is a bad family spec
     "analyze {missing}",
     "bounds {missing}",
+    "analyze {colonpath}",
+    "analyze path:2.5",
     # false violations near alpha = 1 (ROADMAP item 4), the one command whose
     # sweep lists violations
     "sweep --corpus {c40} --alphas 0.99999999",
@@ -282,6 +288,7 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
     corpora of the dspread tree src. A label shows tmp as "{tmp}".
     """
     files = {"missing": Path(tmp) / "missing.g6", "dir": Path(tmp),
+             "colonpath": Path(tmp) / "none" / "x:1.g6",
              "nonascii": Path(tmp) / "non_ascii.g6"}
     files["nonascii"].write_bytes(b"Bg\n\xe9\n")
     mixed, apart, connected = mixed_orders()

@@ -93,39 +93,29 @@ class EvalContext:
         return independence_number(self.graph)
 
 
-def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> np.ndarray:
-    """The (G, k, 4) record [top, bottom, |D_alpha|_F^2, trace] of every
-    context and alpha, in context and alpha order (a repeated alpha repeats
-    its rows). Every context is solved at every alpha it is given and
-    keeps each alpha's eigenvalues in its spectra.
+def solve_spectra(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> None:
+    """Solve every context at every alpha and keep each alpha's eigenvalues
+    in its spectra.
 
-    D_alpha is affine in alpha, so the graphs of one order get their
+    D_alpha is affine in alpha, so the contexts of one order get their
     (G*k, n, n) stack from one generalized_distance_matrix call on their
     stacked distances and transmissions, and share one eigvalsh call on it.
-    Every entry is the same elementwise product as in a one-graph call. The
-    stack also gives the trace, then, squared in place, the |D_alpha|_F^2
-    mirsky_upper reads. Callers give at most one block of corpus.blocks(),
-    so a stack holds at most corpus.BLOCK_GRAPHS * k matrices.
+    Every entry is the same elementwise product as in a one-graph call.
+    Callers give at most one block of corpus.blocks(), so a stack holds at
+    most corpus.BLOCK_GRAPHS * k matrices.
     """
     want = tuple(dict.fromkeys(alphas))
-    record = np.empty((len(ctxs), len(want), 4))
-    groups: dict[int, list[int]] = {}
-    for g, ctx in enumerate(ctxs):
-        groups.setdefault(ctx.graph.n, []).append(g)
+    groups: dict[int, list[EvalContext]] = {}
+    for ctx in ctxs:
+        groups.setdefault(ctx.graph.n, []).append(ctx)
     for n, members in groups.items():
         # (G, 1, n, n) distances and (G, 1, n) transmissions give (G, k, n, n);
         # the stacked distances are freed before the eigensolve
         stack = generalized_distance_matrix(SimpleNamespace(
-            dist=np.stack([ctxs[g].profile.dist for g in members])[:, None],
-            tr=np.stack([ctxs[g].profile.tr for g in members])[:, None]), want).reshape(-1, n, n)
-        trace = np.trace(stack, axis1=1, axis2=2)
-        values = sym_eigen(stack)
-        rows = np.stack([values[:, 0], values[:, -1], np.square(stack, out=stack).sum((1, 2)),
-                         trace], axis=1).reshape(len(members), -1, 4)
-        record[members] = rows
-        for g, v in zip(members, values.reshape(len(members), -1, n)):
-            ctxs[g].spectra.update(zip(want, v))
-    return record[:, [want.index(a) for a in alphas]]
+            dist=np.stack([ctx.profile.dist for ctx in members])[:, None],
+            tr=np.stack([ctx.profile.tr for ctx in members])[:, None]), want).reshape(-1, n, n)
+        for ctx, v in zip(members, sym_eigen(stack).reshape(len(members), -1, n)):
+            ctx.spectra.update(zip(want, v))
 
 
 # --- registry ---------------------------------------------------------------
@@ -177,6 +167,11 @@ def _best_quotient_spread(ai, bi, m1, m2, where):
     quotient with parts of m1 and m2 vertices over the last-axis candidates `where` marks."""
     root = _sqrt(ai * ai - 4.0 * bi * m1 * m2) / (m1 * m2)
     return np.max(root, axis=-1, initial=0.0, where=where)
+
+
+def _mirsky(c):
+    # Mirsky's bound as Theorem 2.10: |D_alpha|_F^2 = power sum, tr D_alpha = 2 alpha W
+    return _sqrt(2.0 * c.power_sum - 8.0 / c.n * ((c.a * c.wiener) * (c.a * c.wiener))), c.spread
 
 
 def _thm35(c):
@@ -262,13 +257,8 @@ REGISTRY: tuple[Entry, ...] = (
     Entry("thm28_lower", "lower",
           lambda c: (2.0 / c.n * _sqrt(c.n * c.power_sum - 4.0 * c.a * c.a * c.wiener * c.wiener),
                      c.spread)),
-    Entry("mirsky_upper", "upper",
-          lambda c: (_sqrt(2.0 * c.fro_sq - 2.0 / c.n * (c.trace * c.trace)), c.spread)),
-    # same value as mirsky_upper but assembled from the distance and
-    # transmission power sums instead of the matrix itself
-    Entry("thm210_upper", "upper",
-          lambda c: (_sqrt(2.0 * c.power_sum - 8.0 / c.n * ((c.a * c.wiener) * (c.a * c.wiener))),
-                     c.spread)),
+    Entry("mirsky_upper", "upper", _mirsky),
+    Entry("thm210_upper", "upper", _mirsky),
     Entry("halfrange_radius_upper", "upper", lambda c: (c.top, c.spread),
           checks=(_order(2), _HALF)),
     Entry("thm35_bipartite_lower", "lower", _thm35, checks=(_order(3), _BIPARTITE),
@@ -295,12 +285,12 @@ def _padded(rows: list) -> np.ndarray:
     return out[:, None, :]
 
 
-def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float],
-             record: np.ndarray) -> SimpleNamespace:
+def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleNamespace:
     """What the formulas read: the alpha row (1, k), per-graph columns
-    (G, 1), spectral arrays (G, k) from the record of alphas and then 0,
-    per-vertex arrays (G, 1, width), NaN-padded, and the (G, 1, 2) least and
-    greatest transmission sums over the maximum cliques."""
+    (G, 1), the extreme eigenvalues (G, k) at the alphas and (G, 1) at 0
+    from the contexts' spectra, per-vertex arrays (G, 1, width), NaN-padded,
+    and the (G, 1, 2) least and greatest transmission sums over the maximum
+    cliques."""
 
     def col(xs):
         return np.array(xs, dtype=float)[:, None]
@@ -326,9 +316,11 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float],
                        dtype=float)
     c.omega, c.clique_tr = cliques[:, :1], cliques[:, None, 1:]
     c.indep = col([np.nan if ctx.independence is None else ctx.independence for ctx in ctxs])
-    c.top, c.bottom, c.fro_sq, c.trace = np.moveaxis(record[:, :-1], -1, 0)
+    ends = np.array([[(ctx.spectra[a][0], ctx.spectra[a][-1]) for a in (*alphas, 0.0)]
+                     for ctx in ctxs])
+    c.top, c.bottom = ends[:, :-1, 0], ends[:, :-1, 1]
     c.spread = c.top - c.bottom
-    c.top0, c.bottom0 = record[:, -1, 0:1], record[:, -1, 1:2]
+    c.top0, c.bottom0 = ends[:, -1:, 0], ends[:, -1:, 1]
     c.spread0 = c.top0 - c.bottom0
     # sum of squared eigenvalues: (1-a)^2 sum_{i,j} d^2 + a^2 sum Tr^2
     c.power_sum = (one_minus_a_sq * col([ctx.profile.dist_sq_sum for ctx in ctxs])
@@ -402,15 +394,16 @@ def evaluate(
 
     ctxs is at most one block of corpus.blocks(), never empty, and the
     per-vertex columns are padded to its largest order. The spectra come
-    from one solve_spectra() call, whose record the columns read. Those at
-    alpha = 0, which thm24 and ineq24/25 read at every alpha, join the same
-    batch when 0 is not among the alphas.
+    from one solve_spectra() call; those at alpha = 0, which thm24 and
+    ineq24/25 read at every alpha, join the same batch when 0 is not among
+    the alphas.
     """
     shape = (len(REGISTRY), len(ctxs), len(alphas))
     bound, actual = np.zeros(shape), np.zeros(shape)
     applicable, claimed, exact = (np.zeros(shape, dtype=bool) for _ in range(3))
     failed = np.zeros(shape, dtype=np.int8)
-    c = _columns(ctxs, alphas, solve_spectra(ctxs, [*alphas, 0.0]))
+    solve_spectra(ctxs, [*alphas, 0.0])
+    c = _columns(ctxs, alphas)
     # masked-out entries (n = 1, a star in the general branch, ...) may divide
     # by zero; their values are never read. A huge tol may overflow the
     # cushion to inf, where every bound holds, as it should

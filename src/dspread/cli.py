@@ -94,14 +94,14 @@ def _alphas(args) -> list[float]:
 
 
 def _resolve_inputs(text: str) -> tuple[Optional[str], list[Graph]]:
-    """An input is a corpus file path, a family spec ("kbip:2,3") or a
-    graph6 string. Graph6 never holds ":", "." or "/", so an existing file,
-    or a text with "." or "/" and no ":", is a path, read even if missing;
-    else a text with ":" is a family spec. Returns (desc, graphs); a file
-    has desc None (each graph is described by its graph6 string). A graph6
-    string is echoed without the whitespace the parser skips (a run after a
-    ">>graph6<<" header becomes one space), so it cannot break a TSV row."""
-    if os.path.exists(text) or ":" not in text and ("." in text or "/" in text):
+    """An input is a corpus file path, a family spec ("kbip:2,3") or a graph6
+    string. Only a path holds "/", and graph6 never holds ":" or ".", so an
+    existing file, a text with "/", or one with "." and no ":" is a path,
+    read even if missing; else a text with ":" is a family spec. Returns
+    (desc, graphs); a file has desc None (each graph is described by its graph6
+    string). A graph6 string is echoed without the whitespace the parser skips
+    (a run after a ">>graph6<<" header becomes one space): it cannot break a TSV row."""
+    if os.path.exists(text) or "/" in text or ":" not in text and "." in text:
         return None, corpus_mod.load_corpus(text)
     if ":" in text:
         return text, [parse_family(text)]

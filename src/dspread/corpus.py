@@ -150,8 +150,8 @@ def check_problem_39(graphs: Iterable[Graph], n: int, alpha: float) -> dict:
                 raise InputError(f"corpus graph of order {g.n} in an order-{n} scan")
             if ctx is None or not ctx.bipartite:
                 raise InputError("corpus contains a non-(connected bipartite) graph")
-        record = solve_spectra([ctx for _, ctx in block], [alpha])
-        spreads = (record[:, 0, 0] - record[:, 0, 1]).tolist()
+        solve_spectra([ctx for _, ctx in block], [alpha])
+        spreads = [ctx.spread(alpha) for _, ctx in block]
         seen += len(block)
         best = min(best, *zip(spreads, (g.graph6 for g, _ in block)))
         balanced = [s for s, (g, _) in zip(spreads, block) if g.edge_count == edges]

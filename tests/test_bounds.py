@@ -368,12 +368,14 @@ def test_halfrange_equality_iff_zero_smallest(zoo):
 
 
 def test_mirsky_equals_thm210_dual_route(zoo):
-    # same inequality assembled from the matrix vs from the profile sums
+    # Theorem 2.10 is Mirsky's bound in graph terms, so both entries read one
+    # formula off the profile; test_frobenius_formula and
+    # test_trace_and_power_sum_identities pin it against the matrix itself
     for g in zoo.values():
         for alpha in GRID:
             m = evaluate_bound("mirsky_upper", g, alpha)
             t = evaluate_bound("thm210_upper", g, alpha)
-            assert m["bound"] == pytest.approx(t["bound"], rel=1e-9)
+            assert m["bound"] == t["bound"]
 
 
 def test_thm210_equality_condition(zoo):
@@ -438,17 +440,9 @@ def test_values_runs_no_solve(zoo, monkeypatch):
         ctx.values(0.25)
 
 
-def _record_row(g: Graph, alpha: float) -> list[float]:
-    """[top, bottom, |D_alpha|_F^2, trace] of one graph and alpha, alone."""
-    m = generalized_distance_matrix(distance_profile(g), alpha)
-    v = sym_eigen(m)
-    return [v[0], v[-1], (m ** 2).sum(), np.trace(m)]
-
-
 def test_solve_spectra_holds_one_stack():
     # the D_alpha stack is the one buffer of the solve: sym_eigen zeroes its
-    # tiny entries in it and |D_alpha|_F^2 squares it in place, so a private
-    # copy or a squared second stack would each add a whole stack
+    # tiny entries in it, so a private copy would add a whole stack
     (ctx,) = contexts([parse_family("cycle:300")])
     solve_spectra([ctx], ALPHA_GRID)  # warm-up: numpy and LAPACK set up their buffers
     tracemalloc.start()
@@ -462,8 +456,8 @@ def test_solve_spectra_holds_one_stack():
 
 def test_solve_spectra_record_matches_one_graph_at_a_time(monkeypatch):
     # mixed orders, contexts with some alphas solved before, a repeated alpha
-    # and 0 appended, as evaluate() asks: every row is the one-graph value,
-    # bit for bit, and every context is solved at every asked alpha
+    # and 0 appended, as evaluate() asks: every context is solved at every
+    # asked alpha, bit for bit as one graph alone
     graphs = [parse_family(spec) for spec in ("path:4", "cycle:5", "kbip:2,3", "complete:3",
                                               "star:6", "split:2,5", "path:4")]
     ctxs = contexts(graphs)
@@ -473,37 +467,36 @@ def test_solve_spectra_record_matches_one_graph_at_a_time(monkeypatch):
     alphas = [0.25, 0.5, 0.25, 1.0, 0.0]
     solved = []
     monkeypatch.setattr(bounds_mod, "sym_eigen", lambda m: solved.append(m.shape) or sym_eigen(m))
-    record = solve_spectra(ctxs, alphas)
-    assert record.shape == (len(ctxs), len(alphas), 4)
-    for g, row in zip(graphs, record.tolist()):
-        assert row == [_record_row(g, a) for a in alphas]
+    assert solve_spectra(ctxs, alphas) is None
     for ctx in ctxs:
         for a in alphas:
             assert np.array_equal(ctx.values(a), sym_eigen(
                 generalized_distance_matrix(ctx.profile, a)))
     # one stack per order holding the 4 distinct alphas, orders in
-    # first-context order; a second call solves the same stacks again and
-    # gives the same record
+    # first-context order; a second call solves the same stacks again
     stacks = [(2 * 4, 4, 4), (3 * 4, 5, 5), (4, 3, 3), (4, 6, 6)]
     assert solved == stacks
     solved.clear()
-    assert np.array_equal(solve_spectra(ctxs, alphas), record) and solved == stacks
+    solve_spectra(ctxs, alphas)
+    assert solved == stacks
 
 
 def test_d1_is_the_transmission_matrix(zoo):
     # the abstract's D_1 = Tr, exactly: at alpha = 1 every spectrum is the
-    # transmissions as floats, sorted descending, and the record's trace and
-    # |D_1|_F^2 are their sum and their sum of squares. path:200 takes the
-    # per-vertex BFS and cycle:63 is read from its long-form graph6 line
+    # transmissions as floats, sorted descending, and the |D_1|_F^2 and half
+    # trace the Mirsky formula reads are their sum of squares and half their
+    # sum. path:200 takes the per-vertex BFS and cycle:63 is read from its
+    # long-form graph6 line; all 23 graphs are one block
     graphs = list(zoo.values())
     graphs += [random_connected_graph(n, p, seed=n) for n in (7, 16, 40) for p in (0.2, 0.6)]
     graphs += [parse_family("path:200"), parse_graph6(parse_family("cycle:63").graph6)]
-    ctxs = contexts(graphs)
-    record = solve_spectra(ctxs, [1.0])
-    for ctx, (_, _, norm2, trace) in zip(ctxs, record[:, 0].tolist()):
+    ctxs = contexts(graphs, [1.0, 0.0])
+    c = bounds_mod._columns(ctxs, [1.0])
+    for ctx, norm2, half_trace in zip(ctxs, c.power_sum[:, 0].tolist(),
+                                      (c.a * c.wiener)[:, 0].tolist()):
         tr = ctx.profile.tr.tolist()
         assert np.array_equal(ctx.values(1.0), np.array(sorted(tr, reverse=True), dtype=float))
-        assert trace == sum(tr) and norm2 == sum(t * t for t in tr)
+        assert 2 * half_trace == sum(tr) and norm2 == sum(t * t for t in tr)
 
 
 # --- quotient-derived bounds against explicit quotients ---
@@ -535,7 +528,8 @@ def test_thm41_from_the_extreme_clique_sums(n, p, seed):
     # every distinct maximum-clique sum is the one at s_min or s_max, bit for bit
     g = random_connected_graph(n, p, seed=seed)
     (ctx,) = contexts([g])
-    c = bounds_mod._columns([ctx], ALPHA_GRID, solve_spectra([ctx], [*ALPHA_GRID, 0.0]))
+    solve_spectra([ctx], [*ALPHA_GRID, 0.0])
+    c = bounds_mod._columns([ctx], ALPHA_GRID)
     tr = _transmissions(g)
     sums = sorted({float(sum(tr[v] for v in cl)) for cl in maximum_cliques(g)})
     assert c.clique_tr.tolist() == [[[sums[0], sums[-1]]]]

@@ -151,6 +151,9 @@ def test_alpha_and_alpha_grid_exclude_each_other(capsys):
     (("analyze", "{corpus}"), None, ["error: cannot read corpus {corpus}: "]),
     (("bounds", "missing.g6"), None, ["error: cannot read corpus missing.g6: "]),
     (("analyze", "./c.g6"), None, ["error: cannot read corpus ./c.g6: "]),
+    # neither graph6 nor a family spec holds "/": a path even where it holds ":"
+    (("analyze", "./graphs:v2.g6"), None, ["error: cannot read corpus ./graphs:v2.g6: "]),
+    (("analyze", "{corpus}/x:1.g6"), None, ["error: cannot read corpus {corpus}/x:1.g6: "]),
 ])
 def test_input_errors_exit_2(capsys, tmp_path, argv, corpus, messages):
     path = tmp_path / "corpus.g6"
@@ -341,13 +344,18 @@ def test_bounds_violation_exits_4(capsys, monkeypatch):
     assert after["bounds"] == before["bounds"]  # the other 16 entries
 
 
+# every known false violation: on a cycle the exact Mirsky bound is
+# sqrt(2) * (1 - alpha) * |D|_F, above the spread, but 2 |D_alpha|_F^2 and
+# 8 (alpha W)^2 / n cancel. cycle:40 exits 4 through thm41_clique_lower alone
+# (9.1e-06 against a spread of 5.6e-06), cycle:100 through mirsky_upper and
+# thm210_upper (both 0), and kbip:7,7 through thm41_clique_lower, an equality
+# on K_{7,7} that misses by more than the tolerance
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the tolerance does not cover the "
                    "cancellation inside the bound formulas near alpha = 1")
-def test_proven_bounds_hold_near_alpha_1(capsys):
-    # on a cycle the exact mirsky_upper is sqrt(2) * (1 - alpha) * |D|_F, about
-    # 6.5e-06 here, above the spread 5.6e-06; but 2 |D_alpha|_F^2 and 2 tr^2 / n
-    # are both about 1.28e7 and cancel to 0, and thm41 reads 9.1e-06: exit 4
-    code, _, err = run_cli(capsys, "bounds", "cycle:40", "--alpha", "0.99999999")
+@pytest.mark.parametrize("spec, alpha", [
+    ("cycle:40", "0.99999999"), ("cycle:100", "0.99999999"), ("kbip:7,7", "0.9999999")])
+def test_proven_bounds_hold_near_alpha_1(capsys, spec, alpha):
+    code, _, err = run_cli(capsys, "bounds", spec, "--alpha", alpha)
     assert (code, err) == (0, "")
 
 

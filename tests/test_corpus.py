@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -16,7 +17,7 @@ from dspread.graphs import (Graph, GraphParseError, InputError, encode_graph6, i
                             parse_graph6)
 from dspread.jsonfmt import fmt_float, json_text
 
-from conftest import graph_from_mask, packaged_corpus
+from conftest import contexts, graph_from_mask, packaged_corpus
 
 
 def test_sweep_zoo_clean(zoo):
@@ -193,6 +194,11 @@ def test_random_graph_domain():
         random_connected_graph(0, 0.5, seed=1)
 
 
+def _canonical_edges(g: Graph) -> tuple:
+    return min(tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges))
+               for p in itertools.permutations(range(g.n)))
+
+
 def test_shipped_corpora_complete():
     expected = {3: 1, 4: 3, 5: 5, 6: 17}
     for n, count in expected.items():
@@ -204,6 +210,10 @@ def test_shipped_corpora_complete():
         assert len({g.edges for g in graphs}) == count
         # decode/encode round-trips every shipped line exactly
         assert [encode_graph6(g) for g in graphs] == lines
+        # the exhaustive set `conjecture` needs: connected bipartite graphs,
+        # one per isomorphism class (the least edge tuple over all relabellings)
+        assert all(ctx.bipartite for ctx in contexts(graphs))
+        assert len({_canonical_edges(g) for g in graphs}) == count
 
 
 def _mixed_corpus(zoo):
