@@ -103,12 +103,15 @@ COMMANDS = [
     "bounds path:30 --alpha 0.5",
     "bounds {colon} --alpha 0.5",
     # extreme alphas: tiny entries that sym_eigen zeroes in the stack itself,
-    # and false exits 4 from cancellation in the bound formulas (ROADMAP item 4)
+    # and alphas near 1, where the expanded forms of four bound formulas cancel
     "bounds path:30 --alpha 1e-300",
     "analyze path:62 --alpha-grid 0,1e-300,0.9999999999999999,1",
     "bounds cycle:40 --alpha 0.99999999",
     "bounds cycle:100 --alpha 0.99999999",
     "bounds kbip:7,7 --alpha 0.9999999",
+    "bounds cycle:300 --alpha 0.99999999",
+    "bounds complete:300 --alpha 0.9999999999",
+    "bounds kbip:150,150 --alpha 0.9999999999",
     "sweep --seed-random 6,3,0.5 --alphas 0.1234567,0.1234568",
     "sweep --seed-random 10,200,0.5 --seed 1",
     "sweep --corpus {n6} --alphas 0,0.5,1",
@@ -210,8 +213,7 @@ COMMANDS = [
     "bounds {missing}",
     "analyze {colonpath}",
     "analyze path:2.5",
-    # false violations near alpha = 1 (ROADMAP item 4), the one command whose
-    # sweep lists violations
+    # a sweep near alpha = 1
     "sweep --corpus {c40} --alphas 0.99999999",
     # input errors of the alpha list and --seed-random
     "analyze Bg --alpha-grid 0,x",

@@ -162,16 +162,19 @@ class Entry:
     exact: Callable = lambda c: False
 
 
-def _best_quotient_spread(ai, bi, m1, m2, where):
-    """The largest spread sqrt(ai^2 - 4 bi m1 m2) / (m1 m2), and at least 0, of a 2x2
-    quotient with parts of m1 and m2 vertices over the last-axis candidates `where` marks."""
-    root = _sqrt(ai * ai - 4.0 * bi * m1 * m2) / (m1 * m2)
+def _best_quotient_spread(u, v, m1, n, b, where):
+    """The largest spread, and at least 0, of a 2x2 quotient of D_alpha with parts of m1
+    and n - m1 vertices over the last-axis candidates `where` marks:
+    sqrt((u - b v)^2 + 4 (m1 / n) b u v) / (m1 (n - m1)), with b = 1 - alpha and u, v
+    exact integers. Where u v < 0 the second term takes at most a share m1 / n of the
+    first, so nothing cancels."""
+    root = _sqrt(np.square(u - b * v) + 4.0 * m1 / n * b * u * v) / (m1 * (n - m1))
     return np.max(root, axis=-1, initial=0.0, where=where)
 
 
 def _mirsky(c):
-    # Mirsky's bound as Theorem 2.10: |D_alpha|_F^2 = power sum, tr D_alpha = 2 alpha W
-    return _sqrt(2.0 * c.power_sum - 8.0 / c.n * ((c.a * c.wiener) * (c.a * c.wiener))), c.spread
+    # Theorem 2.10, sqrt(2 |D_alpha|_F^2 - 2 (tr D_alpha)^2 / n), on centred transmissions
+    return _sqrt(2.0 * (c.one_minus_a_sq * c.dist_sq_sum + c.a * c.a * c.tr_dev / c.n)), c.spread
 
 
 def _thm35(c):
@@ -180,16 +183,11 @@ def _thm35(c):
     star = np.where(a == 0.0, n + _sqrt(n * n - 3.0 * n + 3.0), _sqrt(
         c.a_minus_2_sq * (n * n - 2.0 * n + 2.0) + 2.0 * (n - 1.0) * (a * a - 2.0)))
     # otherwise the best quotient of a maximum-degree vertex with its
-    # neighbours against the rest, vertices on a last axis
-    n, w, delta, a = (x[..., None] for x in (c.n, c.wiener, c.delta, c.a))
-    s = c.avg_dist_deg * delta + c.tr
-    k = s - 2.0 * delta * delta
-    lin = (delta + 1.0) * (2.0 * w - 2.0 * c.avg_dist_deg * delta - 2.0 * c.tr)
-    ai = a * n * k + 2.0 * n * delta * delta + lin
-    # float_power squares with libm pow, as Python's ** does; s * s may
-    # round differently in the last bit
-    bi = 2.0 * a * w * k + 4.0 * w * delta * delta - np.float_power(s, 2.0)
-    best = _best_quotient_spread(ai, bi, delta + 1.0, n - delta - 1.0, c.degree == delta)
+    # neighbours, pairwise at distance 2, against the rest, vertices on a last axis
+    n, w, delta, b = (x[..., None] for x in (c.n, c.wiener, c.delta, 1.0 - c.a))
+    s = c.closed_tr
+    best = _best_quotient_spread(n * s - 2.0 * (delta + 1.0) * w, n * (s - 2.0 * delta * delta),
+                                 delta + 1.0, n, b, c.degree == delta)
     return np.where(c.delta == c.n - 1, star, best), c.spread
 
 
@@ -205,14 +203,10 @@ def _thm38(c):
 
 
 def _thm41(c):
-    n, w, omega = (x[..., None] for x in (c.n, c.wiener, c.omega))
-    a, si = c.a[..., None], c.clique_tr
-    # trace term: the (1-a) factor scales only n*(omega-1), not 2W -- this
-    # is what the trace of the clique/rest quotient matrix works out to, and
-    # the quotient-spread cross-check in the tests pins it
-    ai = si * (a * n - 2.0 * omega) + omega * (2.0 * w + (1.0 - a) * n * (omega - 1.0))
-    bi = 2.0 * w * omega * (omega - 1.0) - si * si + 2.0 * w * a * (si - omega * (omega - 1.0))
-    best = _best_quotient_spread(ai, bi, omega, n - omega, ~np.isnan(si))
+    n, w, omega, b = (x[..., None] for x in (c.n, c.wiener, c.omega, 1.0 - c.a))
+    s = c.clique_tr
+    best = _best_quotient_spread(n * s - 2.0 * omega * w, n * (s - omega * (omega - 1.0)),
+                                 omega, n, b, ~np.isnan(s))
     return np.where(c.omega == c.n, (1.0 - c.a) * c.n, best), c.spread
 
 
@@ -255,8 +249,8 @@ REGISTRY: tuple[Entry, ...] = (
           lambda c: ((2.0 * c.wiener - _sqrt((c.n * c.n * c.power_sum - 4.0 * c.wiener * c.wiener)
                                              / (c.n - 1.0))) / c.n, c.spread)),
     Entry("thm28_lower", "lower",
-          lambda c: (2.0 / c.n * _sqrt(c.n * c.power_sum - 4.0 * c.a * c.a * c.wiener * c.wiener),
-                     c.spread)),
+          lambda c: (2.0 / c.n * _sqrt(c.n * c.one_minus_a_sq * c.dist_sq_sum
+                                       + c.a * c.a * c.tr_dev), c.spread)),
     Entry("mirsky_upper", "upper", _mirsky),
     Entry("thm210_upper", "upper", _mirsky),
     Entry("halfrange_radius_upper", "upper", lambda c: (c.top, c.spread),
@@ -299,14 +293,19 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleName
     # squares of alpha-only terms keep Python's pow, so values match the
     # scalar formulas to the last bit
     c.a_minus_2_sq = np.array([(a - 2.0) ** 2 for a in alphas])[None, :]
-    one_minus_a_sq = np.array([(1.0 - a) ** 2 for a in alphas])[None, :]
+    c.one_minus_a_sq = np.array([(1.0 - a) ** 2 for a in alphas])[None, :]
     c.n = col([ctx.graph.n for ctx in ctxs])
     c.bipartite = np.array([ctx.bipartite for ctx in ctxs])[:, None]
     c.wiener = col([ctx.profile.wiener for ctx in ctxs])
-    # per-vertex columns: degree, mean neighbour transmission, transmission
+    c.dist_sq_sum = col([ctx.profile.dist_sq_sum for ctx in ctxs])
+    # per-vertex columns: degree, closed-neighbourhood transmission sum, transmission
     c.degree = _padded([ctx.profile.degree for ctx in ctxs])
-    c.avg_dist_deg = _padded([ctx.profile.avg_dist_deg for ctx in ctxs])
+    c.closed_tr = _padded([ctx.profile.closed_tr for ctx in ctxs])
     c.tr = _padded([ctx.profile.tr for ctx in ctxs])
+    # exact: sum tr^2 < 2**53 at the order cap, and n sum tr^2 - (sum tr)^2 in Python ints
+    tr_sq = np.nansum(c.tr * c.tr, axis=-1)
+    c.tr_dev = col([ctx.graph.n * int(s) - 4 * ctx.profile.wiener ** 2
+                    for ctx, s in zip(ctxs, tr_sq[:, 0].tolist())])
     c.delta = np.nanmax(c.degree, axis=-1)
     c.tr_min, c.tr_max = np.nanmin(c.tr, axis=-1), np.nanmax(c.tr, axis=-1)
     c.tr_range = c.tr_max - c.tr_min
@@ -323,8 +322,7 @@ def _columns(ctxs: Sequence[EvalContext], alphas: Sequence[float]) -> SimpleName
     c.top0, c.bottom0 = ends[:, -1:, 0], ends[:, -1:, 1]
     c.spread0 = c.top0 - c.bottom0
     # sum of squared eigenvalues: (1-a)^2 sum_{i,j} d^2 + a^2 sum Tr^2
-    c.power_sum = (one_minus_a_sq * col([ctx.profile.dist_sq_sum for ctx in ctxs])
-                   + c.a * c.a * np.nansum(c.tr * c.tr, axis=-1))
+    c.power_sum = c.one_minus_a_sq * c.dist_sq_sum + c.a * c.a * tr_sq
     return c
 
 

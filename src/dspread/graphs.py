@@ -93,8 +93,8 @@ class DistanceProfile:
     """All shortest-path distances of a connected graph plus derived scalars.
 
     dist[i, j] is the BFS distance, tr the transmissions (row sums), wiener
-    the sum of distances over unordered pairs, avg_dist_deg[i] the mean
-    transmission over the neighbors of vertex i, degree[i] its degree and
+    the sum of distances over unordered pairs, closed_tr[i] the transmission
+    sum over the closed neighbourhood of vertex i, degree[i] its degree and
     dist_sq_sum the sum of all dist[i, j]**2.
     """
 
@@ -102,7 +102,7 @@ class DistanceProfile:
     tr: np.ndarray
     wiener: int
     diameter: int
-    avg_dist_deg: np.ndarray
+    closed_tr: np.ndarray
     degree: np.ndarray
     dist_sq_sum: int
 
@@ -178,10 +178,8 @@ def distance_profiles(graphs: Sequence[Graph]) -> list[Optional[DistanceProfile]
     and the 5 x 32 grid take the products, `path:100` and `cycle:200`
     per-vertex BFS, which reuses both rows.
 
-    Distances, transmissions, degrees and the Wiener index are exact
-    integers. avg_dist_deg[i] is the sum of the transmissions of the
-    neighbours of i, an integer below 2**53 and so exact in float64, over
-    the degree of i: every quotient is correctly rounded.
+    Distances, transmissions, closed-neighbourhood transmission sums,
+    degrees and the Wiener index are exact integers.
     """
     profiles: list[Optional[DistanceProfile]] = [None] * len(graphs)
     by_order: dict[int, list[int]] = {}
@@ -226,21 +224,21 @@ def _profiles(group: list[Graph], dist: Optional[np.ndarray]) -> list[Optional[D
     src, dst = ends.ravel(), ends[:, ::-1].ravel()
     # outputs before stacks and no allocation in the product loop: the freed
     # stacks then leave no holes under live arrays in the C heap (20 MB at n = 200)
-    degree = np.bincount(src, minlength=count * n)
-    tr, avg = np.empty((count, n), dtype=np.int64), np.empty(count * n)
+    degree = np.bincount(src, minlength=count * n).reshape(count, n)
+    tr, closed = np.empty((count, n), dtype=np.int64), np.empty((count, n), dtype=np.int64)
     connected = np.ones(count, dtype=bool)
     if dist is None:
         dist, connected = _reach_distances(orders, src, dst)
     dist.sum(axis=2, out=tr)
     sq = np.einsum("kij,kij->k", dist, dist).tolist()
+    # the neighbours' transmission sums are integers below 2**53, exact in float64
     nbr_tr = np.bincount(src, weights=tr.ravel()[dst], minlength=count * n)
-    np.divide(nbr_tr, np.maximum(degree, 1), out=avg)
-    degree, avg = degree.reshape(count, n), avg.reshape(count, n)
+    np.add(tr, nbr_tr.reshape(count, n), out=closed, casting="unsafe")
     wiener, diameter = (tr.sum(axis=1) // 2).tolist(), dist.max(axis=(1, 2)).tolist()
     # one view per order of the group, so each profile takes plain rows
-    cut = {m: (dist[:, :m, :m], tr[:, :m], avg[:, :m], degree[:, :m]) for m in set(orders)}
-    return [DistanceProfile(d[k], t[k], wiener[k], diameter[k], a[k], g[k], sq[k])
-            if connected[k] else None for k, (d, t, a, g) in enumerate(map(cut.get, orders))]
+    cut = {m: (dist[:, :m, :m], tr[:, :m], closed[:, :m], degree[:, :m]) for m in set(orders)}
+    return [DistanceProfile(d[k], t[k], wiener[k], diameter[k], s[k], g[k], sq[k])
+            if connected[k] else None for k, (d, t, s, g) in enumerate(map(cut.get, orders))]
 
 
 def _reach_distances(orders: list[int], src, dst) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,8 @@
 import math
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -583,6 +585,90 @@ def test_thm35_matches_explicit_quotient_in_mixed_blocks(shapes):
         for j, alpha in enumerate(alphas):
             assert ev.applicable[i, k, j]
             assert ev.bound[i, k, j] == pytest.approx(_explicit_thm35(g, alpha), abs=1e-9)
+
+
+# --- forward error of the cancellation-free forms near alpha = 1 ---
+
+
+_NEAR_ONE = (0.0, 0.5, *(1.0 - 10.0 ** -k for k in range(4, 13)), 1.0)
+_ULPS = 4
+
+
+def _root(x: Fraction) -> Decimal:
+    """sqrt(x) to 60 digits, for a rational x >= 0."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(x.numerator) / Decimal(x.denominator)).sqrt()
+
+
+def _quotient_cases(ctx, alpha):
+    """(bound id, exact value, largest term of the registry's form) per
+    candidate of the general branches of thm35 and thm41: the expanded
+    discriminant ai^2 - 4 bi m1 m2 in rationals, on the integers the registry
+    reads, against the terms of its (u - b v)^2 + 4 (m1 / n) b u v."""
+    p, n, a = ctx.profile, ctx.graph.n, Fraction(alpha)
+    w, b, delta = p.wiener, 1 - a, max(p.degree.tolist())
+    cases = []  # (bound id, ai, bi, m1, part sum s, distance sum within the part)
+    if ctx.bipartite and n >= 3 and delta < n - 1:
+        for s in {s for s, d in zip(p.closed_tr.tolist(), p.degree.tolist()) if d == delta}:
+            k = s - 2 * delta * delta
+            ai = a * n * k + 2 * n * delta * delta + (delta + 1) * (2 * w - 2 * s)
+            bi = 2 * a * w * k + 4 * w * delta * delta - s * s
+            cases.append(("thm35_bipartite_lower", ai, bi, delta + 1, s, 2 * delta * delta))
+    omega = ctx.cliques[0]
+    if 2 <= omega < n:
+        for s in set(ctx.cliques[1:]):
+            ai = s * (a * n - 2 * omega) + omega * (2 * w + b * n * (omega - 1))
+            bi = 2 * w * omega * (omega - 1) - s * s + 2 * w * a * (s - omega * (omega - 1))
+            cases.append(("thm41_clique_lower", ai, bi, omega, s, omega * (omega - 1)))
+    for bound_id, ai, bi, m1, s, inner in cases:
+        u, v, m2 = n * s - 2 * m1 * w, n * (s - inner), n - m1
+        largest = max(abs(u), abs(b * v), math.sqrt(abs(4 * m1 * b * u * v / n)))
+        yield bound_id, _root(ai * ai - 4 * bi * m1 * m2) / (m1 * m2), largest / (m1 * m2)
+
+
+def _profile_cases(ctx, alpha):
+    """Mirsky's bound and thm28 from their power-sum forms in rationals,
+    each with the largest term of the centred form the registry takes."""
+    p, n, a = ctx.profile, ctx.graph.n, Fraction(alpha)
+    b, w, tr_sq = 1 - a, p.wiener, sum(t * t for t in p.tr.tolist())
+    power_sum, tr_dev = b * b * p.dist_sq_sum + a * a * tr_sq, n * tr_sq - 4 * w * w
+    mirsky = _root(2 * power_sum - 8 * (a * w) ** 2 / n)
+    largest = math.sqrt(max(2 * b * b * p.dist_sq_sum, 2 * a * a * tr_dev / n))
+    yield from (("mirsky_upper", mirsky, largest), ("thm210_upper", mirsky, largest))
+    largest = 2.0 / n * math.sqrt(max(n * b * b * p.dist_sq_sum, a * a * tr_dev))
+    yield "thm28_lower", 2 * _root(n * power_sum - 4 * a * a * w * w) / n, largest
+
+
+def test_cancellation_free_forms_forward_error():
+    # transmission-regular graphs, where the expanded forms cancel worst,
+    # and random ones; every alpha but 0 and 1/2 is within 1e-4 of 1, where
+    # b = 1 - alpha is exact in float. A value is the largest over its
+    # candidates, so it lies within a few ulps of the largest candidate term
+    # from the largest exact value
+    graphs = [parse_family(spec) for spec in (
+        "cycle:6", "cycle:7", "cycle:40", "cycle:100", "complete:5", "complete:30", "kbip:3,3",
+        "kbip:7,7", "kbip:20,20", "kbip:2,5", "path:9", "split:3,7")]
+    graphs += [random_connected_graph(n, p, seed=n) for n in range(5, 15) for p in (0.3, 0.6)]
+    ctxs = contexts(graphs)
+    ev = evaluate(ctxs, _NEAR_ONE)
+    seen = set()
+    for g, ctx in enumerate(ctxs):
+        for j, alpha in enumerate(_NEAR_ONE):
+            worst = {}
+            for bound_id, exact, largest in (*_quotient_cases(ctx, alpha),
+                                             *_profile_cases(ctx, alpha)):
+                top, scale = worst.get(bound_id, (Decimal(0), 0.0))
+                worst[bound_id] = max(top, exact), max(scale, largest)
+            for bound_id, (exact, scale) in worst.items():
+                i = BOUND_IDS.index(bound_id)
+                assert ev.applicable[i, g, j], (bound_id, graphs[g].graph6, alpha)
+                err = abs(Decimal(float(ev.bound[i, g, j])) - exact)
+                assert err <= Decimal(_ULPS * sys.float_info.epsilon * scale), \
+                    (bound_id, graphs[g].graph6, alpha, float(err), scale)
+                seen.add(bound_id)
+    assert seen == {"thm35_bipartite_lower", "thm41_clique_lower", "mirsky_upper",
+                    "thm210_upper", "thm28_lower"}
 
 
 # --- claimed branches: pinned counterexamples ---

@@ -344,16 +344,18 @@ def test_bounds_violation_exits_4(capsys, monkeypatch):
     assert after["bounds"] == before["bounds"]  # the other 16 entries
 
 
-# every known false violation: on a cycle the exact Mirsky bound is
-# sqrt(2) * (1 - alpha) * |D|_F, above the spread, but 2 |D_alpha|_F^2 and
-# 8 (alpha W)^2 / n cancel. cycle:40 exits 4 through thm41_clique_lower alone
-# (9.1e-06 against a spread of 5.6e-06), cycle:100 through mirsky_upper and
-# thm210_upper (both 0), and kbip:7,7 through thm41_clique_lower, an equality
-# on K_{7,7} that misses by more than the tolerance
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the tolerance does not cover the "
-                   "cancellation inside the bound formulas near alpha = 1")
+# near alpha = 1 the expanded forms of mirsky_upper, thm28, thm35 and thm41
+# subtract nearly equal terms, and each case here exited 4 through them; the
+# exact bounds hold, and thm41 is an equality on K_{7,7}, K_{150,150} and
+# K_300. The registry reads centred transmissions and the quotient form on
+# exact integers, so nothing cancels
 @pytest.mark.parametrize("spec, alpha", [
-    ("cycle:40", "0.99999999"), ("cycle:100", "0.99999999"), ("kbip:7,7", "0.9999999")])
+    ("cycle:40", "0.99999999"), ("cycle:100", "0.99999999"), ("kbip:7,7", "0.9999999"),
+    ("cycle:300", "0.99999999"), ("cycle:1000", "0.99999999"),
+    ("cycle:300", "0.9999999999"), ("cycle:1000", "0.9999999999"),
+    ("complete:300", "0.99999999"), ("complete:300", "0.9999999999"),
+    ("kbip:150,150", "0.99999999"), ("kbip:150,150", "0.999999"),
+    ("kbip:150,150", "0.9999999999")])
 def test_proven_bounds_hold_near_alpha_1(capsys, spec, alpha):
     code, _, err = run_cli(capsys, "bounds", spec, "--alpha", alpha)
     assert (code, err) == (0, "")

@@ -217,7 +217,7 @@ def test_profile_p3(zoo):
     assert p.tr.tolist() == [3, 2, 3]
     assert p.wiener == 4
     assert p.diameter == 2
-    assert p.avg_dist_deg.tolist() == [2.0, 3.0, 2.0]
+    assert p.closed_tr.tolist() == [5, 8, 5]
 
 
 def test_profile_complete(zoo):
@@ -238,7 +238,7 @@ def test_profile_single_vertex():
     p = distance_profile(Graph(n=1, edges=frozenset()))
     assert p.dist.tolist() == [[0]]
     assert p.wiener == 0 and p.diameter == 0
-    assert p.avg_dist_deg.tolist() == [0.0]
+    assert p.closed_tr.tolist() == [0]
 
 
 def test_profile_disconnected_raises():
@@ -289,21 +289,20 @@ def _oracle_rows(g):
 
 
 def _oracle_profile(g):
-    """dist, tr, wiener, diameter, avg_dist_deg and degree from one BFS per source."""
+    """dist, tr, wiener, diameter, closed_tr and degree from one BFS per source."""
     nbrs, dist = _oracle_rows(g)
     tr = [sum(row) for row in dist]
-    avg = [float(sum(tr[w] for w in nb)) / len(nb) if nb else 0.0 for nb in nbrs]
-    return dist, tr, sum(tr) // 2, max(map(max, dist)), avg, list(map(len, nbrs))
+    closed = [tr[v] + sum(tr[w] for w in nb) for v, nb in enumerate(nbrs)]
+    return dist, tr, sum(tr) // 2, max(map(max, dist)), closed, list(map(len, nbrs))
 
 
 def _assert_matches_oracle(g, p=None):
     p = distance_profile(g) if p is None else p
-    dist, tr, wiener, diameter, avg, degree = _oracle_profile(g)
+    dist, tr, wiener, diameter, closed, degree = _oracle_profile(g)
     assert p.dist.dtype == np.int64 and p.dist.tolist() == dist
     assert p.tr.tolist() == tr
     assert p.wiener == wiener and p.diameter == diameter
-    # integer neighbour sums are exact, so the quotients agree bit for bit
-    assert p.avg_dist_deg.tolist() == avg
+    assert p.closed_tr.dtype == np.int64 and p.closed_tr.tolist() == closed
     assert p.degree.tolist() == degree
     assert p.dist_sq_sum == sum(d * d for row in dist for d in row)
 
@@ -434,7 +433,7 @@ def test_distance_profiles_of_a_mixed_block(block, data):
         if p is not None:
             lab = np.array(lab)
             assert np.array_equal(q.dist[np.ix_(lab, lab)], p.dist)
-            for field in ("tr", "avg_dist_deg", "degree"):
+            for field in ("tr", "closed_tr", "degree"):
                 assert np.array_equal(getattr(q, field)[lab], getattr(p, field))
             assert (q.wiener, q.diameter) == (p.wiener, p.diameter)
 
