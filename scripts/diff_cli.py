@@ -26,6 +26,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
@@ -57,8 +58,9 @@ CYCLE_63 = ("~??~hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@
 # comment; {nonascii}: a corpus file whose second line holds byte 0xE9;
 # {dir}: the temporary directory itself; {nonbip}: the n = 4 corpus and
 # then K4; {incomplete}: the n = 4 corpus without its K_{2,2}; {c40}: a
-# corpus file holding the 40-cycle. Each command is split with shlex, so a
-# quoted argument may hold whitespace.
+# corpus file holding the 40-cycle; {dense}: a corpus file holding K_1001,
+# 500,500 edges. Each command is split with shlex, so a quoted argument may
+# hold whitespace.
 COMMANDS = [
     "analyze Bg",
     "analyze kbip:2,3",
@@ -219,6 +221,9 @@ COMMANDS = [
     "analyze Bg --alpha-grid 0,x",
     "sweep --seed-random a,1,0.5",
     "sweep --seed-random 2001,1,0.5",
+    # over the edge cap: a corpus line, and a --seed-random of as many edges expected
+    "analyze {dense}",
+    "sweep --seed-random 1001,1,1.0",
 ]
 
 
@@ -311,7 +316,9 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
                             ("nonbip", "bipartite_n4_and_k4.g6", n4 + "C~\n"),
                             ("incomplete", "bipartite_n4_no_k22.g6", "Ck\nCs\n"),
                             ("c40", "cycle_40.g6",
-                             graph6(40, [(v, (v + 1) % 40) for v in range(40)]) + "\n")):
+                             graph6(40, [(v, (v + 1) % 40) for v in range(40)]) + "\n"),
+                            ("dense", "complete_1001.g6",
+                             graph6(1001, combinations(range(1001), 2)) + "\n")):
         files[key] = Path(tmp) / name
         files[key].write_text(text, encoding="ascii")
     files.update(n4=data / "bipartite_connected_n4.g6", n6=data / "bipartite_connected_n6.g6")

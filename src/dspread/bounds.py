@@ -1,8 +1,8 @@
 """Spread bound registry, evaluated on blocks of (graph, alpha) pairs at once.
 
-Each registry entry is a record (id, direction, formula, checks, claimed,
-exact) with an array formula for one displayed inequality on the spread or
-extreme eigenvalues of the generalized distance matrix. evaluate() maps
+Each registry entry is a record (id, direction, compares, formula, checks,
+claimed, exact) with an array formula for one displayed inequality on the
+spread or an extreme eigenvalue of the generalized distance matrix. evaluate() maps
 per-graph columns (G, 1) and spectra (G, k) of a block to (17, G, k)
 arrays; the checks mask out inapplicable entries, which report a reason
 instead of failing, so corpus sweeps never abort. Evaluation.reports() and
@@ -144,22 +144,23 @@ _ZERO_OR_HALF = (lambda c: (c.a == 0.0) | (c.a >= 0.5), "alpha outside {0} and [
 class Entry:
     """One registry entry: a displayed inequality as an array formula.
 
-    formula maps the block columns (see _columns) to (bound, actual), each
-    broadcastable to (G, k). checks are the (mask, reason) conditions of the
-    inequality in reporting order: order, then requirement, then alpha
-    domain, after the search budget where a requirement reads omega or
-    indep. Each mask maps the columns to where its condition is met; the
-    entry applies where all are met, and otherwise reports the reason of
-    the first that is not. claimed and exact map the columns to masks of
-    values that are only claimed, and of exact-value claims (none by default).
+    formula maps the block columns (see _columns) to the bound on column
+    compares, broadcastable to (G, k). checks are the (mask, reason)
+    conditions of the inequality in reporting order: order, then
+    requirement, then alpha domain, after the search budget where a
+    requirement reads omega or indep. Each mask maps the columns to where
+    its condition is met; the entry applies where all are met, and
+    otherwise reports the reason of the first that is not. claimed maps the
+    columns to a mask of values that are only claimed, as exact values if exact.
     """
 
     id: str
     direction: str  # "lower" | "upper"
+    compares: str  # "spread", "top" (largest eigenvalue) or "bottom" (smallest)
     formula: Callable
     checks: tuple[tuple[Callable, str], ...] = (_order(2),)
     claimed: Callable = lambda c: False
-    exact: Callable = lambda c: False
+    exact: bool = False
 
 
 def _best_quotient_spread(u, v, m1, n, b, where):
@@ -174,7 +175,7 @@ def _best_quotient_spread(u, v, m1, n, b, where):
 
 def _mirsky(c):
     # Theorem 2.10, sqrt(2 |D_alpha|_F^2 - 2 (tr D_alpha)^2 / n), on centred transmissions
-    return _sqrt(2.0 * (c.one_minus_a_sq * c.dist_sq_sum + c.a * c.a * c.tr_dev / c.n)), c.spread
+    return _sqrt(2.0 * (c.one_minus_a_sq * c.dist_sq_sum + c.a * c.a * c.tr_dev / c.n))
 
 
 def _thm35(c):
@@ -188,7 +189,7 @@ def _thm35(c):
     s = c.closed_tr
     best = _best_quotient_spread(n * s - 2.0 * (delta + 1.0) * w, n * (s - 2.0 * delta * delta),
                                  delta + 1.0, n, b, c.degree == delta)
-    return np.where(c.delta == c.n - 1, star, best), c.spread
+    return np.where(c.delta == c.n - 1, star, best)
 
 
 def _thm38(c):
@@ -199,7 +200,7 @@ def _thm38(c):
         n * n * a * a - 4.0 * (a - 1.0) * (fl * fl + ce * ce) - 4.0 * fl * ce
     ) + _sqrt(9.0 * a * a - 20.0 * a + 12.0)
     half = (a * (n - 3.0) + 2.0 * n - 6.0 + theta) / 2.0
-    return np.where(a == 0.0, at_zero, half), c.spread
+    return np.where(a == 0.0, at_zero, half)
 
 
 def _thm41(c):
@@ -207,7 +208,7 @@ def _thm41(c):
     s = c.clique_tr
     best = _best_quotient_spread(n * s - 2.0 * omega * w, n * (s - omega * (omega - 1.0)),
                                  omega, n, b, ~np.isnan(s))
-    return np.where(c.omega == c.n, (1.0 - c.a) * c.n, best), c.spread
+    return np.where(c.omega == c.n, (1.0 - c.a) * c.n, best)
 
 
 def _thm43(c):
@@ -225,49 +226,46 @@ def _thm43(c):
     half = (
         n + t + a * (n - 3.0) - 5.0 + _sqrt(theta) + _sqrt(9.0 * a * a - 20.0 * a + 12.0)
     ) / 2.0
-    return np.where(a == 0.0, at_zero, half), c.spread
+    return np.where(a == 0.0, at_zero, half)
 
 
 REGISTRY: tuple[Entry, ...] = (
-    Entry("thm24_lower", "lower",
-          lambda c: (np.abs(c.a * c.tr_range - (1.0 - c.a) * c.spread0), c.spread)),
-    Entry("thm24_upper", "upper",
-          lambda c: (c.a * c.tr_range + (1.0 - c.a) * c.spread0, c.spread)),
-    Entry("ineq24_radius_lower", "lower",
-          lambda c: (c.a * c.tr_min + (1.0 - c.a) * c.top0, c.top)),
-    Entry("ineq24_radius_upper", "upper",
-          lambda c: (c.a * c.tr_max + (1.0 - c.a) * c.top0, c.top)),
-    Entry("ineq25_smallest_lower", "lower",
-          lambda c: (c.a * c.tr_min + (1.0 - c.a) * c.bottom0, c.bottom)),
-    Entry("ineq25_smallest_upper", "upper",
-          lambda c: (c.a * c.tr_max + (1.0 - c.a) * c.bottom0, c.bottom)),
-    Entry("thm25_lower", "lower",
-          lambda c: (c.n / (c.n - 1.0) * c.top - 2.0 * c.a * c.wiener / (c.n - 1.0), c.spread)),
-    Entry("thm26_lower", "lower",
-          lambda c: (c.top - _sqrt((c.power_sum - c.top * c.top) / (c.n - 1.0)), c.spread)),
-    Entry("cor27_lower", "lower",
-          lambda c: ((2.0 * c.wiener - _sqrt((c.n * c.n * c.power_sum - 4.0 * c.wiener * c.wiener)
-                                             / (c.n - 1.0))) / c.n, c.spread)),
-    Entry("thm28_lower", "lower",
-          lambda c: (2.0 / c.n * _sqrt(c.n * c.one_minus_a_sq * c.dist_sq_sum
-                                       + c.a * c.a * c.tr_dev), c.spread)),
-    Entry("mirsky_upper", "upper", _mirsky),
-    Entry("thm210_upper", "upper", _mirsky),
-    Entry("halfrange_radius_upper", "upper", lambda c: (c.top, c.spread),
-          checks=(_order(2), _HALF)),
-    Entry("thm35_bipartite_lower", "lower", _thm35, checks=(_order(3), _BIPARTITE),
-          claimed=lambda c: (c.delta == c.n - 1) & (c.a != 0.0),
-          exact=lambda c: c.delta == c.n - 1),
-    Entry("thm38_bipartite_lower", "lower", _thm38,
+    Entry("thm24_lower", "lower", "spread",
+          lambda c: np.abs(c.a * c.tr_range - (1.0 - c.a) * c.spread0)),
+    Entry("thm24_upper", "upper", "spread", lambda c: c.a * c.tr_range + (1.0 - c.a) * c.spread0),
+    Entry("ineq24_radius_lower", "lower", "top", lambda c: c.a * c.tr_min + (1.0 - c.a) * c.top0),
+    Entry("ineq24_radius_upper", "upper", "top", lambda c: c.a * c.tr_max + (1.0 - c.a) * c.top0),
+    Entry("ineq25_smallest_lower", "lower", "bottom",
+          lambda c: c.a * c.tr_min + (1.0 - c.a) * c.bottom0),
+    Entry("ineq25_smallest_upper", "upper", "bottom",
+          lambda c: c.a * c.tr_max + (1.0 - c.a) * c.bottom0),
+    Entry("thm25_lower", "lower", "spread",
+          lambda c: c.n / (c.n - 1.0) * c.top - 2.0 * c.a * c.wiener / (c.n - 1.0)),
+    Entry("thm26_lower", "lower", "spread",
+          lambda c: c.top - _sqrt((c.power_sum - c.top * c.top) / (c.n - 1.0))),
+    Entry("cor27_lower", "lower", "spread",
+          lambda c: (2.0 * c.wiener - _sqrt((c.n * c.n * c.power_sum - 4.0 * c.wiener * c.wiener)
+                                            / (c.n - 1.0))) / c.n),
+    Entry("thm28_lower", "lower", "spread",
+          lambda c: 2.0 / c.n * _sqrt(c.n * c.one_minus_a_sq * c.dist_sq_sum
+                                      + c.a * c.a * c.tr_dev)),
+    Entry("mirsky_upper", "upper", "spread", _mirsky),
+    Entry("thm210_upper", "upper", "spread", _mirsky),
+    Entry("halfrange_radius_upper", "upper", "spread", lambda c: c.top, checks=(_order(2), _HALF)),
+    Entry("thm35_bipartite_lower", "lower", "spread", _thm35, checks=(_order(3), _BIPARTITE),
+          claimed=lambda c: (c.delta == c.n - 1) & (c.a != 0.0), exact=True),
+    Entry("thm38_bipartite_lower", "lower", "spread", _thm38,
           checks=(_order(3), _BIPARTITE, _ZERO_OR_HALF), claimed=lambda c: c.a != 0.0),
-    Entry("thm41_clique_lower", "lower", _thm41, checks=(_CLIQUES_SEARCHED, _order(3), _CLIQUE)),
-    Entry("thm43_independence_lower", "lower", _thm43,
+    Entry("thm41_clique_lower", "lower", "spread", _thm41,
+          checks=(_CLIQUES_SEARCHED, _order(3), _CLIQUE)),
+    Entry("thm43_independence_lower", "lower", "spread", _thm43,
           checks=(_INDEPENDENCE_SEARCHED, _order(3), _INDEPENDENT, _ZERO_OR_HALF),
           claimed=lambda c: c.a != 0.0),
 )
 
 BOUND_IDS = tuple(e.id for e in REGISTRY)
 _UPPER = np.array([e.direction == "upper" for e in REGISTRY])[:, None, None]
+_EXACT = np.array([e.exact for e in REGISTRY])[:, None, None]
 
 
 def _padded(rows: list) -> np.ndarray:
@@ -353,7 +351,6 @@ class Evaluation:
     applicable: np.ndarray
     failed: np.ndarray  # int8: where not applicable, the index of the first unmet check
     claimed: np.ndarray  # the formula is only claimed, not proven
-    exact: np.ndarray  # the formula claims the exact value
     holds: np.ndarray
     equality: np.ndarray
     violated: np.ndarray  # applicable proven bounds that failed
@@ -379,7 +376,7 @@ class Evaluation:
         """The claimed formulas that missed on graph g at alpha j, in
         registry order: informational, never soundness."""
         return [{"bound_id": BOUND_IDS[i],
-                 "kind": "exact-value mismatch" if self.exact[i, g, j] else "bound violated",
+                 "kind": "exact-value mismatch" if REGISTRY[i].exact else "bound violated",
                  "claimed": float(self.bound[i, g, j]), "actual": float(self.actual[i, g, j]),
                  "gap": float(self.gap[i, g, j])}
                 for i in np.flatnonzero(self.claimed_miss[:, g, j])]
@@ -398,7 +395,7 @@ def evaluate(
     """
     shape = (len(REGISTRY), len(ctxs), len(alphas))
     bound, actual = np.zeros(shape), np.zeros(shape)
-    applicable, claimed, exact = (np.zeros(shape, dtype=bool) for _ in range(3))
+    applicable, claimed = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
     failed = np.zeros(shape, dtype=np.int8)
     solve_spectra(ctxs, [*alphas, 0.0])
     c = _columns(ctxs, alphas)
@@ -407,7 +404,7 @@ def evaluate(
     # cushion to inf, where every bound holds, as it should
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i, e in enumerate(REGISTRY):
-            bound[i], actual[i] = e.formula(c)
+            bound[i], actual[i] = e.formula(c), getattr(c, e.compares)
             # met counts the leading checks that hold: the index of the
             # first unmet one where the entry does not apply
             ok, met = True, 0
@@ -415,17 +412,16 @@ def evaluate(
                 ok = ok & mask(c)
                 met = met + ok
             applicable[i], failed[i] = ok, met
-            claimed[i], exact[i] = e.claimed(c), e.exact(c)
+            claimed[i] = e.claimed(c)
         gap = actual - bound
         cushion = np.maximum(tol, tol * np.abs(bound))
         holds = applicable & np.where(_UPPER, gap <= cushion, gap >= -cushion)
         equality = applicable & (np.abs(gap) <= EQ_TOL)
     claimed &= applicable
-    exact &= applicable
     # a claimed exact value misses whenever it disagrees, a claimed
     # inequality only when it is outright violated
-    missed = claimed & np.where(exact, ~equality, ~holds)
-    return Evaluation(bound, actual, gap, applicable, failed, claimed, exact, holds, equality,
+    missed = claimed & np.where(_EXACT, ~equality, ~holds)
+    return Evaluation(bound, actual, gap, applicable, failed, claimed, holds, equality,
                       applicable & ~claimed & ~holds, missed)
 
 

@@ -248,6 +248,9 @@ def _parse_seed_random(text: str) -> tuple[int, int, float]:
     if n > graphs_mod.MAX_FAMILY_ORDER:
         raise InputError(f"--seed-random order {n} exceeds the cap of "
                          f"{graphs_mod.MAX_FAMILY_ORDER} vertices")
+    if n * (n - 1) / 2 * p > graphs_mod.MAX_FAMILY_EDGES:  # refused before any draw
+        raise InputError(f"--seed-random draws {n * (n - 1) / 2 * p:.0f} edges on average, over "
+                         f"the cap of {graphs_mod.MAX_FAMILY_EDGES} edges")
     return n, count, p
 
 

@@ -1,8 +1,9 @@
 """Structured graph families.
 
 family("kbip", 2, 3) builds a graph, and parse_family("kbip:2,3") builds
-the same graph from the CLI's spec syntax; one of more than MAX_FAMILY_ORDER
-vertices or MAX_FAMILY_EDGES edges is refused unbuilt. The graphs use a
+the same graph from the CLI's spec syntax; one over the caps that
+graphs.MAX_FAMILY_ORDER and graphs.MAX_FAMILY_EDGES set on every input graph
+is refused unbuilt. The graphs use a
 canonical labeling (clique / first part at the low indices) so positional
 partitions line up with the block structure of the closed-form spectra in
 tests/family_oracle.py.
@@ -13,10 +14,6 @@ from __future__ import annotations
 from . import graphs
 from .graphs import Graph, InputError
 
-
-# the most edges of a family graph, beside graphs.MAX_FAMILY_ORDER:
-# `complete:1000` (499,500 edges) runs, `complete:2000` would hold 476 MB
-MAX_FAMILY_EDGES = 500_000
 
 # kind -> (arity, parameter range check, message when the check fails,
 # the (order, edge count) of the graph, builder of its edges)
@@ -53,9 +50,9 @@ def family(kind: str, *params: int) -> Graph:
     if not in_range(*params):
         raise InputError(need)
     n, m = size(*params)
-    if n > graphs.MAX_FAMILY_ORDER or m > MAX_FAMILY_EDGES:
+    if n > graphs.MAX_FAMILY_ORDER or m > graphs.MAX_FAMILY_EDGES:
         raise InputError(f"family graph with {n} vertices and {m} edges exceeds the cap of "
-                         f"{graphs.MAX_FAMILY_ORDER} vertices and {MAX_FAMILY_EDGES} edges")
+                         f"{graphs.MAX_FAMILY_ORDER} vertices and {graphs.MAX_FAMILY_EDGES} edges")
     return Graph.from_edges(n, build(*params))
 
 

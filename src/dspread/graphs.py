@@ -297,12 +297,16 @@ _G6_HEADER = ">>graph6<<"
 
 # largest order of the 4-byte long-form header; the 8-byte form is not read
 _G6_MAX_ORDER = 258047
-# the largest order of any input graph (graph6, family spec, --seed-random),
-# refused before any O(n^2) work; `analyze cycle:2000` peaks at 330 MiB
+# the largest order and edge count of any input graph (graph6, family spec,
+# --seed-random), refused before any O(n^2) work; `analyze cycle:2000` peaks
+# at 330 MiB, `analyze complete:1000` (499,500 edges) runs, K_2000 would hold 476 MB
 MAX_FAMILY_ORDER = 2000
+MAX_FAMILY_EDGES = 500_000
 # the offsets within a graph6 byte (0 = most significant of its 6 bits) of
 # the bits set in each value 0..63
 _SET_BITS = tuple(tuple(i for i in range(6) if (val >> (5 - i)) & 1) for val in range(64))
+# the number of those bits for each byte, 0 outside '?'..'~'
+_G6_BIT_COUNTS = bytes(len(_SET_BITS[b - 63]) if 63 <= b <= 126 else 0 for b in range(256))
 
 
 def _g6_char(data: bytes, i: int) -> int:
@@ -340,7 +344,7 @@ def _g6_order(data: bytes) -> tuple[int, int]:
 
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 line (short form n <= 62, long form up to
-    MAX_FAMILY_ORDER vertices).
+    MAX_FAMILY_ORDER vertices) of at most MAX_FAMILY_EDGES edges.
 
     The format is McKay's printable encoding: the order n in a one-byte
     (63 + n) or a four-byte ('~' and 18 bits) header, then the upper
@@ -369,6 +373,9 @@ def parse_graph6(text: str) -> Graph:
         raise GraphParseError("trailing characters after bit string", offset=start + nbytes)
     if n > MAX_FAMILY_ORDER:
         raise GraphParseError(f"graph of order {n} exceeds the cap of {MAX_FAMILY_ORDER} vertices")
+    m = sum(data[start:].translate(_G6_BIT_COUNTS))  # the edges, counted before decoding
+    if m > MAX_FAMILY_EDGES:
+        raise GraphParseError(f"graph of {m} edges exceeds the cap of {MAX_FAMILY_EDGES} edges")
     edges = []
     u, v = 0, 1  # the pair of the first bit of byte i
     for i in range(start, start + nbytes):

@@ -16,6 +16,7 @@ from dspread.bounds import (
     BOUND_IDS,
     CLAIMED,
     PROVEN,
+    REGISTRY,
     EvalContext,
     clique_number,
     evaluate,
@@ -231,6 +232,23 @@ def test_registry_ids():
         "thm41_clique_lower",
         "thm43_independence_lower",
     }
+
+
+def test_registry_declares_what_it_compares():
+    # ineq24 bounds the largest eigenvalue, ineq25 the smallest, every other
+    # entry the spread; only thm35 claims an exact value (on stars)
+    compares = {"ineq24_radius_lower": "top", "ineq24_radius_upper": "top",
+                "ineq25_smallest_lower": "bottom", "ineq25_smallest_upper": "bottom"}
+    assert {e.id: e.compares for e in REGISTRY} == {
+        i: compares.get(i, "spread") for i in BOUND_IDS}
+    assert [e.id for e in REGISTRY if e.exact] == ["thm35_bipartite_lower"]
+    # evaluate's actual is the named column, the same array, on a seeded block
+    graphs = [random_connected_graph(n, p, seed=n) for n in (3, 6, 11, 20) for p in (0.3, 0.8)]
+    ctxs = contexts(graphs)
+    ev = evaluate(ctxs, GRID)
+    c = bounds_mod._columns(ctxs, GRID)
+    for i, e in enumerate(REGISTRY):
+        assert np.array_equal(ev.actual[i], getattr(c, e.compares)), e.id
 
 
 def test_not_bipartite_reason(zoo):
@@ -706,7 +724,7 @@ def test_thm35_star_claim_discrepancy(zoo):
     ev = evaluate(contexts([zoo["K13"]]), [0.1])
     i = BOUND_IDS.index("thm35_bipartite_lower")
     r = ev.reports(0, 0)[i]
-    assert r["status"] == CLAIMED and ev.exact[i, 0, 0]
+    assert r["status"] == CLAIMED and REGISTRY[i].exact
     assert r["bound"] == pytest.approx(math.sqrt(24.16), abs=1e-9)
     assert r["actual"] == pytest.approx((4.4 + math.sqrt(24.16)) / 2 + 1.3, abs=1e-9)
     assert r["holds"] and not r["equality"]  # sound as a bound, wrong as an exact value

@@ -278,7 +278,7 @@ def _replace_formula(monkeypatch, bound_id, formula):
                                            ("thm25_lower", math.inf)])
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 def test_non_finite_applicable_bound_exits_3(capsys, monkeypatch, bound_id, bad, fmt):
-    _replace_formula(monkeypatch, bound_id, lambda c: (0.0 * c.spread + bad, c.spread))
+    _replace_formula(monkeypatch, bound_id, lambda c: 0.0 * c.spread + bad)
     code, out, err = run_cli(capsys, "bounds", "Bw", "--alpha", "0.5", "--format", fmt)
     assert (code, out, err) == (3, "", "error: non-finite float in report\n")
 
@@ -289,7 +289,7 @@ def test_non_finite_inapplicable_bound_renders_null(capsys, monkeypatch, fmt):
     argv = ("bounds", "Bw", "--alpha", "0.3", "--format", fmt)
     expected = run_cli(capsys, *argv)
     _replace_formula(monkeypatch, "halfrange_radius_upper",
-                     lambda c: (0.0 * c.spread + math.nan, c.spread))
+                     lambda c: 0.0 * c.spread + math.nan)
     assert run_cli(capsys, *argv) == expected
     assert expected[0] == 0 and expected[2] == ""
 
@@ -323,7 +323,7 @@ def _undercut_thm24_upper(monkeypatch):
     """Give the proven thm24_upper a bound one below the spread, so it is
     violated wherever it applies."""
     registry = tuple(
-        dataclasses.replace(e, formula=lambda c: (c.spread - 1.0, c.spread))
+        dataclasses.replace(e, formula=lambda c: c.spread - 1.0)
         if e.id == "thm24_upper" else e for e in bounds_mod.REGISTRY)
     monkeypatch.setattr(bounds_mod, "REGISTRY", registry)
 
@@ -896,7 +896,8 @@ def _graph6_file(path, *graphs):
 
 def test_every_input_is_held_to_the_order_cap(capsys, monkeypatch, tmp_path):
     # a graph6 string, a corpus line and a --seed-random order over the cap
-    # exit 2 and name it, before any graph is built
+    # exit 2 and name it, before any graph is built; then the same for the
+    # edge cap, before any distance profile
     at, over = parse_family("cycle:5"), parse_family("cycle:6")
     monkeypatch.setattr(graphs_mod, "MAX_FAMILY_ORDER", 5)
     built = _count_calls(monkeypatch, corpus_mod.random_connected_graph)
@@ -925,6 +926,29 @@ def test_every_input_is_held_to_the_order_cap(capsys, monkeypatch, tmp_path):
         # only the graph at the cap, the file's first line, was built
         assert len(from_edges) == (1 if over_file in argv else 0), argv
     assert built == []
+    # the edge cap holds the same inputs and family specs: K_5 has 10 edges
+    monkeypatch.setattr(graphs_mod, "MAX_FAMILY_ORDER", 5)
+    monkeypatch.setattr(graphs_mod, "MAX_FAMILY_EDGES", 10)
+    k5 = parse_family("complete:5")
+    for argv in (("analyze", encode_graph6(k5), "--alpha", "0"), ("analyze", "complete:5"),
+                 ("sweep", "--seed-random", "5,1,1.0", "--alphas", "0.5")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+    monkeypatch.setattr(graphs_mod, "MAX_FAMILY_EDGES", 9)
+    profiles = _count_calls(monkeypatch, distance_profiles)
+    built.clear()
+    cap = "graph of 10 edges exceeds the cap of 9 edges\n"
+    dense_file = _graph6_file(tmp_path / "dense.g6", at, k5)
+    for argv, message in (
+            (("analyze", encode_graph6(k5), "--alpha", "0"), "error: " + cap),
+            (("sweep", "--corpus", dense_file), f"error: {dense_file}: line 2: " + cap),
+            (("sweep", "--seed-random", "5,1,1.0"),
+             "error: --seed-random draws 10 edges on average, over the cap of 9 edges\n"),
+            (("analyze", "complete:5"), "error: family graph with 5 vertices and 10 edges "
+                                        "exceeds the cap of 5 vertices and 9 edges\n")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", message), argv
+    assert profiles == [] and built == []
 
 
 def test_existing_file_wins_over_family_spec(capsys, monkeypatch, tmp_path):

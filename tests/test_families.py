@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dspread import families as families_mod
 from dspread import graphs as graphs_mod
 from dspread.cli import main
 from dspread.eigen import sym_eigen
@@ -122,11 +121,11 @@ def test_family_size_cap(monkeypatch, kind, params):
     # both caps is built, one over either cap is refused before building
     g = family(kind, *params)
     monkeypatch.setattr(graphs_mod, "MAX_FAMILY_ORDER", g.n)
-    monkeypatch.setattr(families_mod, "MAX_FAMILY_EDGES", g.edge_count)
+    monkeypatch.setattr(graphs_mod, "MAX_FAMILY_EDGES", g.edge_count)
     assert family(kind, *params) == g
     for order, edges in ((g.n - 1, g.edge_count), (g.n, g.edge_count - 1)):
         monkeypatch.setattr(graphs_mod, "MAX_FAMILY_ORDER", order)
-        monkeypatch.setattr(families_mod, "MAX_FAMILY_EDGES", edges)
+        monkeypatch.setattr(graphs_mod, "MAX_FAMILY_EDGES", edges)
         with pytest.raises(ValueError, match=f"exceeds the cap of {order} vertices and {edges} "
                                              f"edges"):
             family(kind, *params)
