@@ -59,8 +59,9 @@ CYCLE_63 = ("~??~hCGGC@?G?_@?@??_?G?@??C??G??G??C??@???G???_??@???@????_???G???@
 # {dir}: the temporary directory itself; {nonbip}: the n = 4 corpus and
 # then K4; {incomplete}: the n = 4 corpus without its K_{2,2}; {c40}: a
 # corpus file holding the 40-cycle; {dense}: a corpus file holding K_1001,
-# 500,500 edges. Each command is split with shlex, so a quoted argument may
-# hold whitespace.
+# 500,500 edges; {badbyte}: K_1001 with its middle payload byte replaced by
+# "!"; {padded}: K_1001 with its two padding bits set. Each command is split
+# with shlex, so a quoted argument may hold whitespace.
 COMMANDS = [
     "analyze Bg",
     "analyze kbip:2,3",
@@ -161,6 +162,7 @@ COMMANDS = [
     "analyze '~???'",
     "analyze '?'",
     "analyze 'B!'",
+    "analyze 'Bg!'",
     "analyze 'Bé'",
     "analyze '>>graph6<<'",
     "bounds {malformed}",
@@ -224,6 +226,9 @@ COMMANDS = [
     # over the edge cap: a corpus line, and a --seed-random of as many edges expected
     "analyze {dense}",
     "sweep --seed-random 1001,1,1.0",
+    # a bad byte and nonzero padding bits are refused before the edge cap
+    "analyze {badbyte}",
+    "analyze {padded}",
 ]
 
 
@@ -299,6 +304,8 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
              "nonascii": Path(tmp) / "non_ascii.g6"}
     files["nonascii"].write_bytes(b"Bg\n\xe9\n")
     mixed, apart, connected = mixed_orders()
+    k1001 = graph6(1001, combinations(range(1001), 2))
+    middle = len(k1001) // 2
     data = src / "dspread" / "data"
     n4, n6 = ((data / f"bipartite_connected_n{n}.g6").read_text(encoding="ascii") for n in (4, 6))
     for key, name, text in (("late", "late_disconnected.g6", "Bg\nBw\nC~\nA?\n"),
@@ -317,8 +324,10 @@ def commands(tmp: str, src: Path) -> list[tuple[str, list[str]]]:
                             ("incomplete", "bipartite_n4_no_k22.g6", "Ck\nCs\n"),
                             ("c40", "cycle_40.g6",
                              graph6(40, [(v, (v + 1) % 40) for v in range(40)]) + "\n"),
-                            ("dense", "complete_1001.g6",
-                             graph6(1001, combinations(range(1001), 2)) + "\n")):
+                            ("dense", "complete_1001.g6", k1001 + "\n"),
+                            ("badbyte", "complete_1001_bad_byte.g6",
+                             k1001[:middle] + "!" + k1001[middle + 1:] + "\n"),
+                            ("padded", "complete_1001_padded.g6", k1001[:-1] + "~\n")):
         files[key] = Path(tmp) / name
         files[key].write_text(text, encoding="ascii")
     files.update(n4=data / "bipartite_connected_n4.g6", n6=data / "bipartite_connected_n6.g6")

@@ -245,12 +245,8 @@ def _parse_seed_random(text: str) -> tuple[int, int, float]:
         raise InputError(f"--seed-random needs n >= 1 and count >= 0, got {text!r}")
     if not 0.0 < p <= 1.0:  # NaN fails too
         raise InputError(f"--seed-random edge probability must lie in (0, 1], got {text!r}")
-    if n > graphs_mod.MAX_FAMILY_ORDER:
-        raise InputError(f"--seed-random order {n} exceeds the cap of "
-                         f"{graphs_mod.MAX_FAMILY_ORDER} vertices")
-    if n * (n - 1) / 2 * p > graphs_mod.MAX_FAMILY_EDGES:  # refused before any draw
-        raise InputError(f"--seed-random draws {n * (n - 1) / 2 * p:.0f} edges on average, over "
-                         f"the cap of {graphs_mod.MAX_FAMILY_EDGES} edges")
+    num, den = p.as_integer_ratio()  # the expected edges n(n-1)/2 * p, rounded up, in exact ints
+    graphs_mod.check_size("--seed-random graph", n, -(-n * (n - 1) // 2 * num // den))
     return n, count, p
 
 

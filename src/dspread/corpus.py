@@ -30,21 +30,21 @@ BLOCK_GRAPHS = 64
 
 def load_corpus(path) -> list[Graph]:
     """Every graph of a graph6 corpus file, one a stripped line, blanks and
-    "#" comments skipped; a file that cannot be read, is not ASCII or holds a
-    line that does not parse raises InputError naming it (and the line)."""
+    "#" comments skipped; an unreadable file raises InputError naming it, and
+    a non-ASCII line (comments too) or one that does not parse names the line."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="latin-1") as fh:
             graphs = []
             for lineno, line in enumerate(fh, 1):
+                if not line.isascii():
+                    raise InputError("corpus line is not ASCII graph6 text")
                 s = line.strip()
                 if s and not s.startswith("#"):
                     graphs.append(parse_graph6(s))
             return graphs
     except OSError as exc:
         raise InputError(f"cannot read corpus {path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise InputError(f"{path}: corpus is not ASCII graph6 text") from None
-    except InputError as exc:  # a GraphParseError, raised in the loop, kept with its byte offset
+    except InputError as exc:  # raised in the loop; a GraphParseError keeps its byte offset
         exc.args = (f"{path}: line {lineno}: {exc}",)
         raise
 

@@ -1,12 +1,11 @@
 """Structured graph families.
 
 family("kbip", 2, 3) builds a graph, and parse_family("kbip:2,3") builds
-the same graph from the CLI's spec syntax; one over the caps that
-graphs.MAX_FAMILY_ORDER and graphs.MAX_FAMILY_EDGES set on every input graph
-is refused unbuilt. The graphs use a
-canonical labeling (clique / first part at the low indices) so positional
-partitions line up with the block structure of the closed-form spectra in
-tests/family_oracle.py.
+the same graph from the CLI's spec syntax. Its order and edge count, known
+from the parameters, go through graphs.check_size, the size rule of every
+input graph, before anything is built. The graphs use a canonical labeling
+(clique / first part at the low indices) so positional partitions line up
+with the block structure of the closed-form spectra in tests/family_oracle.py.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ _FAMILIES = {
 def family(kind: str, *params: int) -> Graph:
     """The named graph, e.g. family("kbip", 2, 3), with canonical vertex
     labeling; an unknown kind, a wrong parameter count, an out-of-range
-    parameter or a graph of more than MAX_FAMILY_ORDER vertices or
-    MAX_FAMILY_EDGES edges raises InputError before anything is built."""
+    parameter or a size that graphs.check_size refuses raises InputError."""
     if kind not in _FAMILIES:
         raise InputError(f"unknown family kind {kind!r}")
     arity, in_range, need, size, build = _FAMILIES[kind]
@@ -50,9 +48,7 @@ def family(kind: str, *params: int) -> Graph:
     if not in_range(*params):
         raise InputError(need)
     n, m = size(*params)
-    if n > graphs.MAX_FAMILY_ORDER or m > graphs.MAX_FAMILY_EDGES:
-        raise InputError(f"family graph with {n} vertices and {m} edges exceeds the cap of "
-                         f"{graphs.MAX_FAMILY_ORDER} vertices and {graphs.MAX_FAMILY_EDGES} edges")
+    graphs.check_size("family graph", n, m)
     return Graph.from_edges(n, build(*params))
 
 

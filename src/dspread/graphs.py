@@ -298,32 +298,33 @@ _G6_HEADER = ">>graph6<<"
 # largest order of the 4-byte long-form header; the 8-byte form is not read
 _G6_MAX_ORDER = 258047
 # the largest order and edge count of any input graph (graph6, family spec,
-# --seed-random), refused before any O(n^2) work; `analyze cycle:2000` peaks
+# --seed-random), read only by check_size; `analyze cycle:2000` peaks
 # at 330 MiB, `analyze complete:1000` (499,500 edges) runs, K_2000 would hold 476 MB
 MAX_FAMILY_ORDER = 2000
 MAX_FAMILY_EDGES = 500_000
 # the offsets within a graph6 byte (0 = most significant of its 6 bits) of
 # the bits set in each value 0..63
 _SET_BITS = tuple(tuple(i for i in range(6) if (val >> (5 - i)) & 1) for val in range(64))
-# the number of those bits for each byte, 0 outside '?'..'~'
-_G6_BIT_COUNTS = bytes(len(_SET_BITS[b - 63]) if 63 <= b <= 126 else 0 for b in range(256))
+# the number of those bits for each byte '?'..'~', 255 for any other byte
+_G6_BIT_COUNTS = bytes(len(_SET_BITS[b - 63]) if 63 <= b <= 126 else 255 for b in range(256))
 
 
-def _g6_char(data: bytes, i: int) -> int:
-    """The 6-bit value of data[i]; an error if it is not one of '?'..'~'."""
-    val = data[i] - 63
-    if val < 0 or val > 63:
-        raise GraphParseError(f"character {chr(data[i])!r} outside graph6 range", offset=i)
-    return val
+def check_size(what: str, n: int, m: int) -> None:
+    """Raise InputError, naming the graph `what`, if it has more than MAX_FAMILY_ORDER
+    vertices or MAX_FAMILY_EDGES edges; every input calls it before O(n^2) work."""
+    if n > MAX_FAMILY_ORDER:
+        raise InputError(f"{what} of order {n} exceeds the cap of {MAX_FAMILY_ORDER} vertices")
+    if m > MAX_FAMILY_EDGES:
+        raise InputError(f"{what} of {m} edges exceeds the cap of {MAX_FAMILY_EDGES} edges")
 
 
 def _g6_order(data: bytes) -> tuple[int, int]:
-    """The vertex count of a graph6 header and the offset of the bit string.
+    """The vertex count of a graph6 header, its bytes in range, and the offset of the bit string.
 
     Short form: one byte 63 + n for n <= 62. Long form: '~' and three bytes
     holding n in 18 bits, most significant 6 first, for 63 <= n <= 258047.
     """
-    first = _g6_char(data, 0)
+    first = data[0] - 63
     if first < 63:
         if first == 0:
             raise GraphParseError("graph of order 0 is not supported", offset=0)
@@ -333,7 +334,7 @@ def _g6_order(data: bytes) -> tuple[int, int]:
             f"8-byte long-form graph6 (n > {_G6_MAX_ORDER}) is not supported", offset=1)
     if len(data) < 4:
         raise GraphParseError("truncated long-form graph6 header", offset=len(data))
-    n = (_g6_char(data, 1) << 12) | (_g6_char(data, 2) << 6) | _g6_char(data, 3)
+    n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
     if n == 0:
         raise GraphParseError("graph of order 0 is not supported", offset=1)
     if n <= 62:
@@ -350,7 +351,10 @@ def parse_graph6(text: str) -> Graph:
     (63 + n) or a four-byte ('~' and 18 bits) header, then the upper
     triangle in column-major order packed 6 bits per byte (most significant
     bit first), padded with zero bits. Byte offsets in errors refer to the
-    stripped line, which the graph keeps as its graph6.
+    stripped line, which the graph keeps as its graph6. One translate pass
+    finds the first byte outside '?'..'~' and counts the edges. A line is
+    refused for, in this order, a bad byte, header, length or padding bits
+    (GraphParseError), then by check_size (InputError), and only then decoded.
     """
     s = text.strip()
     if s.startswith(_G6_HEADER):
@@ -361,6 +365,9 @@ def parse_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError:
         raise GraphParseError("graph6 input is not ASCII") from None
+    counts = data.translate(_G6_BIT_COUNTS)
+    if (bad := counts.find(255)) >= 0:
+        raise GraphParseError(f"character {s[bad]!r} outside graph6 range", offset=bad)
     n, start = _g6_order(data)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -371,16 +378,13 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) > start + nbytes:
         raise GraphParseError("trailing characters after bit string", offset=start + nbytes)
-    if n > MAX_FAMILY_ORDER:
-        raise GraphParseError(f"graph of order {n} exceeds the cap of {MAX_FAMILY_ORDER} vertices")
-    m = sum(data[start:].translate(_G6_BIT_COUNTS))  # the edges, counted before decoding
-    if m > MAX_FAMILY_EDGES:
-        raise GraphParseError(f"graph of {m} edges exceeds the cap of {MAX_FAMILY_EDGES} edges")
+    if nbits % 6 and (data[-1] - 63) & ((1 << (6 - nbits % 6)) - 1):
+        raise GraphParseError("nonzero padding bits", offset=len(data) - 1)
+    check_size("graph", n, sum(counts[start:]))  # zero padding: the set bits are the edges
     edges = []
-    u, v = 0, 1  # the pair of the first bit of byte i
-    for i in range(start, start + nbytes):
-        val = _g6_char(data, i)
-        for bit in _SET_BITS[val]:
+    u, v = 0, 1  # the pair of the first bit of the byte
+    for byte in data[start:]:
+        for bit in _SET_BITS[byte - 63]:
             a, b = u + bit, v
             while a >= b:
                 a -= b
@@ -390,9 +394,6 @@ def parse_graph6(text: str) -> Graph:
         while u >= v:
             u -= v
             v += 1
-    # padding bits of the last byte must be zero
-    if nbits % 6 and (data[-1] - 63) & ((1 << (6 - nbits % 6)) - 1):
-        raise GraphParseError("nonzero padding bits", offset=len(data) - 1)
     g = Graph.from_edges(n, edges)
     g.__dict__["graph6"] = s  # the graph6 cached_property, as encode_graph6 would give it
     return g

@@ -918,8 +918,7 @@ def test_every_input_is_held_to_the_order_cap(capsys, monkeypatch, tmp_path):
             (("analyze", encode_graph6(over), "--alpha", "0"), "error: " + cap),
             (("bounds", over_file, "--alpha", "0.5"), f"error: {over_file}: line 2: " + cap),
             (("sweep", "--corpus", over_file), f"error: {over_file}: line 2: " + cap),
-            (("sweep", "--seed-random", "6,1,0.5"),
-             "error: --seed-random order 6 exceeds the cap of 5 vertices\n")):
+            (("sweep", "--seed-random", "6,1,0.5"), "error: --seed-random " + cap)):
         from_edges.clear()
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", message), argv
@@ -942,13 +941,26 @@ def test_every_input_is_held_to_the_order_cap(capsys, monkeypatch, tmp_path):
     for argv, message in (
             (("analyze", encode_graph6(k5), "--alpha", "0"), "error: " + cap),
             (("sweep", "--corpus", dense_file), f"error: {dense_file}: line 2: " + cap),
-            (("sweep", "--seed-random", "5,1,1.0"),
-             "error: --seed-random draws 10 edges on average, over the cap of 9 edges\n"),
-            (("analyze", "complete:5"), "error: family graph with 5 vertices and 10 edges "
-                                        "exceeds the cap of 5 vertices and 9 edges\n")):
+            (("sweep", "--seed-random", "5,1,1.0"), "error: --seed-random " + cap),
+            (("analyze", "complete:5"), "error: family " + cap)):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", message), argv
     assert profiles == [] and built == []
+
+
+def test_every_input_graph_is_sized_once(capsys, monkeypatch, tmp_path):
+    # graphs.check_size is the one size rule: one call per graph6 argument,
+    # corpus line and family spec, and one per --seed-random however many it draws
+    sized = _count_calls(monkeypatch, graphs_mod.check_size)
+    for argv, calls in ((("analyze", "Bg", "--alpha", "0"), [("graph", 3, 2)]),
+                        (("analyze", _graph6_file(tmp_path / "one.g6", parse_family("cycle:5")),
+                          "--alpha", "0"), [("graph", 5, 5)]),
+                        (("analyze", "kbip:2,3", "--alpha", "0"), [("family graph", 5, 6)]),
+                        (("sweep", "--seed-random", "6,3,0.5", "--alphas", "0.5"),
+                         [("--seed-random graph", 6, 8)])):
+        sized.clear()
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and sized == calls, argv
 
 
 def test_existing_file_wins_over_family_spec(capsys, monkeypatch, tmp_path):

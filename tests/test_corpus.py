@@ -58,10 +58,16 @@ def test_load_corpus_refusals_name_the_file(tmp_path):
     malformed.write_text("Bg\nBh\n", encoding="ascii")
     for path, message in ((missing, f"cannot read corpus {missing}: "),
                           (tmp_path, f"cannot read corpus {tmp_path}: "),
-                          (latin, f"{latin}: corpus is not ASCII graph6 text")):
+                          (latin, f"{latin}: line 2: corpus line is not ASCII graph6 text")):
         with pytest.raises(InputError) as info:
             load_corpus(path)
         assert str(info.value).startswith(message)
+    # a non-ASCII byte is named by its line, in a comment or a blank line too
+    for text in (b"Bg\n" * 4 + b"Bw\xe9\n", b"Bg\n" * 4 + b"# caf\xe9\n", b"Bg\n" * 4 + b"\xa0\n"):
+        latin.write_bytes(text)
+        with pytest.raises(InputError) as info:
+            load_corpus(latin)
+        assert str(info.value) == f"{latin}: line 5: corpus line is not ASCII graph6 text"
     # a line that does not parse is named by number and keeps its type and byte offset
     with pytest.raises(GraphParseError) as info:
         load_corpus(malformed)

@@ -123,12 +123,15 @@ def test_family_size_cap(monkeypatch, kind, params):
     monkeypatch.setattr(graphs_mod, "MAX_FAMILY_ORDER", g.n)
     monkeypatch.setattr(graphs_mod, "MAX_FAMILY_EDGES", g.edge_count)
     assert family(kind, *params) == g
-    for order, edges in ((g.n - 1, g.edge_count), (g.n, g.edge_count - 1)):
+    for order, edges, message in (
+            (g.n - 1, g.edge_count, f"of order {g.n} exceeds the cap of {g.n - 1} vertices"),
+            (g.n, g.edge_count - 1,
+             f"of {g.edge_count} edges exceeds the cap of {g.edge_count - 1} edges")):
         monkeypatch.setattr(graphs_mod, "MAX_FAMILY_ORDER", order)
         monkeypatch.setattr(graphs_mod, "MAX_FAMILY_EDGES", edges)
-        with pytest.raises(ValueError, match=f"exceeds the cap of {order} vertices and {edges} "
-                                             f"edges"):
+        with pytest.raises(InputError) as info:
             family(kind, *params)
+        assert str(info.value) == "family graph " + message
 
 
 def test_family_over_the_cap_exits_2(monkeypatch, capsys):
@@ -137,8 +140,7 @@ def test_family_over_the_cap_exits_2(monkeypatch, capsys):
     capsys.readouterr()
     assert main(["analyze", "cycle:11", "--alpha", "0"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == ("error: family graph with 11 vertices and 11 edges exceeds the "
-                                 "cap of 10 vertices and 500000 edges\n")
+    assert out == "" and err == "error: family graph of order 11 exceeds the cap of 10 vertices\n"
 
 
 # --- closed-form spectra ---

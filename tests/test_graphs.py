@@ -119,6 +119,36 @@ def test_parse_graph6_order_zero():
             parse_graph6(text)
 
 
+# K_1001 in graph6: the long-form header of n = 1001 = 15 * 64 + 41, then
+# C(1001, 2) = 6 * 83416 + 4 set bits, so 83416 bytes '~' and a last byte
+# 111100b ('{') whose two padding bits are clear
+K1001_HEAD, K1001_BODY = "~?" + chr(63 + 15) + chr(63 + 41), "~" * 83416
+
+
+@pytest.mark.parametrize("text, error, message", [
+    # a bad byte comes first, wherever it is: after a complete line, in a
+    # line that holds too many edges, after a header that is refused
+    ("Bg!", GraphParseError, "character '!' outside graph6 range (byte offset 2)"),
+    (K1001_HEAD + K1001_BODY[:41708] + "!" + K1001_BODY[41709:] + "{", GraphParseError,
+     "character '!' outside graph6 range (byte offset 41712)"),
+    ("~~!", GraphParseError, "character '!' outside graph6 range (byte offset 2)"),
+    # then the header, then the length, then the padding bits
+    ("?Bh", GraphParseError, "graph of order 0 is not supported (byte offset 0)"),
+    ("Bhh", GraphParseError, "trailing characters after bit string (byte offset 2)"),
+    (K1001_HEAD + K1001_BODY + "~", GraphParseError, "nonzero padding bits (byte offset 83420)"),
+    # and only then the size, an InputError but no GraphParseError
+    (K1001_HEAD + K1001_BODY + "{", InputError, "graph of 500500 edges exceeds the cap of "
+                                                "500000 edges"),
+], ids=["byte-after-line", "byte-over-edge-cap", "byte-after-header", "header", "length",
+        "padding-over-edge-cap", "size"])
+def test_graph6_refusal_order(monkeypatch, text, error, message):
+    # every refusal comes before a single edge is built
+    monkeypatch.setattr(Graph, "from_edges", None)
+    with pytest.raises(InputError) as info:
+        parse_graph6(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
 def test_graph6_long_form_header():
     # McKay's formats.txt: N(63) = 126 63 63 126, N(12345) = 126 66 63 120
     assert encode_graph6(Graph(n=63, edges=frozenset())).startswith("~??~")
