@@ -226,6 +226,10 @@ COMMANDS = [
     # over the edge cap: a corpus line, and a --seed-random of as many edges expected
     "analyze {dense}",
     "sweep --seed-random 1001,1,1.0",
+    # orders of 4,001 and 4,301 digits, each refused in one short line
+    "analyze path:1" + "0" * 4000,
+    "sweep --seed-random 1" + "0" * 4000 + ",1,0.5",
+    "analyze kbip:" + "9" * 4300 + "," + "9" * 4300,
     # a bad byte and nonzero padding bits are refused before the edge cap
     "analyze {badbyte}",
     "analyze {padded}",

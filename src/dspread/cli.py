@@ -113,7 +113,7 @@ def _blocks(graphs: list[Graph]) -> Iterator[list[bounds_mod.EvalContext]]:
     holds a disconnected graph raises "requires connected graph" (exit 3)."""
     for block in corpus_mod.blocks(graphs):
         if any(ctx is None for _, ctx in block):
-            raise graphs_mod.DisconnectedGraphError("requires connected graph")
+            raise ValueError("requires connected graph")
         yield [ctx for _, ctx in block]
 
 

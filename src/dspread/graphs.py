@@ -8,6 +8,7 @@ DistanceProfile. All functions here are pure.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,10 +30,6 @@ class GraphParseError(InputError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
-
-
-class DisconnectedGraphError(ValueError):
-    """A distance-based quantity was asked of a disconnected graph."""
 
 
 @dataclass(frozen=True)
@@ -139,10 +136,10 @@ _MULADDS_PER_LOOP = 50_000
 
 def distance_profile(g: Graph) -> DistanceProfile:
     """distance_profiles([g]) of a connected graph; a disconnected one raises
-    DisconnectedGraphError (a ValueError), so callers need not check."""
+    ValueError("requires connected graph"), so callers need not check."""
     [profile] = distance_profiles([g])
     if profile is None:
-        raise DisconnectedGraphError("requires connected graph")
+        raise ValueError("requires connected graph")
     return profile
 
 
@@ -311,11 +308,15 @@ _G6_BIT_COUNTS = bytes(len(_SET_BITS[b - 63]) if 63 <= b <= 126 else 255 for b i
 
 def check_size(what: str, n: int, m: int) -> None:
     """Raise InputError, naming the graph `what`, if it has more than MAX_FAMILY_ORDER
-    vertices or MAX_FAMILY_EDGES edges; every input calls it before O(n^2) work."""
-    if n > MAX_FAMILY_ORDER:
-        raise InputError(f"{what} of order {n} exceeds the cap of {MAX_FAMILY_ORDER} vertices")
-    if m > MAX_FAMILY_EDGES:
-        raise InputError(f"{what} of {m} edges exceeds the cap of {MAX_FAMILY_EDGES} edges")
+    vertices or MAX_FAMILY_EDGES edges; every input calls it before O(n^2) work. A count
+    of more than 18 digits is shown as its first 6 digits and its number of digits."""
+    for count, cap, text in ((n, MAX_FAMILY_ORDER, "order {} exceeds the cap of {} vertices"),
+                             (m, MAX_FAMILY_EDGES, "{} edges exceeds the cap of {} edges")):
+        if count > cap:  # no len(str(count)): str refuses over 4300 digits by default
+            exp = int(math.log10(count))  # one too high or low where the float rounds
+            exp += (10 ** (exp + 1) <= count) - (10 ** exp > count)
+            shown = count if exp < 18 else f"{count // 10 ** (exp - 5)}... ({exp + 1} digits)"
+            raise InputError(f"{what} of " + text.format(shown, cap))
 
 
 def _g6_order(data: bytes) -> tuple[int, int]:

@@ -8,8 +8,7 @@ insertion order; strings are ASCII with JSON escapes. Leaves are of the
 exact types str, bool, None, int and float, keys are str, and a Raw is
 text rendered elsewhere in this layout that goes out uncopied; anything
 else, numpy scalars included, raises TypeError. fmt_float renders every
-float leaf and raises ValueError on NaN and infinities; a list of exact
-floats (a spectrum) is the one batch path, one join with one check.
+float leaf, spectra included, and raises ValueError on NaN and infinities.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ _LEAF = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
-_FLOATS = {float}
 
 
 def json_text(obj) -> str:
@@ -53,17 +51,14 @@ def json_text(obj) -> str:
     if render is not None:
         return render(obj)
     out: list[str] = []
-    _write(obj, out.append, "\n", {})
+    _write(obj, out.append, "\n")
     return "".join(out)
 
 
-def _write(obj, emit, nl: str, prefixes: dict) -> None:
+def _write(obj, emit, nl: str) -> None:
     """Append the fragments of a dict, list, tuple or Raw to emit; anything
-    else raises TypeError.
-
-    nl is the newline plus indent of obj's closing bracket. prefixes maps
-    each member indent to a memo of its '<indent>"key": ' strings.
-    """
+    else raises TypeError. nl is the newline plus indent of obj's closing
+    bracket."""
     inner = nl + "  "
     if type(obj) is Raw:
         emit(obj)
@@ -71,39 +66,27 @@ def _write(obj, emit, nl: str, prefixes: dict) -> None:
         if not obj:
             emit("{}")
             return
-        memo = prefixes.get(inner)
-        if memo is None:
-            memo = prefixes[inner] = {}
         sep = "{"
         for k, v in obj.items():
-            prefix = memo.get(k)
-            if prefix is None:  # _quote raises TypeError for a key that is no str
-                prefix = memo[k] = inner + _quote(k) + ": "
+            prefix = sep + inner + _quote(k) + ": "  # TypeError for a key that is no str
             render = _LEAF.get(type(v))
             if render is None:
-                emit(sep + prefix)
-                _write(v, emit, inner, prefixes)
+                emit(prefix)
+                _write(v, emit, inner)
             else:
-                emit(sep + prefix + render(v))
+                emit(prefix + render(v))
             sep = ","
         emit(nl + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             emit("[]")
             return
-        if type(obj[0]) is float and set(map(type, obj)) == _FLOATS:
-            # a spectrum: one join; no finite float's text holds an "n"
-            text = ("," + inner).join(map("%.12g".__mod__, obj))
-            if "n" in text:
-                raise ValueError(_NON_FINITE)
-            emit("[" + inner + text + nl + "]")
-            return
         sep = "[" + inner
         for v in obj:
             render = _LEAF.get(type(v))
             if render is None:
                 emit(sep)
-                _write(v, emit, inner, prefixes)
+                _write(v, emit, inner)
             else:
                 emit(sep + render(v))
             sep = "," + inner

@@ -2,8 +2,8 @@
 as an independent reference for tests.
 
 dspread.jsonfmt.json_text must produce the same bytes as this function on
-every document; it dispatches on exact types and memoizes key prefixes,
-while this one re-renders every level with json.dumps.
+every document; it dispatches on exact types and emits fragments, while
+this one re-renders every level with json.dumps.
 """
 
 from __future__ import annotations

@@ -963,6 +963,19 @@ def test_every_input_graph_is_sized_once(capsys, monkeypatch, tmp_path):
         assert code == 0 and err == "" and sized == calls, argv
 
 
+def test_a_huge_size_is_refused_in_one_short_line(capsys):
+    # an order of more than 18 digits is shown by its first 6 digits and its
+    # digit count, even past the 4300 digits that str() of an int refuses by default
+    huge, nines = "1" + "0" * 4000, "9" * 4300
+    for argv, shown in ((("analyze", f"path:{huge}"), "100000... (4001 digits)"),
+                        (("sweep", "--seed-random", f"{huge},1,0.5"), "100000... (4001 digits)"),
+                        (("analyze", f"kbip:{nines},{nines}"), "199999... (4301 digits)")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and len(err.encode()) < 200, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert err.endswith(f" graph of order {shown} exceeds the cap of 2000 vertices\n"), argv
+
+
 def test_existing_file_wins_over_family_spec(capsys, monkeypatch, tmp_path):
     # graph6 never holds ":", so a name with one is a file or a family spec
     monkeypatch.chdir(tmp_path)

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 import dspread.graphs
 from dspread.families import parse_family
 from dspread.graphs import (
-    DisconnectedGraphError,
     Graph,
     GraphParseError,
     InputError,
+    check_size,
     distance_profile,
     encode_graph6,
     is_bipartite,
@@ -69,7 +69,9 @@ def test_parse_errors_are_input_errors():
     # InputError is what the CLI reports as exit 2; a ValueError that is not
     # one is a failed precondition
     assert issubclass(InputError, ValueError) and issubclass(GraphParseError, InputError)
-    assert not issubclass(DisconnectedGraphError, InputError)
+    with pytest.raises(ValueError, match="requires connected graph") as disconnected:
+        distance_profile(Graph.from_edges(2, []))
+    assert not isinstance(disconnected.value, InputError)
     with pytest.raises(InputError, match="nonzero padding bits"):
         parse_graph6("AG")
 
@@ -149,6 +151,20 @@ def test_graph6_refusal_order(monkeypatch, text, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
+def test_check_size_shows_a_long_count_by_its_digits():
+    # around each power of ten, where the float log10 may round either way
+    for exp in range(6, 400):
+        for count in (10 ** exp - 1, 10 ** exp, 10 ** exp + 1):
+            text = str(count)
+            shown = text if len(text) <= 18 else f"{text[:6]}... ({len(text)} digits)"
+            with pytest.raises(InputError) as order:
+                check_size("graph", count, 0)
+            assert str(order.value) == f"graph of order {shown} exceeds the cap of 2000 vertices"
+            with pytest.raises(InputError) as edges:
+                check_size("graph", 1, count)
+            assert str(edges.value) == f"graph of {shown} edges exceeds the cap of 500000 edges"
+
+
 def test_graph6_long_form_header():
     # McKay's formats.txt: N(63) = 126 63 63 126, N(12345) = 126 66 63 120
     assert encode_graph6(Graph(n=63, edges=frozenset())).startswith("~??~")
@@ -226,7 +242,7 @@ def test_is_bipartite_against_every_two_colouring():
             g = graph_from_mask(n, mask)
             try:
                 profile = distance_profile(g)
-            except DisconnectedGraphError:
+            except ValueError:  # disconnected
                 continue
             proper = [c for c, same in alike.items() if mask & same == 0]
             parts = is_bipartite(g, profile)
@@ -440,8 +456,9 @@ def test_distance_profiles_of_a_mixed_block(block, data):
     for g, p in zip(graphs, profiles):
         if g is not apart:
             _assert_matches_oracle(g, p)
-    with pytest.raises(DisconnectedGraphError, match="requires connected graph"):
+    with pytest.raises(ValueError, match="requires connected graph") as disconnected:
         distance_profile(apart)
+    assert not isinstance(disconnected.value, InputError)
     # alone with the connected graphs of its order, the disconnected graph
     # keeps the loop running until a product reaches no new vertex: as many
     # products as the largest finite distance, at most n - 1

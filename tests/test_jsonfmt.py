@@ -13,7 +13,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 # -0, subnormals and the extremes of the double range
 edge_floats = st.sampled_from([-0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308, 1e308,
                                -1e308, 1.7976931348623157e308])
-# lists of exact floats take the writer's one-join path
+# lists of exact floats, as a spectrum is
 float_lists = st.lists(finite | edge_floats, min_size=1, max_size=12)
 leaves = (
     float_lists
@@ -115,7 +115,7 @@ def test_raw_text_is_one_uncopied_fragment():
     Raw texts holds no second copy of them before the join."""
     raws = [Raw("[1, 2]"), Raw("x")]
     out = []
-    jsonfmt._write({"a": raws[0], "b": [raws[1]]}, out.append, "\n", {})
+    jsonfmt._write({"a": raws[0], "b": [raws[1]]}, out.append, "\n")
     assert [f for f in out if type(f) is Raw] == raws
     assert all(any(f is r for f in out) for r in raws)
 
@@ -166,6 +166,6 @@ def test_leaf_subclass_raises_at_every_depth(bad, depth):
 @pytest.mark.parametrize("key", [1, 0.5, True, None, ("a",), b"k"])
 @pytest.mark.parametrize("depth", range(6))
 def test_non_str_key_raises_at_every_depth(key, depth):
-    # after a str key at the same indent, whose prefix is memoized
+    # after a str key at the same indent
     with pytest.raises(TypeError):
         json_text(_nested({"k": 1, key: 2}, depth))
